@@ -9,8 +9,12 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
+#include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/advisor.hpp"
 #include "core/analyzer.hpp"
@@ -65,6 +69,39 @@ class Comparison {
  private:
   support::Table table_;
   bool all_hold_ = true;
+};
+
+/// The BENCH records of one custom-main bench. add() echoes each record
+/// as a `BENCH <json>` line; write() stores the aggregate
+/// {"bench":NAME,"records":[...]} document, one record a line, for the
+/// perf trajectory. Each bench renders its own record fields.
+class BenchRecords {
+ public:
+  explicit BenchRecords(std::string bench) : bench_(std::move(bench)) {}
+
+  void add(std::string json) {
+    std::cout << "BENCH " << json << "\n";
+    records_.push_back(std::move(json));
+  }
+
+  std::size_t size() const noexcept { return records_.size(); }
+
+  void write(const std::string& path) const {
+    std::ofstream out(path, std::ios::binary);
+    out << "{\"bench\":\"" << bench_ << "\",\"records\":[\n";
+    for (std::size_t i = 0; i < records_.size(); ++i) {
+      out << "  " << records_[i] << (i + 1 < records_.size() ? "," : "")
+          << "\n";
+    }
+    out << "]}\n";
+    out.close();
+    std::cout << "\nwrote " << path << " (" << records_.size()
+              << " records)\n";
+  }
+
+ private:
+  std::string bench_;
+  std::vector<std::string> records_;
 };
 
 inline core::VariableId find_variable(const core::SessionData& data,

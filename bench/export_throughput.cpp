@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
 
   namespace fs = std::filesystem;
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_export.json";
-  std::vector<Record> records;
+  bench::BenchRecords records("export_throughput");
   bool all_valid = true;
   double load_seconds[2] = {0.0, 0.0};  // [text, binary], summed over apps
   const fs::path load_dir =
@@ -168,11 +168,10 @@ int main(int argc, char** argv) {
           best > 0.0
               ? static_cast<double>(artifact.bytes.size()) / best / 1.0e6
               : 0.0;
-      records.push_back(record);
       std::cout << artifact.filename << ": " << record.bytes << " bytes in "
                 << best << " s (" << record.mb_per_s << " MB/s)"
                 << (problems.empty() ? "" : "  [SCHEMA INVALID]") << "\n";
-      std::cout << "BENCH " << bench_json(record) << "\n";
+      records.add(bench_json(record));
     }
 
     // Profile load, text vs binary: the exporters all sit downstream of a
@@ -205,25 +204,14 @@ int main(int argc, char** argv) {
       record.mb_per_s =
           best > 0.0 ? static_cast<double>(record.bytes) / best / 1.0e6
                      : 0.0;
-      records.push_back(record);
       std::cout << record.artifact << ": " << record.bytes << " bytes in "
                 << best << " s (" << record.mb_per_s << " MB/s)\n";
-      std::cout << "BENCH " << bench_json(record) << "\n";
+      records.add(bench_json(record));
     }
   }
   fs::remove_all(load_dir);
 
-  // The aggregate document for the perf trajectory.
-  std::ofstream out(out_path, std::ios::binary);
-  out << "{\"bench\":\"export_throughput\",\"records\":[\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    out << "  " << bench_json(records[i])
-        << (i + 1 < records.size() ? "," : "") << "\n";
-  }
-  out << "]}\n";
-  out.close();
-  std::cout << "\nwrote " << out_path << " (" << records.size()
-            << " records)\n";
+  records.write(out_path);
 
   bench::Comparison cmp;
   cmp.add("every artifact passes its schema check", "valid",

@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
       {"frame-drop=0.05", "frame-drop=0.05"},
       {"frame-corrupt=0.05", "frame-corrupt=0.05"},
   };
-  std::vector<Record> records;
+  bench::BenchRecords records("ingest_throughput");
   bool all_valid = true;
 
   for (const FaultCase& fc : fault_cases) {
@@ -149,26 +149,15 @@ int main(int argc, char** argv) {
       record.shards_per_s =
           best > 0.0 ? static_cast<double>(accepted) / best : 0.0;
       record.mb_per_s = record.shards_per_s * kShardBytes / 1.0e6;
-      records.push_back(record);
       std::cout << clients << " client(s): " << accepted << " shards in "
                 << best << " s (" << record.shards_per_s << " shards/s, "
                 << record.mb_per_s << " MB/s)\n";
-      std::cout << "BENCH " << bench_json(record) << "\n";
+      records.add(bench_json(record));
     }
   }
   std::filesystem::remove_all(wal_dir);
 
-  // The aggregate document for the perf trajectory.
-  std::ofstream out(out_path, std::ios::binary);
-  out << "{\"bench\":\"ingest_throughput\",\"records\":[\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    out << "  " << bench_json(records[i])
-        << (i + 1 < records.size() ? "," : "") << "\n";
-  }
-  out << "]}\n";
-  out.close();
-  std::cout << "\nwrote " << out_path << " (" << records.size()
-            << " records)\n";
+  records.write(out_path);
 
   if (!all_valid) {
     std::cout << "VALIDITY FAILURE: clean transport lost shards\n";

@@ -53,12 +53,11 @@ std::string bench_json(const Record& r) {
   return os.str();
 }
 
-void emit(std::vector<Record>& records, Record r) {
+void emit(bench::BenchRecords& records, const Record& r) {
   std::cout << "  " << r.stage << " " << r.variant << ": " << r.samples
             << " samples in " << r.seconds << " s (" << r.per_s
             << " /s, mismatch " << r.mismatch << ")\n";
-  std::cout << "BENCH " << bench_json(r) << "\n";
-  records.push_back(std::move(r));
+  records.add(bench_json(r));
 }
 
 }  // namespace
@@ -70,7 +69,7 @@ int main(int argc, char** argv) {
   const simos::PolicySpec policy =
       matrix::policy_by_name("first-touch").spec;
 
-  std::vector<Record> records;
+  bench::BenchRecords records("matrix_kernels");
   bool shape_holds = true;
 
   for (const apps::Scenario& scenario : apps::matrix_scenarios()) {
@@ -136,17 +135,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The aggregate document for the perf trajectory.
-  std::ofstream out(out_path, std::ios::binary);
-  out << "{\"bench\":\"matrix_kernels\",\"records\":[\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    out << "  " << bench_json(records[i])
-        << (i + 1 < records.size() ? "," : "") << "\n";
-  }
-  out << "]}\n";
-  out.close();
-  std::cout << "\nwrote " << out_path << " (" << records.size()
-            << " records)\n";
+  records.write(out_path);
 
   if (!shape_holds) {
     std::cout << "SHAPE MISMATCH: a broken kernel did not out-mismatch its "

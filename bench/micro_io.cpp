@@ -207,7 +207,7 @@ std::string bench_json(const Record& r) {
 
 /// Times `body` reps times (warm = min of reps after the first; for file
 /// sources the first rep is also recorded as "cold"), prints BENCH lines.
-Record run_timed(std::vector<Record>& records, Record base, int reps,
+Record run_timed(bench::BenchRecords& records, Record base, int reps,
                  const std::function<void()>& body) {
   double cold = 0.0;
   double warm = 1e100;
@@ -226,8 +226,7 @@ Record run_timed(std::vector<Record>& records, Record base, int reps,
     cold_rec.seconds = cold;
     cold_rec.mb_per_s =
         cold > 0.0 ? static_cast<double>(base.bytes) / cold / 1.0e6 : 0.0;
-    std::cout << "BENCH " << bench_json(cold_rec) << "\n";
-    records.push_back(cold_rec);
+    records.add(bench_json(cold_rec));
   }
   base.temp = "warm";
   base.seconds = warm;
@@ -236,8 +235,7 @@ Record run_timed(std::vector<Record>& records, Record base, int reps,
   std::cout << base.stage << " " << base.format << "/" << base.source
             << ": " << base.bytes << " bytes in " << warm << " s ("
             << base.mb_per_s << " MB/s)\n";
-  std::cout << "BENCH " << bench_json(base) << "\n";
-  records.push_back(base);
+  records.add(bench_json(base));
   return base;
 }
 
@@ -246,7 +244,7 @@ Record run_timed(std::vector<Record>& records, Record base, int reps,
 int main(int argc, char** argv) {
   bench::heading("micro_io: profile save/load throughput, text vs binary");
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_io.json";
-  std::vector<Record> records;
+  bench::BenchRecords records("micro_io");
   bench::Comparison cmp;
 
   struct Corpus {
@@ -331,17 +329,7 @@ int main(int argc, char** argv) {
   }
   fs::remove_all(dir);
 
-  // The aggregate document for the perf trajectory.
-  std::ofstream out(out_path, std::ios::binary);
-  out << "{\"bench\":\"micro_io\",\"records\":[\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    out << "  " << bench_json(records[i])
-        << (i + 1 < records.size() ? "," : "") << "\n";
-  }
-  out << "]}\n";
-  out.close();
-  std::cout << "\nwrote " << out_path << " (" << records.size()
-            << " records)\n";
+  records.write(out_path);
 
   cmp.print();
   return cmp.all_hold() ? 0 : 1;

@@ -121,9 +121,10 @@ std::string bench_json(const Record& r) {
   return os.str();
 }
 
-Record run_stage(const std::string& stage, const std::string& config,
-                 std::size_t files, std::size_t bytes, int reps,
-                 const std::function<std::size_t()>& body) {
+void run_stage(bench::BenchRecords& records, const std::string& stage,
+               const std::string& config, std::size_t files,
+               std::size_t bytes, int reps,
+               const std::function<std::size_t()>& body) {
   double best = 1e100;
   std::size_t findings = 0;
   for (int rep = 0; rep < reps; ++rep) {
@@ -141,8 +142,7 @@ Record run_stage(const std::string& stage, const std::string& config,
   std::cout << stage << " " << config << ": " << bytes << " bytes in "
             << best << " s (" << r.mb_per_s << " MB/s, " << findings
             << " findings)\n";
-  std::cout << "BENCH " << bench_json(r) << "\n";
-  return r;
+  records.add(bench_json(r));
 }
 
 }  // namespace
@@ -150,31 +150,25 @@ Record run_stage(const std::string& stage, const std::string& config,
 int main(int argc, char** argv) {
   bench::heading("micro_lint: static pass throughput (lex/lint/driver/cache)");
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_lint.json";
-  std::vector<Record> records;
+  bench::BenchRecords records("micro_lint");
   bool all_valid = true;
 
   // --- lex + per-TU lint on in-memory TUs --------------------------------
   bench::subheading("single translation unit");
   for (const int blocks : {8, 64}) {
     const std::string src = synthesize(blocks, 0);
-    records.push_back(run_stage("lex", "blocks=" + std::to_string(blocks),
-                                1, src.size(), 3, [&] {
-                                  return lint::lex(src).tokens.size();
-                                }));
-    records.push_back(
-        run_stage("lint", "omp,blocks=" + std::to_string(blocks), 1,
-                  src.size(), 3, [&] {
-                    return lint::lint_source(src, "bench.cpp")
-                        .findings.size();
-                  }));
+    run_stage(records, "lex", "blocks=" + std::to_string(blocks), 1,
+              src.size(), 3, [&] { return lint::lex(src).tokens.size(); });
+    run_stage(records, "lint", "omp,blocks=" + std::to_string(blocks), 1,
+              src.size(), 3, [&] {
+                return lint::lint_source(src, "bench.cpp").findings.size();
+              });
   }
   {
     const std::string dsl = synthesize_dsl(64);
-    records.push_back(run_stage("lint", "dsl,blocks=64", 1, dsl.size(), 3,
-                                [&] {
-                                  return lint::lint_source(dsl, "bench.cpp")
-                                      .findings.size();
-                                }));
+    run_stage(records, "lint", "dsl,blocks=64", 1, dsl.size(), 3, [&] {
+      return lint::lint_source(dsl, "bench.cpp").findings.size();
+    });
   }
 
   // --- the production driver over a file tree ----------------------------
@@ -200,13 +194,12 @@ int main(int argc, char** argv) {
     std::string rendered;
     PipelineOptions options;
     options.jobs = jobs;
-    records.push_back(run_stage(
-        "driver", "jobs=" + std::to_string(jobs), kTreeFiles, tree_bytes, 3,
-        [&] {
-          const lint::LintResult r = lint::lint_paths(paths, options);
-          rendered = lint::render_findings(r.findings);
-          return r.findings.size();
-        }));
+    run_stage(records, "driver", "jobs=" + std::to_string(jobs), kTreeFiles,
+              tree_bytes, 3, [&] {
+                const lint::LintResult r = lint::lint_paths(paths, options);
+                rendered = lint::render_findings(r.findings);
+                return r.findings.size();
+              });
     if (reference.empty()) {
       reference = rendered;
     } else if (rendered != reference) {
@@ -226,12 +219,11 @@ int main(int argc, char** argv) {
     options.lint_cache_dir = cache_dir.string();
     // Cold must populate once, not best-of-N (later reps would be warm).
     const int reps = std::string(mode) == "cold" ? 1 : 3;
-    records.push_back(run_stage(
-        "cache", mode, kTreeFiles, tree_bytes, reps, [&] {
-          const lint::LintResult r = lint::lint_paths(paths, options);
-          rendered = lint::render_findings(r.findings);
-          return r.findings.size();
-        }));
+    run_stage(records, "cache", mode, kTreeFiles, tree_bytes, reps, [&] {
+      const lint::LintResult r = lint::lint_paths(paths, options);
+      rendered = lint::render_findings(r.findings);
+      return r.findings.size();
+    });
     if (rendered != reference) {
       all_valid = false;
       std::cerr << "cache(" << mode << ") output drifted\n";
@@ -239,17 +231,7 @@ int main(int argc, char** argv) {
   }
   fs::remove_all(tree);
 
-  // The aggregate document for the perf trajectory.
-  std::ofstream out(out_path, std::ios::binary);
-  out << "{\"bench\":\"micro_lint\",\"records\":[\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    out << "  " << bench_json(records[i])
-        << (i + 1 < records.size() ? "," : "") << "\n";
-  }
-  out << "]}\n";
-  out.close();
-  std::cout << "\nwrote " << out_path << " (" << records.size()
-            << " records)\n";
+  records.write(out_path);
 
   if (!all_valid) {
     std::cout << "VALIDITY FAILURE: driver/cache output not identical\n";

@@ -106,7 +106,7 @@ std::string bench_json(const Record& r) {
 }
 
 /// Min-of-reps timing; fills in the rates and prints the BENCH line.
-void run_timed(std::vector<Record>& records, Record rec, int reps,
+void run_timed(bench::BenchRecords& records, Record rec, int reps,
                const std::function<void()>& body) {
   double best = 1e100;
   for (int rep = 0; rep < reps; ++rep) {
@@ -120,8 +120,7 @@ void run_timed(std::vector<Record>& records, Record rec, int reps,
   std::cout << rec.stage << " " << rec.size << ": " << rec.items
             << " items in " << best << " s (" << rec.rate_per_s
             << " /s)\n";
-  std::cout << "BENCH " << bench_json(rec) << "\n";
-  records.push_back(rec);
+  records.add(bench_json(rec));
 }
 
 MonitorModel fresh_model(const core::TelemetryTrace& trace) {
@@ -148,7 +147,7 @@ std::string refresh_pass(const core::TelemetryTrace& trace,
 int main(int argc, char** argv) {
   bench::heading("monitor_refresh: numa_top parse/feed/render throughput");
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_monitor.json";
-  std::vector<Record> records;
+  bench::BenchRecords records("monitor_refresh");
   bench::Comparison cmp;
 
   const std::string jsonl = record_jsonl();
@@ -234,17 +233,7 @@ int main(int argc, char** argv) {
     });
   }
 
-  // The aggregate document for the perf trajectory.
-  std::ofstream out(out_path, std::ios::binary);
-  out << "{\"bench\":\"monitor_refresh\",\"records\":[\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    out << "  " << bench_json(records[i])
-        << (i + 1 < records.size() ? "," : "") << "\n";
-  }
-  out << "]}\n";
-  out.close();
-  std::cout << "\nwrote " << out_path << " (" << records.size()
-            << " records)\n";
+  records.write(out_path);
 
   cmp.print();
   return cmp.all_hold() ? 0 : 1;

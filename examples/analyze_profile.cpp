@@ -36,6 +36,7 @@
 
 #include "apps/minilulesh.hpp"
 #include "core/diff.hpp"
+#include "core/export/writer_util.hpp"
 #include "core/numaprof.hpp"
 #include "core/report.hpp"
 #include "lint/numalint.hpp"
@@ -61,16 +62,6 @@ core::SessionData demo_session() {
   return profiler.snapshot();
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;
-    out.push_back(c);
-  }
-  return out;
-}
-
 /// `--format json`: the program summary + ranked variables as one JSON
 /// object (stable keys; docs/api.md).
 void print_analysis_json(const core::Analyzer& analyzer) {
@@ -89,8 +80,8 @@ void print_analysis_json(const core::Analyzer& analyzer) {
   for (const core::VariableReport& r : analyzer.variables()) {
     if (!first) std::cout << ',';
     first = false;
-    std::cout << "{\"name\":\"" << json_escape(r.name) << "\",\"samples\":"
-              << r.samples << ",\"match\":" << r.match
+    std::cout << "{\"name\":" << core::export_detail::json_quote(r.name)
+              << ",\"samples\":" << r.samples << ",\"match\":" << r.match
               << ",\"mismatch\":" << r.mismatch
               << ",\"remote-latency-share\":" << r.remote_latency_share
               << "}";

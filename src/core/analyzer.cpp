@@ -5,6 +5,7 @@
 #include "core/profile_io.hpp"
 #include "pmu/config.hpp"
 #include "support/stats.hpp"
+#include "support/threadpool.hpp"
 
 namespace numaprof::core {
 
@@ -15,12 +16,6 @@ Analyzer::Analyzer(const SessionData& data, const PipelineOptions& options)
   build_program_summary();
   build_variable_reports();
 }
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-Analyzer::Analyzer(const SessionData& data, const AnalyzerOptions& options)
-    : Analyzer(data, options.pipeline()) {}
-#pragma GCC diagnostic pop
 
 void Analyzer::validate_stores() const {
   for (std::size_t tid = 0; tid < data_->stores.size(); ++tid) {

@@ -15,30 +15,8 @@
 
 #include "core/options.hpp"
 #include "core/session.hpp"
-#include "support/threadpool.hpp"
 
 namespace numaprof::core {
-
-/// DEPRECATED shim kept so pre-PipelineOptions call sites still compile;
-/// new code passes numaprof::PipelineOptions (core/options.hpp) instead.
-struct [[deprecated(
-    "use numaprof::PipelineOptions instead")]] AnalyzerOptions {
-  /// Participants in the per-thread profile merge. 1 = the serial
-  /// reference path. Any value produces bitwise-identical results: the
-  /// merge parallelizes across metric ROWS and folds each row's values in
-  /// thread-index order, never in completion order.
-  unsigned jobs = 1;
-  /// Reuse an existing pool instead of spawning one per Analyzer. When
-  /// set, `jobs` is ignored in favor of the pool's size.
-  support::ThreadPool* pool = nullptr;
-
-  PipelineOptions pipeline() const {
-    PipelineOptions options;
-    options.jobs = jobs;
-    options.pool = pool;
-    return options;
-  }
-};
 
 struct ProgramSummary {
   std::uint64_t samples = 0;          // I^s
@@ -113,13 +91,6 @@ class Analyzer {
   /// `options` (jobs, pool) are consumed at this stage.
   explicit Analyzer(const SessionData& data,
                     const PipelineOptions& options = {});
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  /// DEPRECATED compat overload; forwards to the PipelineOptions form.
-  [[deprecated("use the numaprof::PipelineOptions overload instead")]]
-  Analyzer(const SessionData& data, const AnalyzerOptions& options);
-#pragma GCC diagnostic pop
 
   const ProgramSummary& program() const noexcept { return program_; }
 

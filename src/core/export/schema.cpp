@@ -7,9 +7,9 @@
 namespace numaprof::core {
 namespace {
 
-// Recursive-descent JSON parser. Unlike the telemetry-stream parser (which
-// is line-scoped and throws kTelemetry), this one accepts whole documents
-// and reports failures as messages so the checkers can accumulate them.
+// Recursive-descent JSON parser: the one JSON reader in src/. It accepts
+// one whole document and reports failures as messages, so the checkers can
+// accumulate them and the telemetry reader can wrap them with a line.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}

@@ -1,4 +1,5 @@
-// Internal escaping helpers shared by the exporters. Not part of the
+// Internal escaping helpers shared by every JSON writer in src/ (the
+// exporters, the telemetry stream, numalint's outputs). Not part of the
 // public surface (include core/export/export.hpp instead).
 #pragma once
 
@@ -31,6 +32,11 @@ inline std::string json_escape(std::string_view text) {
     }
   }
   return out;
+}
+
+/// `text` as a quoted JSON string literal.
+inline std::string json_quote(std::string_view text) {
+  return '"' + json_escape(text) + '"';
 }
 
 /// Escapes `text` for HTML text / attribute content.

@@ -135,8 +135,4 @@ using core::check_trace_json;
 using core::json_well_formed;
 using core::parse_json;
 
-// --- Deprecated shims ------------------------------------------------
-// core::MergeOptions / core::AnalyzerOptions [deprecated]: superseded by
-// PipelineOptions; they forward via .pipeline() and warn at compile time.
-
 }  // namespace numaprof

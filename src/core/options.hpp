@@ -1,11 +1,6 @@
 // numaprof::PipelineOptions — the one option block for the offline
-// pipeline.
-//
-// The analyzer surface accreted piecemeal: core::MergeOptions configured
-// the shard merge, core::AnalyzerOptions the per-thread store fold, and
-// the CLIs grew ad-hoc flags on top. Both stages now consume this single
-// struct; the old types survive only as thin deprecated shims
-// (docs/api.md describes the deprecation policy).
+// pipeline: the shard merge, the per-thread store fold and the CLIs'
+// pipeline flags all consume this single struct.
 #pragma once
 
 #include <cstddef>

@@ -748,45 +748,6 @@ std::vector<std::string> ProfileWriter::write_thread_shards(
   return paths;
 }
 
-// --- deprecated free-function shims -----------------------------------
-// Each forwards to the objects with ProfileFormat::kText, preserving the
-// exact pre-redesign behavior (these functions never spoke binary).
-
-void save_profile(const SessionData& data, std::ostream& os) {
-  save_profile_text(data, os);
-}
-
-void save_profile_file(const SessionData& data, const std::string& path) {
-  ProfileWriter(ProfileFormat::kText).write_file(data, path);
-}
-
-std::vector<std::string> serialize_thread_shards(const SessionData& data) {
-  return ProfileWriter(ProfileFormat::kText).thread_shards(data);
-}
-
-std::vector<std::string> save_thread_shards(const SessionData& data,
-                                            const std::string& directory) {
-  return ProfileWriter(ProfileFormat::kText)
-      .write_thread_shards(data, directory);
-}
-
-SessionData load_profile(std::istream& is) {
-  return load_profile_text(is, LoadOptions{}).data;
-}
-
-SessionData load_profile_file(const std::string& path) {
-  return ProfileReader().read_file(path).data;
-}
-
-LoadResult load_profile(std::istream& is, const LoadOptions& options) {
-  return load_profile_text(is, options);
-}
-
-LoadResult load_profile_file(const std::string& path,
-                             const LoadOptions& options) {
-  return ProfileReader(options).read_file(path);
-}
-
 namespace {
 
 /// Non-empty reason when `other` cannot be merged into `base`.
@@ -1100,13 +1061,5 @@ MergeResult merge_profile_files(const std::vector<std::string>& paths,
   }
   return merge_files_parallel(paths, options);
 }
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-MergeResult merge_profile_files(const std::vector<std::string>& paths,
-                                const MergeOptions& options) {
-  return merge_profile_files(paths, options.pipeline());
-}
-#pragma GCC diagnostic pop
 
 }  // namespace numaprof::core

@@ -38,7 +38,7 @@
 
 namespace numaprof::core {
 
-/// Current format version; load_profile also accepts the previous version
+/// Current format version; ProfileReader also accepts the previous version
 /// (which simply lacks the collection-health sections).
 inline constexpr int kProfileFormatVersion = 3;
 inline constexpr int kMinProfileFormatVersion = 2;
@@ -146,54 +146,6 @@ class ProfileWriter {
   ProfileFormat format_ = ProfileFormat::kText;
 };
 
-/// DEPRECATED free-function shims (PR 4 pattern: one release with a
-/// warning before removal). They predate ProfileReader/ProfileWriter and
-/// always speak TEXT — binary-aware callers must use the objects.
-[[deprecated("use numaprof::ProfileWriter::write instead")]]
-void save_profile(const SessionData& data, std::ostream& os);
-[[deprecated("use numaprof::ProfileWriter::write_file instead")]]
-void save_profile_file(const SessionData& data, const std::string& path);
-[[deprecated("use numaprof::ProfileWriter::thread_shards instead")]]
-std::vector<std::string> serialize_thread_shards(const SessionData& data);
-[[deprecated("use numaprof::ProfileWriter::write_thread_shards instead")]]
-std::vector<std::string> save_thread_shards(const SessionData& data,
-                                            const std::string& directory);
-[[deprecated("use numaprof::ProfileReader::read instead")]]
-SessionData load_profile(std::istream& is);
-[[deprecated("use numaprof::ProfileReader::read_file instead")]]
-SessionData load_profile_file(const std::string& path);
-[[deprecated("use numaprof::ProfileReader::read instead")]]
-LoadResult load_profile(std::istream& is, const LoadOptions& options);
-[[deprecated("use numaprof::ProfileReader::read_file instead")]]
-LoadResult load_profile_file(const std::string& path,
-                             const LoadOptions& options);
-
-/// DEPRECATED shim kept so pre-PipelineOptions call sites still compile;
-/// new code passes numaprof::PipelineOptions (core/options.hpp) instead.
-struct [[deprecated(
-    "use numaprof::PipelineOptions instead")]] MergeOptions {
-  LoadOptions load;
-  /// Minimum fraction of input files that must merge successfully; below
-  /// this quorum the merge throws even in lenient mode (a run built from
-  /// too few shards would silently misrepresent the program).
-  double min_quorum = 0.5;
-  /// Parallelism of the merge: 1 (the default) is the serial reference
-  /// path; N > 1 parses the input files on N participants and folds
-  /// per-thread measurement columns in thread-index order — never in
-  /// completion order — so the merged session (skips, diagnostics, quorum
-  /// behavior included) is bitwise identical to the serial result.
-  unsigned jobs = 1;
-
-  PipelineOptions pipeline() const {
-    PipelineOptions options;
-    options.jobs = jobs;
-    options.lenient = load.lenient;
-    options.quorum = min_quorum;
-    options.max_count = load.max_count;
-    return options;
-  }
-};
-
 struct SkippedProfile {
   std::string path;
   std::string reason;
@@ -222,14 +174,6 @@ struct MergeResult {
 /// view); CLIs act on it after merging.
 MergeResult merge_profile_files(const std::vector<std::string>& paths,
                                 const PipelineOptions& options = {});
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-/// DEPRECATED compat overload; forwards to the PipelineOptions form.
-[[deprecated("use the numaprof::PipelineOptions overload instead")]]
-MergeResult merge_profile_files(const std::vector<std::string>& paths,
-                                const MergeOptions& options);
-#pragma GCC diagnostic pop
 
 /// Percent-escaping for strings embedded in the profile format (escapes
 /// '%', whitespace, and control characters).

@@ -7,12 +7,15 @@
 #include <ostream>
 #include <sstream>
 
+#include "core/export/schema.hpp"
+#include "core/export/writer_util.hpp"
 #include "simrt/thread.hpp"
 #include "support/error.hpp"
 
 namespace numaprof::core {
 namespace {
 
+using export_detail::json_quote;
 using support::TelemetryCounter;
 using support::TelemetryEvent;
 using support::TelemetryEventKind;
@@ -25,37 +28,14 @@ std::string percent(double fraction) {
   return buf;
 }
 
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 void write_counters(std::ostream& os,
                     const std::array<std::uint64_t,
                                      support::kTelemetryCounterCount>& c) {
   os << '{';
   for (std::size_t i = 0; i < support::kTelemetryCounterCount; ++i) {
     if (i) os << ',';
-    write_json_string(os, to_string(static_cast<TelemetryCounter>(i)));
-    os << ':' << c[i];
+    os << json_quote(to_string(static_cast<TelemetryCounter>(i))) << ':'
+       << c[i];
   }
   os << '}';
 }
@@ -77,218 +57,10 @@ void write_hot_array(std::ostream& os,
     if (i) os << ',';
     os << "{\"key\":" << row.key << ",\"domain\":" << row.domain
        << ",\"count\":" << row.count << ",\"mismatch\":" << row.mismatch
-       << ",\"label\":";
-    write_json_string(os, row.label);
-    os << '}';
+       << ",\"label\":" << json_quote(row.label) << '}';
   }
   os << ']';
 }
-
-// ---------------------------------------------------------------------
-// A minimal JSON reader for the trace schema. Each JSONL line is parsed
-// independently; errors carry the 1-based line number.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* find(std::string_view key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  JsonParser(std::string_view text, std::string file, std::size_t line)
-      : text_(text), file_(std::move(file)), line_(line) {}
-
-  JsonValue parse() {
-    JsonValue v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after JSON value");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& message) const {
-    throw Error(ErrorKind::kTelemetry, file_, "telemetry", line_,
-                "telemetry trace parse error (line " + std::to_string(line_) +
-                    "): " + message);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of line");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "', found '" + text_[pos_] + "'");
-    }
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') {
-      JsonValue v;
-      v.kind = JsonValue::Kind::kString;
-      v.string = parse_string();
-      return v;
-    }
-    if (c == 't' || c == 'f') return parse_bool();
-    if (c == 'n') {
-      literal("null");
-      return {};
-    }
-    return parse_number();
-  }
-
-  void literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) {
-      fail("malformed literal");
-    }
-    pos_ += word.size();
-  }
-
-  JsonValue parse_bool() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kBool;
-    if (peek() == 't') {
-      literal("true");
-      v.boolean = true;
-    } else {
-      literal("false");
-    }
-    return v;
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a number");
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    try {
-      v.number = std::stod(std::string(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
-      fail("malformed number");
-    }
-    return v;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("malformed \\u escape");
-          }
-          // The writer only emits \u00xx for control bytes.
-          out.push_back(static_cast<char>(code & 0xFF));
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(parse_value());
-      skip_ws();
-      if (peek() == ']') {
-        ++pos_;
-        return v;
-      }
-      expect(',');
-    }
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      v.object.emplace_back(std::move(key), parse_value());
-      skip_ws();
-      if (peek() == '}') {
-        ++pos_;
-        return v;
-      }
-      expect(',');
-    }
-  }
-
-  std::string_view text_;
-  std::string file_;
-  std::size_t line_ = 0;
-  std::size_t pos_ = 0;
-};
 
 [[noreturn]] void trace_error(const std::string& file, std::size_t line,
                               const std::string& message) {
@@ -297,55 +69,55 @@ class JsonParser {
                   "): " + message);
 }
 
-std::uint64_t as_u64(const JsonValue& v, const std::string& file,
+std::uint64_t as_u64(const JsonNode& v, const std::string& file,
                      std::size_t line, const char* what) {
-  if (v.kind != JsonValue::Kind::kNumber || v.number < 0) {
+  if (v.kind != JsonNode::Kind::kNumber || v.number < 0) {
     trace_error(file, line, std::string(what) + " must be a non-negative number");
   }
   return static_cast<std::uint64_t>(v.number);
 }
 
-std::vector<std::uint64_t> as_u64_array(const JsonValue& v,
+std::vector<std::uint64_t> as_u64_array(const JsonNode& v,
                                         const std::string& file,
                                         std::size_t line, const char* what) {
-  if (v.kind != JsonValue::Kind::kArray) {
+  if (v.kind != JsonNode::Kind::kArray) {
     trace_error(file, line, std::string(what) + " must be an array");
   }
   std::vector<std::uint64_t> out;
-  out.reserve(v.array.size());
-  for (const JsonValue& e : v.array) out.push_back(as_u64(e, file, line, what));
+  out.reserve(v.items.size());
+  for (const JsonNode& e : v.items) out.push_back(as_u64(e, file, line, what));
   return out;
 }
 
-std::vector<support::HotCounter> as_hot_array(const JsonValue& v,
+std::vector<support::HotCounter> as_hot_array(const JsonNode& v,
                                               const std::string& file,
                                               std::size_t line,
                                               const char* what) {
-  if (v.kind != JsonValue::Kind::kArray) {
+  if (v.kind != JsonNode::Kind::kArray) {
     trace_error(file, line, std::string(what) + " must be an array");
   }
   std::vector<support::HotCounter> out;
-  out.reserve(v.array.size());
-  for (const JsonValue& e : v.array) {
-    if (e.kind != JsonValue::Kind::kObject) {
+  out.reserve(v.items.size());
+  for (const JsonNode& e : v.items) {
+    if (e.kind != JsonNode::Kind::kObject) {
       trace_error(file, line, std::string(what) + " entries must be objects");
     }
     support::HotCounter row;
-    if (const JsonValue* key = e.find("key")) {
+    if (const JsonNode* key = e.find("key")) {
       row.key = as_u64(*key, file, line, "key");
     }
-    if (const JsonValue* domain = e.find("domain")) {
+    if (const JsonNode* domain = e.find("domain")) {
       row.domain =
           static_cast<std::uint32_t>(as_u64(*domain, file, line, "domain"));
     }
-    if (const JsonValue* count = e.find("count")) {
+    if (const JsonNode* count = e.find("count")) {
       row.count = as_u64(*count, file, line, "count");
     }
-    if (const JsonValue* mismatch = e.find("mismatch")) {
+    if (const JsonNode* mismatch = e.find("mismatch")) {
       row.mismatch = as_u64(*mismatch, file, line, "mismatch");
     }
-    if (const JsonValue* label = e.find("label")) {
-      if (label->kind != JsonValue::Kind::kString) {
+    if (const JsonNode* label = e.find("label")) {
+      if (label->kind != JsonNode::Kind::kString) {
         trace_error(file, line,
                     std::string(what) + " labels must be strings");
       }
@@ -390,13 +162,13 @@ bool mechanism_from_string(std::string_view name, pmu::Mechanism& out) {
 }
 
 void fold_counters(
-    const JsonValue& object,
+    const JsonNode& object,
     std::array<std::uint64_t, support::kTelemetryCounterCount>& out,
     const std::string& file, std::size_t line) {
-  if (object.kind != JsonValue::Kind::kObject) {
+  if (object.kind != JsonNode::Kind::kObject) {
     trace_error(file, line, "counter block must be an object");
   }
-  for (const auto& [key, value] : object.object) {
+  for (const auto& [key, value] : object.members) {
     TelemetryCounter c{};
     // Unknown counters are skipped so newer traces load in older readers.
     if (!counter_from_string(key, c)) continue;
@@ -404,56 +176,56 @@ void fold_counters(
   }
 }
 
-TelemetrySnapshot parse_snapshot_line(const JsonValue& root,
+TelemetrySnapshot parse_snapshot_line(const JsonNode& root,
                                       const std::string& file,
                                       std::size_t line) {
   TelemetrySnapshot snap;
-  if (const JsonValue* seq = root.find("seq")) {
+  if (const JsonNode* seq = root.find("seq")) {
     snap.sequence = as_u64(*seq, file, line, "seq");
   }
-  if (const JsonValue* t = root.find("t")) {
+  if (const JsonNode* t = root.find("t")) {
     snap.time = as_u64(*t, file, line, "t");
   }
-  if (const JsonValue* totals = root.find("totals")) {
+  if (const JsonNode* totals = root.find("totals")) {
     fold_counters(*totals, snap.totals, file, line);
   }
-  if (const JsonValue* match = root.find("domain-match")) {
+  if (const JsonNode* match = root.find("domain-match")) {
     snap.domain_match = as_u64_array(*match, file, line, "domain-match");
   }
-  if (const JsonValue* mismatch = root.find("domain-mismatch")) {
+  if (const JsonNode* mismatch = root.find("domain-mismatch")) {
     snap.domain_mismatch =
         as_u64_array(*mismatch, file, line, "domain-mismatch");
   }
-  if (const JsonValue* pages = root.find("hot-pages")) {
+  if (const JsonNode* pages = root.find("hot-pages")) {
     snap.hot_pages = as_hot_array(*pages, file, line, "hot-pages");
   }
-  if (const JsonValue* vars = root.find("hot-vars")) {
+  if (const JsonNode* vars = root.find("hot-vars")) {
     snap.hot_vars = as_hot_array(*vars, file, line, "hot-vars");
   }
-  if (const JsonValue* threads = root.find("threads")) {
-    if (threads->kind != JsonValue::Kind::kArray) {
+  if (const JsonNode* threads = root.find("threads")) {
+    if (threads->kind != JsonNode::Kind::kArray) {
       trace_error(file, line, "threads must be an array");
     }
-    for (const JsonValue& row : threads->array) {
-      if (row.kind != JsonValue::Kind::kObject) {
+    for (const JsonNode& row : threads->items) {
+      if (row.kind != JsonNode::Kind::kObject) {
         trace_error(file, line, "thread rows must be objects");
       }
       ThreadTelemetry thread;
-      if (const JsonValue* tid = row.find("tid")) {
+      if (const JsonNode* tid = row.find("tid")) {
         thread.tid =
             static_cast<std::uint32_t>(as_u64(*tid, file, line, "tid"));
       }
-      if (const JsonValue* counters = row.find("counters")) {
+      if (const JsonNode* counters = row.find("counters")) {
         fold_counters(*counters, thread.counters, file, line);
       }
-      if (const JsonValue* match = row.find("domain-match")) {
+      if (const JsonNode* match = row.find("domain-match")) {
         thread.domain_match = as_u64_array(*match, file, line, "domain-match");
       }
-      if (const JsonValue* mismatch = row.find("domain-mismatch")) {
+      if (const JsonNode* mismatch = row.find("domain-mismatch")) {
         thread.domain_mismatch =
             as_u64_array(*mismatch, file, line, "domain-mismatch");
       }
-      if (const JsonValue* paths = row.find("hot-paths")) {
+      if (const JsonNode* paths = row.find("hot-paths")) {
         thread.hot_paths = as_hot_array(*paths, file, line, "hot-paths");
       }
       snap.threads.push_back(std::move(thread));
@@ -462,27 +234,27 @@ TelemetrySnapshot parse_snapshot_line(const JsonValue& root,
   return snap;
 }
 
-TelemetryEvent parse_event_line(const JsonValue& root, const std::string& file,
+TelemetryEvent parse_event_line(const JsonNode& root, const std::string& file,
                                 std::size_t line) {
   TelemetryEvent event;
-  const JsonValue* kind = root.find("kind");
-  if (kind == nullptr || kind->kind != JsonValue::Kind::kString) {
+  const JsonNode* kind = root.find("kind");
+  if (kind == nullptr || kind->kind != JsonNode::Kind::kString) {
     trace_error(file, line, "event lines require a string \"kind\"");
   }
   if (!event_kind_from_string(kind->string, event.kind)) {
     trace_error(file, line, "unknown event kind \"" + kind->string + "\"");
   }
-  if (const JsonValue* t = root.find("t")) {
+  if (const JsonNode* t = root.find("t")) {
     event.time = as_u64(*t, file, line, "t");
   }
-  if (const JsonValue* tid = root.find("tid")) {
+  if (const JsonNode* tid = root.find("tid")) {
     event.tid = static_cast<std::uint32_t>(as_u64(*tid, file, line, "tid"));
   }
-  if (const JsonValue* value = root.find("value")) {
+  if (const JsonNode* value = root.find("value")) {
     event.value = as_u64(*value, file, line, "value");
   }
-  if (const JsonValue* detail = root.find("detail")) {
-    if (detail->kind != JsonValue::Kind::kString) {
+  if (const JsonNode* detail = root.find("detail")) {
+    if (detail->kind != JsonNode::Kind::kString) {
       trace_error(file, line, "detail must be a string");
     }
     event.set_detail(detail->string);
@@ -584,8 +356,7 @@ void write_snapshot_jsonl_impl(const TelemetrySnapshot& snapshot,
   os << "{\"type\":\"snapshot\",\"v\":2,\"seq\":" << snapshot.sequence
      << ",\"t\":" << snapshot.time;
   if (mechanism != nullptr) {
-    os << ",\"mechanism\":";
-    write_json_string(os, pmu::to_string(*mechanism));
+    os << ",\"mechanism\":" << json_quote(pmu::to_string(*mechanism));
   }
   os << ",\"totals\":";
   write_counters(os, snapshot.totals);
@@ -614,11 +385,10 @@ void write_snapshot_jsonl_impl(const TelemetrySnapshot& snapshot,
   os << "]}\n";
   for (const TelemetryEvent& event : snapshot.events) {
     os << "{\"type\":\"event\",\"t\":" << event.time
-       << ",\"tid\":" << event.tid << ",\"kind\":";
-    write_json_string(os, to_string(event.kind));
-    os << ",\"value\":" << event.value << ",\"detail\":";
-    write_json_string(os, event.detail_view());
-    os << "}\n";
+       << ",\"tid\":" << event.tid
+       << ",\"kind\":" << json_quote(to_string(event.kind))
+       << ",\"value\":" << event.value
+       << ",\"detail\":" << json_quote(event.detail_view()) << "}\n";
   }
 }
 
@@ -637,28 +407,29 @@ void write_snapshot_jsonl(const TelemetrySnapshot& snapshot,
 bool append_trace_line(TelemetryTrace& trace, std::string_view line,
                        std::size_t lineno, const std::string& file) {
   if (line.empty()) return false;
-  JsonParser parser(line, file, lineno);
-  const JsonValue root = parser.parse();
-  if (root.kind != JsonValue::Kind::kObject) {
+  std::string error;
+  const std::optional<JsonNode> root = parse_json(line, &error);
+  if (!root) trace_error(file, lineno, error);
+  if (root->kind != JsonNode::Kind::kObject) {
     trace_error(file, lineno, "every trace line must be a JSON object");
   }
-  const JsonValue* type = root.find("type");
-  if (type == nullptr || type->kind != JsonValue::Kind::kString) {
+  const JsonNode* type = root->find("type");
+  if (type == nullptr || type->kind != JsonNode::Kind::kString) {
     trace_error(file, lineno, "trace lines require a string \"type\"");
   }
   if (type->string == "snapshot") {
-    if (const JsonValue* mech = root.find("mechanism")) {
-      if (mech->kind != JsonValue::Kind::kString ||
+    if (const JsonNode* mech = root->find("mechanism")) {
+      if (mech->kind != JsonNode::Kind::kString ||
           !mechanism_from_string(mech->string, trace.mechanism)) {
         trace_error(file, lineno, "unknown mechanism");
       }
       trace.has_mechanism = true;
     }
-    trace.snapshots.push_back(parse_snapshot_line(root, file, lineno));
+    trace.snapshots.push_back(parse_snapshot_line(*root, file, lineno));
     return true;
   }
   if (type->string == "event") {
-    trace.events.push_back(parse_event_line(root, file, lineno));
+    trace.events.push_back(parse_event_line(*root, file, lineno));
   }
   // Unknown line types are skipped (forward compatibility).
   return false;

@@ -4,28 +4,12 @@
 #include <sstream>
 
 #include "core/export/schema.hpp"
+#include "core/export/writer_util.hpp"
 #include "lint/numalint.hpp"
 
 namespace numaprof::lint {
 
-namespace {
-
-void esc(std::ostringstream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) os << c;
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
+using core::export_detail::json_quote;
 
 Baseline make_baseline(const std::vector<core::StaticFinding>& findings) {
   Baseline b;
@@ -42,13 +26,10 @@ std::string render_baseline(const Baseline& baseline) {
   for (const auto& [key, count] : baseline.counts) {
     if (!first) os << ',';
     first = false;
-    os << "\n  {\"file\":";
-    esc(os, std::get<0>(key));
-    os << ",\"code\":";
-    esc(os, std::get<1>(key));
-    os << ",\"variable\":";
-    esc(os, std::get<2>(key));
-    os << ",\"count\":" << count << '}';
+    os << "\n  {\"file\":" << json_quote(std::get<0>(key))
+       << ",\"code\":" << json_quote(std::get<1>(key))
+       << ",\"variable\":" << json_quote(std::get<2>(key))
+       << ",\"count\":" << count << '}';
   }
   os << (baseline.counts.empty() ? "]}\n" : "\n]}\n");
   return os.str();

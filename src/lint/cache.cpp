@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "core/export/schema.hpp"
+#include "core/export/writer_util.hpp"
 #include "support/hash.hpp"
 
 namespace numaprof::lint {
@@ -14,22 +15,9 @@ namespace {
 
 /// Entry format version; bump on any serialization change so old entries
 /// miss instead of deserializing garbage.
-constexpr int kCacheVersion = 1;
+constexpr int kCacheVersion = 2;
 
-void esc(std::ostringstream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) os << c;
-    }
-  }
-  os << '"';
-}
+using core::export_detail::json_quote;
 
 void write_order(std::ostringstream& os, std::pair<int, std::size_t> order) {
   os << '[' << order.first << ',' << order.second << ']';
@@ -43,56 +31,47 @@ std::string render(const FilePhase1& a) {
   for (std::size_t i = 0; i < a.local.findings.size(); ++i) {
     const core::StaticFinding& f = a.local.findings[i];
     if (i > 0) os << ',';
-    os << "{\"file\":";
-    esc(os, f.file);
-    os << ",\"line\":" << f.line << ",\"decl\":" << f.decl_line
-       << ",\"variable\":";
-    esc(os, f.variable);
-    os << ",\"kind\":" << static_cast<int>(f.kind)
+    os << "{\"file\":" << json_quote(f.file) << ",\"line\":" << f.line
+       << ",\"decl\":" << f.decl_line
+       << ",\"variable\":" << json_quote(f.variable)
+       << ",\"kind\":" << static_cast<int>(f.kind)
        << ",\"expected\":" << static_cast<int>(f.expected)
-       << ",\"suggested\":" << static_cast<int>(f.suggested) << ",\"message\":";
-    esc(os, f.message);
-    os << '}';
+       << ",\"suggested\":" << static_cast<int>(f.suggested)
+       << ",\"message\":" << json_quote(f.message) << '}';
   }
-  os << "],\"summary\":{\"file\":";
-  esc(os, a.summary.file);
-  os << ",\"globals\":[";
+  os << "],\"summary\":{\"file\":" << json_quote(a.summary.file)
+     << ",\"globals\":[";
   for (std::size_t i = 0; i < a.summary.globals.size(); ++i) {
     const ir::Global& g = a.summary.globals[i];
     if (i > 0) os << ',';
-    os << "{\"name\":";
-    esc(os, g.name);
-    os << ",\"line\":" << g.line << ",\"ext\":" << (g.is_extern ? 1 : 0)
-       << '}';
+    os << "{\"name\":" << json_quote(g.name) << ",\"line\":" << g.line
+       << ",\"ext\":" << (g.is_extern ? 1 : 0) << '}';
   }
   os << "],\"functions\":[";
   for (std::size_t i = 0; i < a.summary.functions.size(); ++i) {
     const dataflow::FunctionSummary& fn = a.summary.functions[i];
     if (i > 0) os << ',';
-    os << "{\"name\":";
-    esc(os, fn.name);
-    os << ",\"file\":";
-    esc(os, fn.file);
-    os << ",\"line\":" << fn.line << ",\"params\":[";
+    os << "{\"name\":" << json_quote(fn.name)
+       << ",\"file\":" << json_quote(fn.file) << ",\"line\":" << fn.line
+       << ",\"params\":[";
     for (std::size_t k = 0; k < fn.param_names.size(); ++k) {
       if (k > 0) os << ',';
-      esc(os, fn.param_names[k]);
+      os << json_quote(fn.param_names[k]);
     }
     os << "],\"locals\":[";
     for (std::size_t k = 0; k < fn.local_allocs.size(); ++k) {
       if (k > 0) os << ',';
-      esc(os, fn.local_allocs[k]);
+      os << json_quote(fn.local_allocs[k]);
     }
     os << "],\"calls\":[";
     for (std::size_t k = 0; k < fn.calls.size(); ++k) {
       const dataflow::Call& c = fn.calls[k];
       if (k > 0) os << ',';
-      os << "{\"callee\":";
-      esc(os, c.callee);
-      os << ",\"line\":" << c.line << ",\"args\":[";
+      os << "{\"callee\":" << json_quote(c.callee) << ",\"line\":" << c.line
+         << ",\"args\":[";
       for (std::size_t m = 0; m < c.args.size(); ++m) {
         if (m > 0) os << ',';
-        esc(os, c.args[m]);
+        os << json_quote(c.args[m]);
       }
       os << "],\"par\":" << (c.parallel ? 1 : 0)
          << ",\"guard\":" << (c.guarded ? 1 : 0)
@@ -107,30 +86,24 @@ std::string render(const FilePhase1& a) {
       const dataflow::Effect& e = fn.effects[k];
       if (k > 0) os << ',';
       os << "{\"target\":" << static_cast<int>(e.target)
-         << ",\"param\":" << e.param << ",\"symbol\":";
-      esc(os, e.symbol);
-      os << ",\"kind\":" << static_cast<int>(e.kind)
+         << ",\"param\":" << e.param << ",\"symbol\":" << json_quote(e.symbol)
+         << ",\"kind\":" << static_cast<int>(e.kind)
          << ",\"par\":" << (e.parallel ? 1 : 0)
          << ",\"guard\":" << (e.guarded ? 1 : 0)
          << ",\"full\":" << (e.full_range ? 1 : 0)
          << ",\"alias\":" << (e.via_alias ? 1 : 0)
          << ",\"sched\":" << static_cast<int>(e.sched)
          << ",\"chunk\":" << e.chunk << ",\"blocked\":" << (e.blocked ? 1 : 0)
-         << ",\"file\":";
-      esc(os, e.file);
-      os << ",\"line\":" << e.line << ",\"fn\":";
-      esc(os, e.touch_fn);
-      os << ",\"order\":";
+         << ",\"file\":" << json_quote(e.file) << ",\"line\":" << e.line
+         << ",\"fn\":" << json_quote(e.touch_fn) << ",\"order\":";
       write_order(os, e.order);
       os << ",\"chain\":[";
       for (std::size_t m = 0; m < e.chain.size(); ++m) {
         const dataflow::Hop& h = e.chain[m];
         if (m > 0) os << ',';
-        os << "{\"callee\":";
-        esc(os, h.callee);
-        os << ",\"file\":";
-        esc(os, h.file);
-        os << ",\"line\":" << h.line << '}';
+        os << "{\"callee\":" << json_quote(h.callee)
+           << ",\"file\":" << json_quote(h.file) << ",\"line\":" << h.line
+           << '}';
       }
       os << "]}";
     }

@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 
+#include "core/export/writer_util.hpp"
 #include "lint/cache.hpp"
 #include "lint/ir.hpp"
 #include "lint/lexer.hpp"
@@ -18,6 +19,7 @@ namespace numaprof::lint {
 namespace {
 
 using core::Action;
+using core::export_detail::json_quote;
 using core::LintKind;
 using core::PatternKind;
 using core::StaticFinding;
@@ -1771,45 +1773,17 @@ std::string render_findings(const std::vector<StaticFinding>& findings) {
   return os.str();
 }
 
-namespace {
-
-void append_json_string(std::ostringstream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) break;  // drop controls
-        os << c;
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 std::string render_findings_json(const std::vector<StaticFinding>& findings) {
   std::ostringstream os;
   for (const StaticFinding& f : findings) {
-    os << "{\"file\":";
-    append_json_string(os, f.file);
-    os << ",\"line\":" << f.line << ",\"decl-line\":" << f.decl_line
-       << ",\"variable\":";
-    append_json_string(os, f.variable);
-    os << ",\"code\":";
-    append_json_string(os, kind_code(f.kind));
-    os << ",\"kind\":";
-    append_json_string(os, to_string(f.kind));
-    os << ",\"expected\":";
-    append_json_string(os, to_string(f.expected));
-    os << ",\"suggested\":";
-    append_json_string(os, to_string(f.suggested));
-    os << ",\"message\":";
-    append_json_string(os, f.message);
-    os << "}\n";
+    os << "{\"file\":" << json_quote(f.file) << ",\"line\":" << f.line
+       << ",\"decl-line\":" << f.decl_line
+       << ",\"variable\":" << json_quote(f.variable)
+       << ",\"code\":" << json_quote(kind_code(f.kind))
+       << ",\"kind\":" << json_quote(to_string(f.kind))
+       << ",\"expected\":" << json_quote(to_string(f.expected))
+       << ",\"suggested\":" << json_quote(to_string(f.suggested))
+       << ",\"message\":" << json_quote(f.message) << "}\n";
   }
   return os.str();
 }

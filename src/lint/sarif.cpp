@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "core/export/writer_util.hpp"
 #include "lint/numalint.hpp"
 
 namespace numaprof::lint {
@@ -9,21 +10,7 @@ namespace numaprof::lint {
 namespace {
 
 using core::LintKind;
-
-void esc(std::ostringstream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) os << c;
-    }
-  }
-  os << '"';
-}
+using core::export_detail::json_quote;
 
 std::string_view rule_description(LintKind kind) noexcept {
   switch (kind) {
@@ -94,39 +81,32 @@ std::string render_sarif(const std::vector<core::StaticFinding>& findings) {
   for (int k = 0; k < core::kLintKindCount; ++k) {
     const auto kind = static_cast<LintKind>(k);
     if (k > 0) os << ',';
-    os << "{\"id\":";
-    esc(os, kind_code(kind));
-    os << ",\"name\":";
-    esc(os, core::to_string(kind));
-    os << ",\"shortDescription\":{\"text\":";
-    esc(os, core::to_string(kind));
-    os << "},\"fullDescription\":{\"text\":";
-    esc(os, rule_description(kind));
-    os << "},\"defaultConfiguration\":{\"level\":";
-    esc(os, to_string(severity_of(kind)));
-    os << "}}";
+    os << "{\"id\":" << json_quote(kind_code(kind))
+       << ",\"name\":" << json_quote(core::to_string(kind))
+       << ",\"shortDescription\":{\"text\":"
+       << json_quote(core::to_string(kind))
+       << "},\"fullDescription\":{\"text\":"
+       << json_quote(rule_description(kind))
+       << "},\"defaultConfiguration\":{\"level\":"
+       << json_quote(to_string(severity_of(kind))) << "}}";
   }
   os << "]}},\"results\":[";
   for (std::size_t i = 0; i < findings.size(); ++i) {
     const core::StaticFinding& f = findings[i];
     if (i > 0) os << ',';
-    os << "{\"ruleId\":";
-    esc(os, kind_code(f.kind));
-    os << ",\"ruleIndex\":" << static_cast<int>(f.kind) << ",\"level\":";
-    esc(os, to_string(severity_of(f.kind)));
-    os << ",\"message\":{\"text\":";
-    esc(os, f.message);
-    os << "},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{"
-          "\"uri\":";
-    esc(os, f.file);
-    os << "},\"region\":{\"startLine\":" << (f.line == 0 ? 1 : f.line)
-       << "}}}],\"properties\":{\"variable\":";
-    esc(os, f.variable);
-    os << ",\"declLine\":" << f.decl_line << ",\"expected\":";
-    esc(os, core::to_string(f.expected));
-    os << ",\"suggested\":";
-    esc(os, core::to_string(f.suggested));
-    os << "}}";
+    os << "{\"ruleId\":" << json_quote(kind_code(f.kind))
+       << ",\"ruleIndex\":" << static_cast<int>(f.kind)
+       << ",\"level\":" << json_quote(to_string(severity_of(f.kind)))
+       << ",\"message\":{\"text\":" << json_quote(f.message)
+       << "},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{"
+          "\"uri\":"
+       << json_quote(f.file)
+       << "},\"region\":{\"startLine\":" << (f.line == 0 ? 1 : f.line)
+       << "}}}],\"properties\":{\"variable\":" << json_quote(f.variable)
+       << ",\"declLine\":" << f.decl_line
+       << ",\"expected\":" << json_quote(core::to_string(f.expected))
+       << ",\"suggested\":" << json_quote(core::to_string(f.suggested))
+       << "}}";
   }
   os << "]}]}";
   return os.str();

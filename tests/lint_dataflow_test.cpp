@@ -9,12 +9,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/export/schema.hpp"
 #include "lint/baseline.hpp"
+#include "lint/cache.hpp"
 #include "lint/numalint.hpp"
 #include "lint/sarif.hpp"
 
@@ -404,6 +406,94 @@ TEST(LintBaseline, MalformedInputsAreRejectedWithAMessage) {
       parse_baseline("{\"version\":1,\"suppressions\":[]}", &error);
   ASSERT_TRUE(empty.has_value()) << error;
   EXPECT_TRUE(empty->counts.empty());
+}
+
+// --- control characters ----------------------------------------------------
+
+// Every numalint JSON writer shares the one escaper: a finding whose
+// strings hold CR and a raw control byte gives valid JSON on every output
+// path and reads back byte-exact.
+const std::string kControlBytes = "\r\x01";
+
+StaticFinding control_char_finding() {
+  const LintResult result = lint_source(kL6Source, "l6.cpp");
+  EXPECT_FALSE(result.findings.empty());
+  StaticFinding f = result.findings.empty() ? StaticFinding{}
+                                            : result.findings.front();
+  f.file = "dir" + kControlBytes + "/l6.cpp";
+  f.variable = "grid" + kControlBytes;
+  f.message = "first" + kControlBytes + "second";
+  return f;
+}
+
+void expect_same_strings(const StaticFinding& got, const StaticFinding& want) {
+  EXPECT_EQ(got.file, want.file);
+  EXPECT_EQ(got.variable, want.variable);
+  EXPECT_EQ(got.message, want.message);
+}
+
+TEST(LintControlChars, CacheEntryRoundTripsByteExact) {
+  TempDir cache("numaprof_lint_control_cache");
+  FilePhase1 artifact = lint_file_phase1(kL6Source, "l6.cpp");
+  const StaticFinding f = control_char_finding();
+  artifact.local.findings.push_back(f);
+  store_phase1_cache(cache.path, 42, artifact);
+  for (const auto& e : fs::directory_iterator(cache.path)) {
+    std::ifstream in(e.path(), std::ios::binary);
+    std::ostringstream entry;
+    entry << in.rdbuf();
+    const std::vector<std::string> problems =
+        core::json_well_formed(entry.str());
+    EXPECT_TRUE(problems.empty()) << problems.front();
+  }
+  const std::optional<FilePhase1> loaded = load_phase1_cache(cache.path, 42);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->local.findings.size(), artifact.local.findings.size());
+  expect_same_strings(loaded->local.findings.back(), f);
+}
+
+TEST(LintControlChars, BaselineRoundTripsByteExact) {
+  const Baseline baseline = make_baseline({control_char_finding()});
+  const std::string rendered = render_baseline(baseline);
+  std::string error;
+  const auto reparsed = parse_baseline(rendered, &error);
+  ASSERT_TRUE(reparsed.has_value()) << error;
+  EXPECT_EQ(reparsed->counts, baseline.counts);
+  EXPECT_EQ(render_baseline(*reparsed), rendered);
+}
+
+TEST(LintControlChars, SarifIsValidAndKeepsTheBytes) {
+  const StaticFinding f = control_char_finding();
+  const std::string sarif = render_sarif({f});
+  const std::vector<std::string> problems = core::check_sarif_json(sarif);
+  EXPECT_TRUE(problems.empty()) << problems.front();
+  std::string error;
+  const auto root = core::parse_json(sarif, &error);
+  ASSERT_TRUE(root.has_value()) << error;
+  const core::JsonNode& result =
+      root->find("runs")->items.at(0).find("results")->items.at(0);
+  EXPECT_EQ(result.find("message")->find("text")->string, f.message);
+  EXPECT_EQ(result.find("locations")
+                ->items.at(0)
+                .find("physicalLocation")
+                ->find("artifactLocation")
+                ->find("uri")
+                ->string,
+            f.file);
+  EXPECT_EQ(result.find("properties")->find("variable")->string, f.variable);
+}
+
+TEST(LintControlChars, FindingsJsonIsValidAndKeepsTheBytes) {
+  const StaticFinding f = control_char_finding();
+  const std::string json = render_findings_json({f});
+  ASSERT_FALSE(json.empty());
+  EXPECT_EQ(json.find('\n'), json.size() - 1);  // still one finding a line
+  std::string error;
+  const auto root = core::parse_json(json, &error);
+  ASSERT_TRUE(root.has_value()) << error;
+  EXPECT_EQ(root->find("file")->string, f.file);
+  EXPECT_EQ(root->find("variable")->string, f.variable);
+  EXPECT_EQ(root->find("message")->string, f.message);
 }
 
 }  // namespace

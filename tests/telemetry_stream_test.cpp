@@ -9,7 +9,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "core/export/schema.hpp"
 #include "core/profiler.hpp"
 #include "core/telemetry_stream.hpp"
 #include "numasim/topology.hpp"
@@ -522,7 +524,56 @@ TEST(TelemetryJsonl, HotCountersRoundTrip) {
   EXPECT_EQ(loaded.threads[0].hot_paths[0].label, "main>solve>relax");
 }
 
-// Satellite: every malformed hot-* shape names the 1-based line, both in
+// Labels holding CR and a raw control byte are escaped on the way out and
+// read back byte-exact; the JSONL line stays one valid JSON document.
+TEST(TelemetryJsonl, ControlCharLabelsRoundTripByteExact) {
+  const std::string label = "var\r\x01" "end";
+  TelemetryHub hub;
+  hub.ring(0).add_hot(support::HotTableKind::kVariables, 7, 0, true, label);
+  const TelemetrySnapshot snap = hub.snapshot(5);
+  ASSERT_EQ(snap.hot_vars.size(), 1u);
+  ASSERT_EQ(snap.hot_vars[0].label, label);
+
+  std::ostringstream os;
+  write_snapshot_jsonl(snap, os);
+  const std::string line = os.str().substr(0, os.str().find('\n'));
+  EXPECT_EQ(line.find('\r'), std::string::npos) << line;
+  const std::vector<std::string> problems = json_well_formed(line);
+  EXPECT_TRUE(problems.empty()) << problems.front();
+  std::istringstream is(os.str());
+  const TelemetryTrace trace = load_telemetry_trace(is);
+  ASSERT_EQ(trace.snapshots.size(), 1u);
+  ASSERT_EQ(trace.snapshots[0].hot_vars.size(), 1u);
+  EXPECT_EQ(trace.snapshots[0].hot_vars[0].label, label);
+}
+
+// The reader is the shared core::parse_json: standard JSON per line, with
+// failures still reported as kTelemetry errors naming the line.
+TEST(TelemetryJsonl, LinesFollowTheSharedJsonGrammar) {
+  TelemetryTrace trace;
+  // CR (a CRLF file read line by line) is whitespace; \b and \f decode.
+  EXPECT_TRUE(append_trace_line(
+      trace, "{\"type\":\"snapshot\",\"seq\":1,\"t\":2}\r", 1));
+  EXPECT_FALSE(append_trace_line(
+      trace,
+      "{\"type\":\"event\",\"kind\":\"thread-start\",\"detail\":\"a\\bb\\f\"}",
+      2));
+  ASSERT_EQ(trace.events.size(), 1u);
+  EXPECT_EQ(trace.events[0].detail_view(), "a\bb\f");
+  for (const std::string bad :
+       {"{\"type\":\"snapshot\",\"t\":+5}", "{\"type\":\"snapshot\",\"t\":1.}",
+        "{\"type\":\"snapshot\",\"label\":\"a\x01\"}"}) {
+    try {
+      append_trace_line(trace, bad, 9);
+      FAIL() << "expected a parse error for: " << bad;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kTelemetry);
+      EXPECT_EQ(e.line(), 9u);
+    }
+  }
+}
+
+// Every malformed hot-* shape names the 1-based line, both in
 // the message and in the structured line() accessor.
 TEST(TelemetryJsonl, MalformedHotShapesNameTheLine) {
   const auto expect_error_on_line = [](const std::string& text,
