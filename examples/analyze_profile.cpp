@@ -122,11 +122,7 @@ int run_lint_pane(const core::Advisor& advisor, const PipelineOptions& options,
               << core::render_fused_findings(
                      core::fuse_findings(advisor, linted.findings));
   }
-  if (!werror) return 0;
-  for (const core::StaticFinding& f : linted.findings) {
-    if (lint::severity_of(f.kind) >= *werror) return 1;
-  }
-  return 0;
+  return werror && lint::any_at_or_above(linted.findings, *werror) ? 1 : 0;
 }
 
 int print_analysis(const core::SessionData& data,
@@ -226,21 +222,7 @@ int main(int argc, char** argv) {
                   "--format expects text or json\n" + cli.usage());
     }
     const std::string telemetry = cli.value("--telemetry").value_or("");
-    std::optional<lint::Severity> werror;
-    if (cli.has("--werror")) {
-      const std::string spelled = cli.value("--werror").value_or("warning");
-      if (spelled == "note") {
-        werror = lint::Severity::kNote;
-      } else if (spelled == "warning") {
-        werror = lint::Severity::kWarning;
-      } else if (spelled == "error") {
-        werror = lint::Severity::kError;
-      } else {
-        throw Error(ErrorKind::kUsage, {}, "--werror", 0,
-                    "--werror expects note, warning, or error\n" +
-                        cli.usage());
-      }
-    }
+    const std::optional<lint::Severity> werror = lint::parse_werror(cli);
 
     ExportRequest exports;
     if (const auto kind_text = cli.value("--export")) {

@@ -83,10 +83,7 @@ void dsl_workload(SimThread& t, SimMachine& m, uint32_t threads) {
 int gate_exit(const std::vector<core::StaticFinding>& findings,
               std::optional<lint::Severity> werror) {
   if (!werror) return findings.empty() ? 0 : 1;
-  for (const core::StaticFinding& f : findings) {
-    if (lint::severity_of(f.kind) >= *werror) return 1;
-  }
-  return 0;
+  return lint::any_at_or_above(findings, *werror) ? 1 : 0;
 }
 
 void print_stats(std::ostream& os, const lint::LintResult& result,
@@ -97,16 +94,6 @@ void print_stats(std::ostream& os, const lint::LintResult& result,
      << " finding" << (reported == 1 ? "" : "s");
   if (suppressed > 0) os << " (" << suppressed << " baselined)";
   os << "\n";
-}
-
-std::optional<lint::Severity> parse_werror(const support::CliParser& cli) {
-  if (!cli.has("--werror")) return std::nullopt;
-  const std::string spelled = cli.value("--werror").value_or("warning");
-  if (spelled == "note") return lint::Severity::kNote;
-  if (spelled == "warning") return lint::Severity::kWarning;
-  if (spelled == "error") return lint::Severity::kError;
-  throw Error(ErrorKind::kUsage, {}, "--werror", 0,
-              "--werror expects note, warning, or error\n" + cli.usage());
 }
 
 support::CliParser make_parser() {
@@ -162,7 +149,7 @@ int main(int argc, char** argv) {
       throw Error(ErrorKind::kUsage, {}, "--format", 0,
                   "--format expects text or json\n" + cli.usage());
     }
-    const std::optional<lint::Severity> werror = parse_werror(cli);
+    const std::optional<lint::Severity> werror = lint::parse_werror(cli);
     // --export shares the grammar of analyze_profile's flag. json is the
     // fused-findings document (needs dynamic evidence); sarif is the
     // static findings alone, for code-scanning UIs and CI artifacts.

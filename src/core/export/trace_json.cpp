@@ -92,20 +92,15 @@ std::string export_trace_json(const Analyzer& analyzer,
   const numasim::Cycles begin = analysis.begin();
   if (!analysis.empty()) {
     const std::vector<TraceWindow> windows = analysis.windows(count);
-    const numasim::Cycles span =
-        analysis.end() > begin ? analysis.end() - begin : 1;
 
     // Per-thread and per-domain window stats (TraceWindow aggregates over
-    // all threads; the timeline tracks need the split). Same bucket-index
-    // formula as TraceAnalysis::bucket so windows line up exactly.
+    // all threads; the timeline tracks need the split).
     std::vector<std::vector<ThreadWindow>> per_thread(
         threads, std::vector<ThreadWindow>(count));
     std::vector<std::vector<std::uint64_t>> per_domain(
         count, std::vector<std::uint64_t>(data.domain_count, 0));
     for (const TraceEvent& e : data.trace) {
-      auto index = static_cast<std::uint32_t>(
-          static_cast<unsigned __int128>(e.time - begin) * count / (span + 1));
-      index = index < count ? index : count - 1;
+      const std::uint32_t index = analysis.window_index(e.time, count);
       if (e.tid < threads) {
         ThreadWindow& tw = per_thread[e.tid][index];
         ++tw.samples;

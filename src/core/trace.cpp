@@ -25,16 +25,21 @@ std::vector<TraceWindow> TraceAnalysis::bucket(
   }
   for (const TraceEvent& e : *events_) {
     if (!filter(e)) continue;
-    auto index = static_cast<std::uint32_t>(
-        static_cast<unsigned __int128>(e.time - begin_) * count / (span + 1));
-    index = std::min(index, count - 1);
-    TraceWindow& window = windows[index];
+    TraceWindow& window = windows[window_index(e.time, count)];
     ++window.samples;
     window.mismatches += e.mismatch;
     window.total_latency += e.latency;
     if (e.remote) window.remote_latency += e.latency;
   }
   return windows;
+}
+
+std::uint32_t TraceAnalysis::window_index(numasim::Cycles time,
+                                          std::uint32_t count) const noexcept {
+  const numasim::Cycles span = end_ > begin_ ? end_ - begin_ : 1;
+  const auto index = static_cast<std::uint32_t>(
+      static_cast<unsigned __int128>(time - begin_) * count / (span + 1));
+  return std::min(index, count - 1);
 }
 
 std::vector<TraceWindow> TraceAnalysis::windows(std::uint32_t count) const {

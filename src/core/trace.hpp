@@ -81,6 +81,13 @@ class TraceAnalysis {
   /// fraction (' ' none, '.' <25%, '-' <50%, '+' <75%, '#' >=75%).
   std::string timeline(std::uint32_t window_count = 64) const;
 
+  /// Index of the window holding virtual time `time` when the run is cut
+  /// into `count` (>= 1) equal windows. Every per-window view (windows(),
+  /// the trace export's per-thread and per-domain tracks) uses it, so
+  /// their windows line up exactly.
+  std::uint32_t window_index(numasim::Cycles time,
+                             std::uint32_t count) const noexcept;
+
  private:
   std::vector<TraceWindow> bucket(
       std::uint32_t count,

@@ -79,7 +79,7 @@ std::string site_str(const Effect& e) {
 }
 
 std::string sched_str(const Effect& e) {
-  std::string s(ir::to_string(e.sched));
+  std::string s(lint::to_string(e.sched));
   if (e.sched == ir::Schedule::kStaticChunk && e.chunk > 0) {
     s += "," + std::to_string(e.chunk);
   }
@@ -460,6 +460,11 @@ std::vector<StaticFinding> propagate_and_check(std::vector<FileSummary> files) {
     findings.push_back(std::move(f));
   }
 
+  sort_findings(findings);
+  return findings;
+}
+
+void sort_findings(std::vector<StaticFinding>& findings) {
   std::sort(findings.begin(), findings.end(),
             [](const StaticFinding& a, const StaticFinding& b) {
               if (a.file != b.file) return a.file < b.file;
@@ -467,7 +472,6 @@ std::vector<StaticFinding> propagate_and_check(std::vector<FileSummary> files) {
               if (a.variable != b.variable) return a.variable < b.variable;
               return static_cast<int>(a.kind) < static_cast<int>(b.kind);
             });
-  return findings;
 }
 
 }  // namespace numaprof::lint::dataflow

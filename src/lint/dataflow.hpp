@@ -110,4 +110,8 @@ FileSummary summarize(const ir::FileIr& ir);
 std::vector<core::StaticFinding> propagate_and_check(
     std::vector<FileSummary> files);
 
+/// Sorts findings by (file, line, variable, kind), the order of every
+/// numalint result.
+void sort_findings(std::vector<core::StaticFinding>& findings);
+
 }  // namespace numaprof::lint::dataflow

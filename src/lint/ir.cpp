@@ -1,23 +1,11 @@
 #include "lint/ir.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 
-#include "lint/lexer.hpp"
+#include "lint/regions.hpp"
 
 namespace numaprof::lint::ir {
-
-std::string_view to_string(Schedule s) noexcept {
-  switch (s) {
-    case Schedule::kNone: return "none";
-    case Schedule::kStaticBlock: return "static";
-    case Schedule::kStaticChunk: return "static-chunk";
-    case Schedule::kDynamic: return "dynamic";
-    case Schedule::kRuntime: return "runtime";
-  }
-  return "?";
-}
 
 int Function::param_index(std::string_view name) const noexcept {
   for (std::size_t i = 0; i < params.size(); ++i) {
@@ -43,38 +31,6 @@ std::pair<int, std::size_t> Function::order_of(int block,
 }
 
 namespace {
-
-bool thread_id_name(const std::string& s) {
-  return s == "tid" || s == "index" || s == "thread_id" || s == "thread_num" ||
-         s == "rank" || s == "me" || s == "worker";
-}
-
-bool known_linear_call(const std::string& s) {
-  return s == "elem_addr" || s == "block_slice" || s == "min" || s == "max" ||
-         s == "size" || s == "begin" || s == "end" || s == "data" ||
-         s == "sizeof";
-}
-
-bool is_keyword(const std::string& s) {
-  static const std::set<std::string> kw = {
-      "if",       "for",      "while",    "switch",   "catch",
-      "return",   "sizeof",   "new",      "delete",   "throw",
-      "alignof",  "decltype", "alignas",  "noexcept", "operator",
-      "case",     "goto",     "do",       "else",     "co_return",
-      "co_await", "static_assert"};
-  return kw.count(s) > 0;
-}
-
-bool is_type_name(const std::string& s) {
-  static const std::set<std::string> ty = {
-      "void",     "bool",    "char",     "short",    "int",      "long",
-      "unsigned", "signed",  "float",    "double",   "auto",     "size_t",
-      "int8_t",   "int16_t", "int32_t",  "int64_t",  "uint8_t",  "uint16_t",
-      "uint32_t", "uint64_t", "ptrdiff_t", "intptr_t", "uintptr_t",
-      "const",    "static",  "volatile", "constexpr", "extern",  "register",
-      "mutable",  "inline",  "std",      "VAddr"};
-  return ty.count(s) > 0;
-}
 
 /// Functions we never treat as user call sites: language keywords, libc
 /// memory/IO helpers, the simulator DSL's structural forms, and OpenMP
@@ -102,10 +58,6 @@ bool is_assign_op(const Token& t) {
          s == ">>=";
 }
 
-int to_int(const std::string& s) {
-  return static_cast<int>(std::strtol(s.c_str(), nullptr, 0));
-}
-
 /// Parallel context at a token position, resolved from the innermost
 /// enclosing region plus any thread-guard range.
 struct Ctx {
@@ -117,406 +69,40 @@ struct Ctx {
   std::string loop_var;  // omp-for induction variable, if known
 };
 
-struct Region {
-  std::size_t begin = 0, end = 0;  // body token range
-  bool parallel = false;
-  Schedule sched = Schedule::kNone;
-  int chunk = 0;
-  bool blocked = false;
-  std::string loop_var;
-};
-
 class IrBuilder {
  public:
-  IrBuilder(std::string_view source, std::string file) {
+  IrBuilder(const TokenStream& ts, const ParallelScan& scan, std::string file)
+      : ts_(ts), scan_(scan) {
     ir_.file = std::move(file);
-    LexResult lexed = lex(source);
-    toks_ = std::move(lexed.tokens);
-    build_matches();
   }
 
   FileIr build() {
     collect_regions();
-    collect_guards();
     collect_globals();
     collect_functions();
     return std::move(ir_);
   }
 
  private:
-  // -- token utilities --------------------------------------------------
+  std::size_t n() const { return ts_.size(); }
+  const Token& tok(std::size_t i) const { return ts_[i]; }
+  bool valid(std::size_t i) const { return ts_.valid(i); }
 
-  std::size_t n() const { return toks_.size(); }
-  const Token& tok(std::size_t i) const { return toks_[i]; }
-  bool valid(std::size_t i) const { return i < toks_.size(); }
-
-  void build_matches() {
-    match_.assign(n(), SIZE_MAX);
-    std::vector<std::size_t> stack;
-    for (std::size_t i = 0; i < n(); ++i) {
-      if (tok(i).kind != TokKind::kPunct) continue;
-      const std::string& t = tok(i).text;
-      if (t == "(" || t == "{" || t == "[") {
-        stack.push_back(i);
-      } else if (t == ")" || t == "}" || t == "]") {
-        const char open = t == ")" ? '(' : (t == "}" ? '{' : '[');
-        while (!stack.empty() && tok(stack.back()).text[0] != open) {
-          stack.pop_back();
-        }
-        if (!stack.empty()) {
-          match_[stack.back()] = i;
-          match_[i] = stack.back();
-          stack.pop_back();
-        }
-      }
-    }
-  }
-
-  std::size_t matching(std::size_t i) const {
-    return match_[i] == SIZE_MAX ? n() : match_[i];
-  }
-
-  struct Chain {
-    std::string text;
-    std::string first;
-    std::size_t end = 0;
-  };
-
-  /// ident ('::'|'.'|'->' ident | '[...]' -> "[]")*
-  Chain read_chain(std::size_t i) const {
-    Chain c;
-    if (!valid(i) || tok(i).kind != TokKind::kIdent) {
-      c.end = i;
-      return c;
-    }
-    c.first = tok(i).text;
-    c.text = tok(i).text;
-    std::size_t p = i + 1;
-    while (valid(p)) {
-      const std::string& t = tok(p).text;
-      if (tok(p).kind == TokKind::kPunct &&
-          (t == "." || t == "->" || t == "::") && valid(p + 1) &&
-          tok(p + 1).kind == TokKind::kIdent) {
-        c.text += (t == "::") ? "::" : ".";
-        c.text += tok(p + 1).text;
-        p += 2;
-        continue;
-      }
-      if (tok(p).is_punct("[") && matching(p) < n()) {
-        c.text += "[]";
-        p = matching(p) + 1;
-        continue;
-      }
-      break;
-    }
-    c.end = p;
-    return c;
-  }
-
-  std::vector<std::pair<std::size_t, std::size_t>> split_args(
-      std::size_t open) const {
-    std::vector<std::pair<std::size_t, std::size_t>> args;
-    const std::size_t close = matching(open);
-    if (close >= n()) return args;
-    std::size_t start = open + 1;
-    std::size_t depth = 0;
-    for (std::size_t i = open + 1; i < close; ++i) {
-      const std::string& t = tok(i).text;
-      if (tok(i).kind == TokKind::kPunct) {
-        if (t == "(" || t == "[" || t == "{") ++depth;
-        if (t == ")" || t == "]" || t == "}") --depth;
-        if (t == "," && depth == 0) {
-          args.emplace_back(start, i);
-          start = i + 1;
-        }
-      }
-    }
-    if (start < close || close > open + 1) args.emplace_back(start, close);
-    return args;
-  }
-
-  std::size_t stmt_start(std::size_t i) const {
-    while (i > 0) {
-      const Token& t = tok(i - 1);
-      if (t.is_punct(";") || t.is_punct("{") || t.is_punct("}")) break;
-      --i;
-    }
-    return i;
-  }
-
-  /// Base identifier of the chain ending at token `e`, or SIZE_MAX.
-  std::size_t chain_base_before(std::size_t e) const {
-    if (!valid(e)) return SIZE_MAX;
-    std::size_t i = e;
-    int guard = 0;
-    while (guard++ < 64) {
-      const Token& t = tok(i);
-      if (t.is_punct("]") && match_[i] != SIZE_MAX && match_[i] < i) {
-        i = match_[i];
-        if (i == 0) return SIZE_MAX;
-        --i;
-        continue;
-      }
-      if (t.kind == TokKind::kIdent) {
-        if (i == 0) return 0;
-        const Token& prev = tok(i - 1);
-        if (prev.is_punct(".") || prev.is_punct("->") || prev.is_punct("::")) {
-          if (i < 2) return SIZE_MAX;
-          i -= 2;
-          continue;
-        }
-        return i;
-      }
-      return SIZE_MAX;
-    }
-    return SIZE_MAX;
-  }
-
-  /// The '=' that assigns the statement's lvalue before `i`, or SIZE_MAX.
-  std::size_t assignment_before(std::size_t i) const {
-    const std::size_t s = stmt_start(i);
-    std::size_t eq = SIZE_MAX;
-    for (std::size_t k = s; k < i; ++k) {
-      if (tok(k).is_punct("=")) eq = k;
-    }
-    return eq;
-  }
-
-  /// Token range of the construct starting at `p`: a brace block or a
-  /// single statement (used for pragma bodies and guard bodies).
-  std::pair<std::size_t, std::size_t> construct_range(std::size_t p) const {
-    if (!valid(p)) return {p, p};
-    if (tok(p).is_punct("{") && matching(p) < n()) {
-      return {p + 1, matching(p)};
-    }
-    std::size_t q = p;
-    int guard = 0;
-    while (valid(q) && !tok(q).is_punct(";") && guard++ < 4096) {
-      if ((tok(q).is_punct("(") || tok(q).is_punct("{") ||
-           tok(q).is_punct("[")) &&
-          matching(q) < n()) {
-        q = matching(q);
-      }
-      ++q;
-    }
-    return {p, q};
-  }
-
-  // -- regions ----------------------------------------------------------
-
-  /// OpenMP pragmas, with `\` line continuations honored: a pragma's
-  /// clauses extend onto the next line when the current one ends in a
-  /// backslash (the satellite lexer fix keeps the token stream intact;
-  /// this keeps the clause scan following it).
-  void collect_omp_regions() {
-    for (std::size_t i = 0; i + 2 < n(); ++i) {
-      if (!tok(i).is_punct("#") || !tok(i + 1).is_ident("pragma") ||
-          !tok(i + 2).is_ident("omp")) {
-        continue;
-      }
-      std::uint32_t cur_line = tok(i).line;
-      std::size_t p = i + 3;
-      bool parallel = false, omp_for = false, serial = false, guard = false;
-      Schedule sched = Schedule::kNone;
-      int chunk = 0;
-      while (valid(p)) {
-        if (tok(p).line != cur_line) break;
-        if (tok(p).is_punct("\\") && valid(p + 1) &&
-            tok(p + 1).line == cur_line + 1) {
-          ++cur_line;
-          ++p;
-          continue;
-        }
-        if (tok(p).kind == TokKind::kIdent) {
-          const std::string& w = tok(p).text;
-          if (w == "parallel") parallel = true;
-          if (w == "for") omp_for = true;
-          if (w == "single" || w == "master" || w == "critical") guard = true;
-          if ((w == "num_threads" || w == "schedule") && valid(p + 1) &&
-              tok(p + 1).is_punct("(") && matching(p + 1) < n()) {
-            const auto args = split_args(p + 1);
-            if (w == "num_threads" && !args.empty() &&
-                args[0].second == args[0].first + 1 &&
-                tok(args[0].first).text == "1") {
-              serial = true;
-            }
-            if (w == "schedule" && !args.empty() &&
-                tok(args[0].first).kind == TokKind::kIdent) {
-              const std::string& k = tok(args[0].first).text;
-              if (k == "static") {
-                sched = Schedule::kStaticBlock;
-              } else if (k == "dynamic" || k == "guided") {
-                sched = Schedule::kDynamic;
-              } else {
-                sched = Schedule::kRuntime;  // runtime / auto
-              }
-              if (args.size() > 1 && args[1].first < args[1].second &&
-                  tok(args[1].first).kind == TokKind::kNumber) {
-                chunk = to_int(tok(args[1].first).text);
-                if (k == "static" && chunk > 0) sched = Schedule::kStaticChunk;
-              }
-            }
-            const std::size_t m = matching(p + 1);
-            cur_line = tok(m).line;
-            p = m + 1;
-            continue;
-          }
-        }
-        ++p;
-      }
-      if (!valid(p) || serial) continue;
-      if (guard && !omp_for && !parallel) {
-        // Orphaned single/master/critical: everything under it runs on
-        // one thread — a guard range, not a region.
-        const auto [gb, ge] = construct_range(p);
-        if (gb < ge) guards_.emplace_back(gb, ge);
-        continue;
-      }
-      if (guard) {
-        const auto [gb, ge] = construct_range(p);
-        if (gb < ge) guards_.emplace_back(gb, ge);
-        continue;
-      }
-      if (!parallel && !omp_for) continue;
-      Region r;
-      r.parallel = true;
-      if (omp_for) {
-        r.blocked = true;
-        if (sched == Schedule::kNone) sched = Schedule::kStaticBlock;
-      }
-      r.sched = sched;
-      r.chunk = chunk;
-      if (tok(p).is_punct("{") && matching(p) < n()) {
-        r.begin = p + 1;
-        r.end = matching(p);
-      } else if (tok(p).is_ident("for") || tok(p).is_ident("while")) {
-        if (tok(p).is_ident("for") && valid(p + 1) && tok(p + 1).is_punct("(")) {
-          const std::size_t hclose = matching(p + 1);
-          for (std::size_t k = p + 2; k + 1 < hclose && k + 1 < n(); ++k) {
-            if (tok(k).is_punct(";")) break;
-            if (tok(k).kind == TokKind::kIdent && tok(k + 1).is_punct("=")) {
-              r.loop_var = tok(k).text;
-              break;
-            }
-          }
-        }
-        const auto [rb, re] = construct_range(p);
-        r.begin = rb;
-        r.end = re;
-      } else {
-        continue;
-      }
-      if (r.end > n() || r.begin >= r.end) continue;
-      regions_.push_back(std::move(r));
-    }
-  }
-
-  /// Simulator DSL: parallel_region(machine, COUNT, "name", base, lambda)
-  /// and parallel_for(..., sched, chunk, body).
-  void collect_dsl_regions() {
-    for (std::size_t i = 0; i + 1 < n(); ++i) {
-      if (!(tok(i).is_ident("parallel_region") ||
-            tok(i).is_ident("parallel_for")) ||
-          !tok(i + 1).is_punct("(")) {
-        continue;
-      }
-      const auto args = split_args(i + 1);
-      if (args.size() < 3) continue;
-      Region r;
-      const auto [cb, ce] = args[1];
-      r.parallel = !(ce == cb + 1 && tok(cb).kind == TokKind::kNumber &&
-                     tok(cb).text == "1");
-      std::string count_last;
-      for (std::size_t k = cb; k < ce; ++k) {
-        if (tok(k).kind == TokKind::kIdent) count_last = tok(k).text;
-      }
-      // Explicit schedule idents in the non-body arguments.
-      for (std::size_t a = 2; a + 1 < args.size(); ++a) {
-        for (std::size_t k = args[a].first; k < args[a].second; ++k) {
-          if (tok(k).kind != TokKind::kIdent) continue;
-          const std::string& w = tok(k).text;
-          if (w == "dynamic" || w == "kDynamic" || w == "guided") {
-            r.sched = Schedule::kDynamic;
-          } else if ((w == "static" || w == "kStatic" ||
-                      w == "kStaticBlock") &&
-                     r.sched == Schedule::kNone) {
-            r.sched = Schedule::kStaticBlock;
-          }
-        }
-      }
-      // Body: first '{' inside the last argument.
-      const auto [lb, le] = args.back();
-      for (std::size_t k = lb; k < le; ++k) {
-        if (tok(k).is_punct("{") && matching(k) < n()) {
-          r.begin = k + 1;
-          r.end = matching(k);
-          break;
-        }
-      }
-      if (r.begin == 0 || r.begin >= r.end) continue;
-      bool round_robin = false;
-      for (std::size_t k = r.begin; k < r.end; ++k) {
-        if (tok(k).is_ident("block_slice") || tok(k).is_ident("schedule")) {
-          r.blocked = true;
-        }
-        if (tok(k).is_punct("+=") && valid(k + 1)) {
-          Chain c = read_chain(k + 1);
-          std::string last = c.text;
-          const std::size_t dot = last.rfind('.');
-          if (dot != std::string::npos) last = last.substr(dot + 1);
-          if (!last.empty() &&
-              (last == count_last || last == "threads" || last == "nthreads" ||
-               last == "num_threads")) {
-            round_robin = true;
-          }
-        }
-      }
-      if (r.blocked && r.sched == Schedule::kNone) {
-        r.sched = Schedule::kStaticBlock;
-      } else if (round_robin && !r.blocked) {
-        r.sched = Schedule::kStaticChunk;
-        r.chunk = 1;
-        r.blocked = true;
-      }
-      regions_.push_back(std::move(r));
-    }
-  }
-
+  /// The regions this pass reads: DSL calls, and pragmas that are not
+  /// num_threads(1) or single/master/critical and name `parallel` or
+  /// `for` outside their clauses.
   void collect_regions() {
-    collect_dsl_regions();
-    collect_omp_regions();
-    std::sort(regions_.begin(), regions_.end(),
-              [](const Region& a, const Region& b) { return a.begin < b.begin; });
-  }
-
-  void collect_guards() {
-    for (std::size_t i = 0; i + 1 < n(); ++i) {
-      if (!tok(i).is_ident("if") || !tok(i + 1).is_punct("(")) continue;
-      const std::size_t cond_close = matching(i + 1);
-      if (cond_close >= n()) continue;
-      bool guarded = false;
-      for (std::size_t k = i + 2; k < cond_close; ++k) {
-        if (tok(k).kind != TokKind::kIdent) continue;
-        Chain c = read_chain(k);
-        std::string last = c.text;
-        const std::size_t dot = last.find_last_of(".:");
-        if (dot != std::string::npos) last = last.substr(dot + 1);
-        // tid == 0  |  0 == tid
-        if (thread_id_name(last)) {
-          if (valid(c.end + 1) && tok(c.end).is_punct("==") &&
-              tok(c.end + 1).text == "0") {
-            guarded = true;
-          }
-          if (k >= 2 && tok(k - 1).is_punct("==") && tok(k - 2).text == "0") {
-            guarded = true;
-          }
-        }
-        k = c.end > k ? c.end - 1 : k;
+    for (const Region& r : scan_.regions) {
+      if (r.pragma && (r.num_threads_one || r.one_thread ||
+                       !(r.omp_parallel || r.omp_for))) {
+        continue;
       }
-      if (!guarded) continue;
-      const auto [gb, ge] = construct_range(cond_close + 1);
-      if (gb < ge) guards_.emplace_back(gb, ge);
+      regions_.push_back(r);
     }
+    std::sort(regions_.begin(), regions_.end(),
+              [](const Region& a, const Region& b) {
+                return a.begin < b.begin;
+              });
   }
 
   Ctx ctx_at(std::size_t pos) const {
@@ -536,47 +122,13 @@ class IrBuilder {
       c.blocked = best->blocked;
       c.loop_var = best->loop_var;
     }
-    for (const auto& [gb, ge] : guards_) {
+    for (const auto& [gb, ge] : scan_.guards) {
       if (gb <= pos && pos < ge) c.guarded = true;
     }
     return c;
   }
 
   // -- globals ----------------------------------------------------------
-
-  char brace_kind(std::size_t open) const {
-    if (open > 0 && tok(open - 1).is_punct(")")) return 'c';
-    if (open > 0 && (tok(open - 1).is_ident("else") ||
-                     tok(open - 1).is_ident("do") ||
-                     tok(open - 1).is_ident("try"))) {
-      return 'c';
-    }
-    for (std::size_t k = stmt_start(open); k < open; ++k) {
-      if (tok(k).is_ident("namespace")) return 'n';
-      if (tok(k).is_ident("struct") || tok(k).is_ident("class") ||
-          tok(k).is_ident("union") || tok(k).is_ident("enum")) {
-        return 's';
-      }
-    }
-    return 'i';
-  }
-
-  /// Skips a '#' directive line (with `\` continuations).
-  std::size_t skip_directive(std::size_t i) const {
-    std::uint32_t line = tok(i).line;
-    ++i;
-    while (valid(i)) {
-      if (tok(i).line != line) {
-        break;
-      }
-      if (tok(i).is_punct("\\") && valid(i + 1) &&
-          tok(i + 1).line == line + 1) {
-        ++line;
-      }
-      ++i;
-    }
-    return i;
-  }
 
   void collect_globals() {
     std::size_t i = 0;
@@ -585,14 +137,14 @@ class IrBuilder {
     while (i < n() && guard++ < max_iter) {
       const Token& t = tok(i);
       if (t.is_punct("#")) {
-        i = skip_directive(i);
+        i = ts_.skip_directive(i);
         continue;
       }
       if (t.is_punct("{")) {
-        if (brace_kind(i) == 'n') {
+        if (ts_.brace_kind(i) == 'n') {
           ++i;  // descend into namespaces
         } else {
-          i = matching(i) < n() ? matching(i) + 1 : i + 1;
+          i = ts_.matching(i) < n() ? ts_.matching(i) + 1 : i + 1;
         }
         continue;
       }
@@ -613,21 +165,21 @@ class IrBuilder {
         if (u.is_punct("#") || u.is_punct("}")) break;
         if (u.is_punct("(")) {
           has_paren = true;
-          i = matching(i) < n() ? matching(i) + 1 : i + 1;
+          i = ts_.matching(i) < n() ? ts_.matching(i) + 1 : i + 1;
           continue;
         }
         if (u.is_punct("[")) {
           flat.push_back(i);
-          i = matching(i) < n() ? matching(i) + 1 : i + 1;
+          i = ts_.matching(i) < n() ? ts_.matching(i) + 1 : i + 1;
           continue;
         }
         if (u.is_punct("{")) {
-          if (brace_kind(i) == 'i') {
-            i = matching(i) < n() ? matching(i) + 1 : i + 1;
+          if (ts_.brace_kind(i) == 'i') {
+            i = ts_.matching(i) < n() ? ts_.matching(i) + 1 : i + 1;
             continue;
           }
           has_body = true;  // function / struct definition ends the stmt
-          i = matching(i) < n() ? matching(i) + 1 : i + 1;
+          i = ts_.matching(i) < n() ? ts_.matching(i) + 1 : i + 1;
           if (valid(i) && tok(i).is_punct(";")) ++i;
           break;
         }
@@ -690,7 +242,7 @@ class IrBuilder {
         continue;
       }
       if (is_keyword(tok(i).text) || is_type_name(tok(i).text)) continue;
-      const std::size_t close = matching(i + 1);
+      const std::size_t close = ts_.matching(i + 1);
       if (close >= n()) continue;
       // Find the body '{' past cv-qualifiers, noexcept, trailing return
       // types, and constructor init lists.
@@ -701,7 +253,7 @@ class IrBuilder {
         const Token& t = tok(p);
         if (t.is_punct(";") || t.is_punct("}") || t.is_punct("=")) break;
         if (t.is_punct("(") || t.is_punct("[")) {
-          const std::size_t m = matching(p);
+          const std::size_t m = ts_.matching(p);
           if (m >= n()) break;
           p = m + 1;
           continue;
@@ -715,7 +267,7 @@ class IrBuilder {
           // In an init list, `member{init}` braces follow an identifier;
           // the body brace follows ')' or '}'.
           if (after_colon && p > 0 && tok(p - 1).kind == TokKind::kIdent) {
-            const std::size_t m = matching(p);
+            const std::size_t m = ts_.matching(p);
             if (m >= n()) break;
             p = m + 1;
             continue;
@@ -734,7 +286,7 @@ class IrBuilder {
       }
       if (!found) continue;
       const std::size_t body_open = p;
-      const std::size_t body_close = matching(body_open);
+      const std::size_t body_close = ts_.matching(body_open);
       if (body_close >= n()) continue;
 
       Function fn;
@@ -754,7 +306,7 @@ class IrBuilder {
   }
 
   void parse_params(Function& fn, std::size_t open) {
-    for (const auto& [b, e] : split_args(open)) {
+    for (const auto& [b, e] : ts_.split_args(open)) {
       if (b >= e) continue;
       if (e == b + 1 && tok(b).is_ident("void")) continue;
       Param prm;
@@ -816,14 +368,14 @@ class IrBuilder {
       return std::min(limit, p + 1);
     }
     if (tok(p).is_punct("{")) {
-      const std::size_t m = matching(p);
+      const std::size_t m = ts_.matching(p);
       return m < limit ? m + 1 : limit;
     }
     if (tok(p).is_ident("if") || tok(p).is_ident("for") ||
         tok(p).is_ident("while") || tok(p).is_ident("switch")) {
       std::size_t q = p + 1;
       if (valid(q) && tok(q).is_punct("(")) {
-        const std::size_t m = matching(q);
+        const std::size_t m = ts_.matching(q);
         if (m >= limit) return limit;
         q = m + 1;
       }
@@ -837,7 +389,7 @@ class IrBuilder {
       std::size_t q = stmt_end(p + 1, limit, depth + 1);
       if (q < limit && tok(q).is_ident("while") && valid(q + 1) &&
           tok(q + 1).is_punct("(")) {
-        const std::size_t m = matching(q + 1);
+        const std::size_t m = ts_.matching(q + 1);
         q = m < limit ? m + 1 : limit;
         if (q < limit && tok(q).is_punct(";")) ++q;
       }
@@ -849,7 +401,7 @@ class IrBuilder {
       if (tok(i).is_punct("}")) return i;
       if (tok(i).is_punct("(") || tok(i).is_punct("[") ||
           tok(i).is_punct("{")) {
-        const std::size_t m = matching(i);
+        const std::size_t m = ts_.matching(i);
         if (m < limit) {
           i = m + 1;
           continue;
@@ -870,8 +422,8 @@ class IrBuilder {
     const int max_iter = static_cast<int>(e - b) + 16;
     while (i < e && i < n() && guard++ < max_iter) {
       if (depth < 48 && tok(i).is_ident("if") && valid(i + 1) &&
-          tok(i + 1).is_punct("(") && matching(i + 1) < e) {
-        const std::size_t cclose = matching(i + 1);
+          tok(i + 1).is_punct("(") && ts_.matching(i + 1) < e) {
+        const std::size_t cclose = ts_.matching(i + 1);
         add_interval(i, cclose + 1, cur);
         const std::size_t tb = cclose + 1;
         const std::size_t te = stmt_end(tb, e, 0);
@@ -898,8 +450,8 @@ class IrBuilder {
       }
       if (depth < 48 &&
           (tok(i).is_ident("for") || tok(i).is_ident("while")) &&
-          valid(i + 1) && tok(i + 1).is_punct("(") && matching(i + 1) < e) {
-        const std::size_t cclose = matching(i + 1);
+          valid(i + 1) && tok(i + 1).is_punct("(") && ts_.matching(i + 1) < e) {
+        const std::size_t cclose = ts_.matching(i + 1);
         const int header = cfg_new_block(fn);
         cfg_edge(fn, cur, header);
         add_interval(i, cclose + 1, header);
@@ -915,9 +467,9 @@ class IrBuilder {
         i = std::max(be, i + 1);
         continue;
       }
-      if (tok(i).is_punct("{") && matching(i) < e) {
-        cur = cfg_seq(fn, i + 1, matching(i), cur, depth + 1);
-        i = matching(i) + 1;
+      if (tok(i).is_punct("{") && ts_.matching(i) < e) {
+        cur = cfg_seq(fn, i + 1, ts_.matching(i), cur, depth + 1);
+        i = ts_.matching(i) + 1;
         continue;
       }
       std::size_t se = stmt_end(i, e, 0);
@@ -1014,7 +566,7 @@ class IrBuilder {
   bool index_full_range(const Ctx& c, std::size_t open) const {
     if (!c.parallel) return false;
     bool has_tid = false, has_loopvar = false, indirect = false;
-    const std::size_t close = matching(open);
+    const std::size_t close = ts_.matching(open);
     std::size_t depth = 0;
     for (std::size_t k = open + 1; k < close && k < n(); ++k) {
       if (tok(k).is_punct("[")) ++depth;
@@ -1072,11 +624,11 @@ class IrBuilder {
   }
 
   void handle_alloc(Function& fn, std::size_t i) {
-    const std::size_t eq = assignment_before(i);
+    const std::size_t eq = ts_.assignment_before(i);
     if (eq == SIZE_MAX || eq == 0) return;
-    const std::size_t base_at = chain_base_before(eq - 1);
-    if (base_at == SIZE_MAX) return;
-    const std::string& base = tok(base_at).text;
+    const BackChain lhs = ts_.read_chain_back(eq - 1);
+    if (!lhs.ok) return;
+    const std::string& base = lhs.first;
     std::string root = resolve(fn, base);
     if (root.empty()) {
       if (is_keyword(base) || is_type_name(base)) return;
@@ -1088,7 +640,7 @@ class IrBuilder {
 
   void maybe_alias_decl(Function& fn, std::size_t i) {
     if (!valid(i + 1) || !tok(i + 1).is_punct("=")) return;
-    const std::size_t s = stmt_start(i);
+    const std::size_t s = ts_.stmt_start(i);
     bool marker = false;
     for (std::size_t k = s; k < i; ++k) {
       if (tok(k).is_punct("*") || tok(k).is_punct("&") ||
@@ -1105,7 +657,7 @@ class IrBuilder {
     if (root.empty()) return;
     // The remainder of the initializer must stay linear — a call hands
     // the pointer to code we can't see from here.
-    Chain c = read_chain(k);
+    const Chain c = ts_.read_chain(k);
     std::size_t q = c.end;
     int guard = 0;
     while (valid(q) && !tok(q).is_punct(";") && guard++ < 40) {
@@ -1114,7 +666,7 @@ class IrBuilder {
               known_linear_call(tok(q - 1).text))) {
           return;
         }
-        const std::size_t m = matching(q);
+        const std::size_t m = ts_.matching(q);
         if (m >= n()) return;
         q = m + 1;
         continue;
@@ -1133,7 +685,7 @@ class IrBuilder {
         tok(i - 1).kind == TokKind::kIdent &&
         !is_keyword(tok(i - 1).text) && resolve(fn, name).empty()) {
       bool decl = true;
-      for (std::size_t k = stmt_start(i); k < i; ++k) {
+      for (std::size_t k = ts_.stmt_start(i); k < i; ++k) {
         if (tok(k).is_punct("=") || tok(k).is_punct("(")) decl = false;
       }
       if (decl) {
@@ -1147,7 +699,7 @@ class IrBuilder {
       maybe_alias_decl(fn, i);
       return;
     }
-    Chain c = read_chain(i);
+    const Chain c = ts_.read_chain(i);
     const bool deref =
         i > 0 && tok(i - 1).is_punct("*") &&
         (i - 1 == 0 || tok(i - 2).is_punct(";") || tok(i - 2).is_punct("{") ||
@@ -1188,7 +740,7 @@ class IrBuilder {
     cs.blocked = c.blocked;
     cs.block = block_at(i);
     cs.pos = i;
-    for (const auto& [ab, ae] : split_args(i + 1)) {
+    for (const auto& [ab, ae] : ts_.split_args(i + 1)) {
       std::string sym;
       std::size_t k = ab;
       if (k < ae && tok(k).is_punct("&")) ++k;
@@ -1217,7 +769,7 @@ class IrBuilder {
         continue;
       }
       if ((s == "memset" || s == "memcpy") && !member && call_shaped) {
-        const auto args = split_args(i + 1);
+        const auto args = ts_.split_args(i + 1);
         if (!args.empty()) {
           Resolved dst = first_resolvable(fn, args[0].first, args[0].second);
           if (!dst.root.empty()) {
@@ -1238,7 +790,7 @@ class IrBuilder {
       }
       if ((s == "store_lines" || s == "load_lines") && !member &&
           call_shaped) {
-        const auto args = split_args(i + 1);
+        const auto args = ts_.split_args(i + 1);
         if (args.size() >= 2) {
           Resolved addr = first_resolvable(fn, args[1].first, args[1].second);
           if (!addr.root.empty()) {
@@ -1255,7 +807,7 @@ class IrBuilder {
         continue;
       }
       if ((s == "store" || s == "load") && member && call_shaped) {
-        const auto args = split_args(i + 1);
+        const auto args = ts_.split_args(i + 1);
         if (!args.empty()) {
           Resolved addr = first_resolvable(fn, args[0].first, args[0].second);
           if (!addr.root.empty()) {
@@ -1268,7 +820,7 @@ class IrBuilder {
         continue;
       }
       if (!member && call_shaped && !is_blocked_callee(s) &&
-          matching(i + 1) < n()) {
+          ts_.matching(i + 1) < n()) {
         handle_call(fn, i);
         continue;
       }
@@ -1276,10 +828,9 @@ class IrBuilder {
     }
   }
 
-  std::vector<Token> toks_;
-  std::vector<std::size_t> match_;
+  const TokenStream& ts_;
+  const ParallelScan& scan_;
   std::vector<Region> regions_;
-  std::vector<std::pair<std::size_t, std::size_t>> guards_;
   std::vector<Interval> intervals_;
   std::set<std::string> global_names_;
   FileIr ir_;
@@ -1287,8 +838,9 @@ class IrBuilder {
 
 }  // namespace
 
-FileIr build_ir(std::string_view source, std::string file) {
-  return IrBuilder(source, std::move(file)).build();
+FileIr build_ir(const TokenStream& tokens, const ParallelScan& scan,
+                std::string file) {
+  return IrBuilder(tokens, scan, std::move(file)).build();
 }
 
 }  // namespace numaprof::lint::ir

@@ -2,7 +2,8 @@
 //
 // The L1-L4 recognizer (numalint.cpp) works on token shapes within one
 // translation unit; anything split across a function or file boundary is
-// invisible to it. This layer parses the same token stream into a small
+// invisible to it. This layer reads the same TokenStream (lint/lexer.hpp)
+// and the same parallel-region/guard scan (lint/regions.hpp) into a small
 // whole-program-ready IR instead: per file, the functions it defines
 // (with parameters), the globals it declares, and per function the
 // allocations, pointer aliases, call sites, and reads/writes of named
@@ -19,21 +20,11 @@
 #include <string_view>
 #include <vector>
 
+#include "lint/regions.hpp"
+
 namespace numaprof::lint::ir {
 
-/// Loop-iteration-to-thread mapping of a parallel loop: which thread
-/// touches element i. Static mappings are predictable (the first-touch
-/// thread equals the consuming thread when schedules match); dynamic and
-/// runtime mappings are not.
-enum class Schedule : std::uint8_t {
-  kNone,         // no explicit schedule / not a partitioned loop
-  kStaticBlock,  // omp schedule(static) or DSL block_slice: one block each
-  kStaticChunk,  // omp schedule(static, c) or DSL round-robin striding
-  kDynamic,      // omp schedule(dynamic[, c]) / guided: first-come-first-served
-  kRuntime,      // omp schedule(runtime): unknowable statically
-};
-
-std::string_view to_string(Schedule s) noexcept;
+using lint::Schedule;
 
 struct Param {
   std::string name;
@@ -124,8 +115,10 @@ struct FileIr {
   std::vector<Global> globals;
 };
 
-/// Parses one translation unit into the IR. Never throws on malformed
-/// input; unrecognized constructs simply contribute nothing.
-FileIr build_ir(std::string_view source, std::string file);
+/// Reads one lexed translation unit and its region scan into the IR.
+/// Never throws on malformed input; unrecognized constructs simply
+/// contribute nothing.
+FileIr build_ir(const TokenStream& tokens, const ParallelScan& scan,
+                std::string file);
 
 }  // namespace numaprof::lint::ir

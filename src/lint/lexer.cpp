@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cctype>
+#include <set>
 
 namespace numaprof::lint {
 
@@ -180,6 +181,228 @@ LexResult lex(std::string_view src) {
   }
   out.lines = line;
   return out;
+}
+
+TokenStream::TokenStream(std::string_view source) {
+  LexResult lexed = lex(source);
+  toks_ = std::move(lexed.tokens);
+  lines_ = lexed.lines;
+  match_.assign(size(), SIZE_MAX);
+  std::vector<std::size_t> stack;
+  for (std::size_t i = 0; i < size(); ++i) {
+    if (toks_[i].kind != TokKind::kPunct) continue;
+    const std::string& t = toks_[i].text;
+    if (t == "(" || t == "{" || t == "[") {
+      stack.push_back(i);
+    } else if (t == ")" || t == "}" || t == "]") {
+      const char open = t == ")" ? '(' : (t == "}" ? '{' : '[');
+      while (!stack.empty() && toks_[stack.back()].text[0] != open) {
+        stack.pop_back();
+      }
+      if (!stack.empty()) {
+        match_[stack.back()] = i;
+        match_[i] = stack.back();
+        stack.pop_back();
+      }
+    }
+  }
+}
+
+Chain TokenStream::read_chain(std::size_t i) const {
+  Chain c;
+  if (!valid(i) || toks_[i].kind != TokKind::kIdent) {
+    c.end = i;
+    return c;
+  }
+  c.first = c.last = c.text = toks_[i].text;
+  std::size_t p = i + 1;
+  while (valid(p)) {
+    const Token& t = toks_[p];
+    if (t.kind == TokKind::kPunct &&
+        (t.text == "." || t.text == "->" || t.text == "::") && valid(p + 1) &&
+        toks_[p + 1].kind == TokKind::kIdent) {
+      c.text += t.text == "::" ? "::" : ".";
+      c.text += toks_[p + 1].text;
+      c.last = toks_[p + 1].text;
+      p += 2;
+      continue;
+    }
+    if (t.is_punct("[") && matching(p) < size()) {
+      c.text += "[]";
+      p = matching(p) + 1;
+      continue;
+    }
+    break;
+  }
+  c.end = p;
+  return c;
+}
+
+BackChain TokenStream::read_chain_back(std::size_t e) const {
+  BackChain bc;
+  if (!valid(e)) return bc;
+  std::size_t i = e;
+  while (true) {
+    const Token& t = toks_[i];
+    if (t.is_punct("]") && matching(i) < i) {
+      i = matching(i);
+      if (i == 0) return bc;
+      --i;
+      continue;
+    }
+    if (t.kind != TokKind::kIdent) return bc;
+    if (i > 0 && (toks_[i - 1].is_punct(".") || toks_[i - 1].is_punct("->") ||
+                  toks_[i - 1].is_punct("::"))) {
+      if (i < 2) return bc;
+      i -= 2;
+      continue;
+    }
+    bc.start = i;
+    break;
+  }
+  const Chain fwd = read_chain(bc.start);
+  if (fwd.end <= e) return bc;  // didn't reach the anchor; reject
+  bc.text = fwd.text;
+  bc.first = fwd.first;
+  bc.last = fwd.last;
+  bc.ok = true;
+  if (bc.start > 0 && toks_[bc.start - 1].is_punct("*")) {
+    const std::size_t s = bc.start - 1;
+    bc.deref = s == 0 || toks_[s - 1].is_punct(";") ||
+               toks_[s - 1].is_punct("{") || toks_[s - 1].is_punct("}") ||
+               toks_[s - 1].is_punct("(");
+  }
+  return bc;
+}
+
+std::vector<TokenRange> TokenStream::split_args(std::size_t open) const {
+  std::vector<TokenRange> args;
+  const std::size_t close = matching(open);
+  if (close >= size()) return args;
+  std::size_t start = open + 1;
+  std::size_t depth = 0;
+  for (std::size_t i = open + 1; i < close; ++i) {
+    if (toks_[i].kind != TokKind::kPunct) continue;
+    const std::string& t = toks_[i].text;
+    if (t == "(" || t == "[" || t == "{") ++depth;
+    if (t == ")" || t == "]" || t == "}") --depth;
+    if (t == "," && depth == 0) {
+      args.emplace_back(start, i);
+      start = i + 1;
+    }
+  }
+  if (start < close || close > open + 1) args.emplace_back(start, close);
+  return args;
+}
+
+std::optional<std::string> TokenStream::first_string_in(std::size_t b,
+                                                       std::size_t e) const {
+  for (std::size_t i = b; i < e && i < size(); ++i) {
+    if (toks_[i].kind == TokKind::kString) return toks_[i].text;
+  }
+  return std::nullopt;
+}
+
+std::size_t TokenStream::stmt_start(std::size_t i) const noexcept {
+  while (i > 0) {
+    const Token& t = toks_[i - 1];
+    if (t.is_punct(";") || t.is_punct("{") || t.is_punct("}")) break;
+    --i;
+  }
+  return i;
+}
+
+std::size_t TokenStream::assignment_before(std::size_t i) const noexcept {
+  std::size_t eq = SIZE_MAX;
+  for (std::size_t k = stmt_start(i); k < i; ++k) {
+    if (toks_[k].is_punct("=")) eq = k;
+  }
+  return eq;
+}
+
+TokenRange TokenStream::construct_range(std::size_t p) const noexcept {
+  if (!valid(p)) return {p, p};
+  if (toks_[p].is_punct("{") && matching(p) < size()) {
+    return {p + 1, matching(p)};
+  }
+  std::size_t q = p;
+  int guard = 0;
+  while (valid(q) && !toks_[q].is_punct(";") && guard++ < 4096) {
+    if ((toks_[q].is_punct("(") || toks_[q].is_punct("{") ||
+         toks_[q].is_punct("[")) &&
+        matching(q) < size()) {
+      q = matching(q);
+    }
+    ++q;
+  }
+  return {p, q};
+}
+
+char TokenStream::brace_kind(std::size_t open) const noexcept {
+  if (open > 0 && (toks_[open - 1].is_punct(")") ||
+                   toks_[open - 1].is_ident("else") ||
+                   toks_[open - 1].is_ident("do") ||
+                   toks_[open - 1].is_ident("try"))) {
+    return 'c';
+  }
+  for (std::size_t k = stmt_start(open); k < open; ++k) {
+    if (toks_[k].is_ident("namespace")) return 'n';
+    if (toks_[k].is_ident("struct") || toks_[k].is_ident("class") ||
+        toks_[k].is_ident("union") || toks_[k].is_ident("enum")) {
+      return 's';
+    }
+  }
+  return 'i';
+}
+
+std::size_t TokenStream::skip_directive(std::size_t i) const noexcept {
+  std::uint32_t line = toks_[i].line;
+  for (++i; valid(i) && toks_[i].line == line; ++i) {
+    if (toks_[i].is_punct("\\") && valid(i + 1) &&
+        toks_[i + 1].line == line + 1) {
+      ++line;
+    }
+  }
+  return i;
+}
+
+bool thread_id_name(std::string_view s) noexcept {
+  return s == "tid" || s == "index" || s == "thread_id" || s == "thread_num" ||
+         s == "rank" || s == "me" || s == "worker";
+}
+
+bool known_linear_call(std::string_view s) noexcept {
+  return s == "elem_addr" || s == "block_slice" || s == "min" || s == "max" ||
+         s == "size" || s == "begin" || s == "end" || s == "data" ||
+         s == "sizeof";
+}
+
+bool is_keyword(std::string_view s) noexcept {
+  static const std::set<std::string_view> kw = {
+      "if",       "for",      "while",    "switch",   "catch",
+      "return",   "sizeof",   "new",      "delete",   "throw",
+      "alignof",  "decltype", "alignas",  "noexcept", "operator",
+      "case",     "goto",     "do",       "else",     "co_return",
+      "co_await", "static_assert"};
+  return kw.count(s) > 0;
+}
+
+bool is_type_name(std::string_view s) noexcept {
+  static const std::set<std::string_view> ty = {
+      "void",     "bool",    "char",     "short",    "int",      "long",
+      "unsigned", "signed",  "float",    "double",   "auto",     "size_t",
+      "int8_t",   "int16_t", "int32_t",  "int64_t",  "uint8_t",  "uint16_t",
+      "uint32_t", "uint64_t", "ptrdiff_t", "intptr_t", "uintptr_t",
+      "const",    "static",  "volatile", "constexpr", "extern",  "register",
+      "mutable",  "inline",  "std",      "VAddr"};
+  return ty.count(s) > 0;
+}
+
+bool is_non_type_keyword(std::string_view s) noexcept {
+  static const std::set<std::string_view> kw = {
+      "return",  "case",  "co_return", "co_await", "delete", "sizeof",
+      "typedef", "using", "new",       "goto",     "throw",  "else"};
+  return kw.count(s) > 0;
 }
 
 }  // namespace numaprof::lint

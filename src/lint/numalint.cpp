@@ -12,6 +12,7 @@
 #include "lint/cache.hpp"
 #include "lint/ir.hpp"
 #include "lint/lexer.hpp"
+#include "lint/regions.hpp"
 #include "support/threadpool.hpp"
 
 namespace numaprof::lint {
@@ -70,21 +71,6 @@ struct Policy {
   bool bind = false;
 };
 
-struct RegionInfo {
-  std::string name;
-  std::uint32_t line = 0;
-  bool parallel = false;
-  std::size_t begin = 0, end = 0;  // body token range
-  bool blocked = false;            // partitions with block_slice / chunks
-  bool round_robin = false;        // strided by the thread count
-  std::string count_last;          // trailing ident of the count expression
-};
-
-struct IfBlock {
-  std::size_t cond_begin = 0, cond_end = 0;
-  std::size_t begin = 0, end = 0;
-};
-
 struct VarDecl {
   enum Storage : std::uint8_t { kHeap, kStatic, kStack, kStackReg };
   std::string name;    // source-level name
@@ -109,18 +95,6 @@ struct Access {
   bool per_thread = false;      // element selected by a thread id
 };
 
-struct BraceInfo {
-  std::size_t open = 0, close = 0;
-  char kind = 'i';  // 'n' namespace, 's' struct, 'c' code, 'i' initializer
-};
-
-const std::set<std::string>& type_keywords() {
-  static const std::set<std::string> kw = {
-      "return", "case",   "co_return", "co_await", "delete", "sizeof",
-      "typedef", "using", "new",       "goto",     "throw",  "else"};
-  return kw;
-}
-
 std::uint32_t primitive_size(const std::string& t) {
   if (t == "double" || t == "uint64_t" || t == "int64_t" || t == "size_t" ||
       t == "long" || t == "VAddr" || t == "ptrdiff_t" || t == "intptr_t") {
@@ -135,263 +109,56 @@ std::uint32_t primitive_size(const std::string& t) {
   return 0;
 }
 
-bool thread_id_name(const std::string& s) {
-  return s == "tid" || s == "index" || s == "thread_id" || s == "thread_num" ||
-         s == "rank" || s == "me" || s == "worker";
-}
-
-// Calls that keep an index expression "direct" (linear / known helpers).
-bool known_linear_call(const std::string& s) {
-  return s == "elem_addr" || s == "block_slice" || s == "min" || s == "max" ||
-         s == "size" || s == "begin" || s == "end" || s == "data" ||
-         s == "to_string" || s == "sizeof";
-}
-
 // ---------------------------------------------------------------------
 // Per-file analyzer
 // ---------------------------------------------------------------------
 
 class FileAnalyzer {
  public:
-  FileAnalyzer(std::string_view source, std::string file)
-      : file_(std::move(file)) {
-    LexResult lexed = lex(source);
-    toks_ = std::move(lexed.tokens);
+  FileAnalyzer(const TokenStream& ts, const ParallelScan& scan,
+               std::string file)
+      : ts_(ts), scan_(scan), file_(std::move(file)) {
     stats_.files = 1;
-    stats_.lines = lexed.lines;
-    stats_.tokens = toks_.size();
+    stats_.lines = ts.lines();
+    stats_.tokens = ts.size();
   }
 
   LintResult run() {
-    build_matches();
-    classify_braces();
+    collect_code_blocks();
     collect_structs();
     collect_lambdas();
     collect_policies();
     collect_tables();
     collect_range_fors();
-    collect_ifs();
     collect_regions();
     collect_vars();
     collect_accesses();
     emit();
-    std::sort(findings_.begin(), findings_.end(),
-              [](const StaticFinding& a, const StaticFinding& b) {
-                if (a.file != b.file) return a.file < b.file;
-                if (a.line != b.line) return a.line < b.line;
-                if (a.variable != b.variable) return a.variable < b.variable;
-                return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-              });
+    dataflow::sort_findings(findings_);
     return {std::move(findings_), stats_};
   }
 
  private:
   // -- token utilities -------------------------------------------------
 
-  std::size_t n() const { return toks_.size(); }
-  const Token& tok(std::size_t i) const { return toks_[i]; }
-  bool valid(std::size_t i) const { return i < toks_.size(); }
-
-  void build_matches() {
-    match_.assign(n(), SIZE_MAX);
-    std::vector<std::size_t> stack;
-    for (std::size_t i = 0; i < n(); ++i) {
-      if (tok(i).kind != TokKind::kPunct) continue;
-      const std::string& t = tok(i).text;
-      if (t == "(" || t == "{" || t == "[") {
-        stack.push_back(i);
-      } else if (t == ")" || t == "}" || t == "]") {
-        // Tolerate imbalance: pop until an opener of the right shape.
-        const char open = t == ")" ? '(' : (t == "}" ? '{' : '[');
-        while (!stack.empty() && tok(stack.back()).text[0] != open) {
-          stack.pop_back();
-        }
-        if (!stack.empty()) {
-          match_[stack.back()] = i;
-          match_[i] = stack.back();
-          stack.pop_back();
-        }
-      }
-    }
-  }
-
-  std::size_t matching(std::size_t i) const {
-    return match_[i] == SIZE_MAX ? n() : match_[i];
-  }
-
-  /// Canonical forward chain starting at an identifier:
-  /// ident ('::'|'.'|'->' ident | '[...]' -> "[]")*. Returns the canonical
-  /// text, the trailing identifier, and one past the last consumed token.
-  struct Chain {
-    std::string text;
-    std::string first;
-    std::string last;
-    std::size_t end = 0;
-  };
-
-  Chain read_chain(std::size_t i) const {
-    Chain c;
-    if (!valid(i) || tok(i).kind != TokKind::kIdent) {
-      c.end = i;
-      return c;
-    }
-    c.first = c.last = tok(i).text;
-    c.text = tok(i).text;
-    std::size_t p = i + 1;
-    while (valid(p)) {
-      const std::string& t = tok(p).text;
-      if (tok(p).kind == TokKind::kPunct &&
-          (t == "." || t == "->" || t == "::") && valid(p + 1) &&
-          tok(p + 1).kind == TokKind::kIdent) {
-        c.text += (t == "::") ? "::" : ".";
-        c.text += tok(p + 1).text;
-        c.last = tok(p + 1).text;
-        p += 2;
-        continue;
-      }
-      if (tok(p).is_punct("[") && matching(p) < n()) {
-        c.text += "[]";
-        p = matching(p) + 1;
-        continue;
-      }
-      break;
-    }
-    c.end = p;
-    return c;
-  }
-
-  /// Reads a chain that ENDS at token `e` (inclusive), walking backwards.
-  /// Returns the start index, canonical text, and whether a unary '*'
-  /// deref precedes it at statement position.
-  struct BackChain {
-    std::string text;
-    std::string first;
-    std::string last;
-    std::size_t start = SIZE_MAX;
-    bool deref = false;
-    bool ok = false;
-  };
-
-  BackChain read_chain_back(std::size_t e) const {
-    BackChain bc;
-    if (!valid(e)) return bc;
-    std::size_t i = e;
-    // Walk back over chain constituents.
-    while (true) {
-      const Token& t = tok(i);
-      if (t.is_punct("]") && matching(i) < n() && matching(i) < i) {
-        i = matching(i);
-        if (i == 0) break;
-        --i;
-        continue;
-      }
-      if (t.kind == TokKind::kIdent) {
-        if (i == 0) {
-          bc.start = 0;
-          break;
-        }
-        const Token& prev = tok(i - 1);
-        if (prev.is_punct(".") || prev.is_punct("->") || prev.is_punct("::")) {
-          i -= 2;
-          continue;
-        }
-        bc.start = i;
-        break;
-      }
-      return bc;  // not a chain
-    }
-    if (bc.start == SIZE_MAX) return bc;
-    Chain fwd = read_chain(bc.start);
-    if (fwd.end <= e) return bc;  // didn't reach the anchor; reject
-    bc.text = fwd.text;
-    bc.first = fwd.first;
-    bc.last = fwd.last;
-    bc.ok = true;
-    if (bc.start > 0 && tok(bc.start - 1).is_punct("*")) {
-      const std::size_t s = bc.start - 1;
-      if (s == 0 || tok(s - 1).is_punct(";") || tok(s - 1).is_punct("{") ||
-          tok(s - 1).is_punct("}") || tok(s - 1).is_punct("(")) {
-        bc.deref = true;
-      }
-    }
-    return bc;
-  }
-
-  /// Splits the argument list of a call whose '(' is at `open` into
-  /// depth-1 comma-separated token ranges [begin, end).
-  std::vector<std::pair<std::size_t, std::size_t>> split_args(
-      std::size_t open) const {
-    std::vector<std::pair<std::size_t, std::size_t>> args;
-    const std::size_t close = matching(open);
-    if (close >= n()) return args;
-    std::size_t start = open + 1;
-    std::size_t depth = 0;
-    for (std::size_t i = open + 1; i < close; ++i) {
-      const std::string& t = tok(i).text;
-      if (tok(i).kind == TokKind::kPunct) {
-        if (t == "(" || t == "[" || t == "{") ++depth;
-        if (t == ")" || t == "]" || t == "}") --depth;
-        if (t == "," && depth == 0) {
-          args.emplace_back(start, i);
-          start = i + 1;
-        }
-      }
-    }
-    if (start < close || close > open + 1) args.emplace_back(start, close);
-    return args;
-  }
-
-  std::optional<std::string> first_string_in(std::size_t b,
-                                             std::size_t e) const {
-    for (std::size_t i = b; i < e && i < n(); ++i) {
-      if (tok(i).kind == TokKind::kString) return tok(i).text;
-    }
-    return std::nullopt;
-  }
-
-  /// Start of the statement containing `i` (one past the previous
-  /// ';', '{' or '}').
-  std::size_t stmt_start(std::size_t i) const {
-    while (i > 0) {
-      const Token& t = tok(i - 1);
-      if (t.is_punct(";") || t.is_punct("{") || t.is_punct("}")) break;
-      --i;
-    }
-    return i;
-  }
+  std::size_t n() const { return ts_.size(); }
+  const Token& tok(std::size_t i) const { return ts_[i]; }
+  bool valid(std::size_t i) const { return ts_.valid(i); }
 
   // -- structural passes -----------------------------------------------
 
-  void classify_braces() {
+  void collect_code_blocks() {
     for (std::size_t i = 0; i < n(); ++i) {
-      if (!tok(i).is_punct("{") || matching(i) >= n()) continue;
-      BraceInfo b;
-      b.open = i;
-      b.close = matching(i);
-      b.kind = 'i';
-      if (i > 0 && tok(i - 1).is_punct(")")) {
-        b.kind = 'c';  // function body or control-flow block
-      } else if (i > 0 && (tok(i - 1).is_ident("else") ||
-                           tok(i - 1).is_ident("do") ||
-                           tok(i - 1).is_ident("try"))) {
-        b.kind = 'c';
-      } else {
-        const std::size_t s = stmt_start(i);
-        for (std::size_t k = s; k < i; ++k) {
-          if (tok(k).is_ident("namespace")) b.kind = 'n';
-          if (tok(k).is_ident("struct") || tok(k).is_ident("class") ||
-              tok(k).is_ident("union") || tok(k).is_ident("enum")) {
-            b.kind = 's';
-          }
-        }
+      if (tok(i).is_punct("{") && ts_.matching(i) < n() &&
+          ts_.brace_kind(i) == 'c') {
+        code_blocks_.emplace_back(i, ts_.matching(i));
       }
-      braces_.push_back(b);
     }
   }
 
   bool in_function(std::size_t i) const {
-    for (const BraceInfo& b : braces_) {
-      if (b.kind == 'c' && b.open < i && i < b.close) return true;
+    for (const auto& [open, close] : code_blocks_) {
+      if (open < i && i < close) return true;
     }
     return false;
   }
@@ -413,7 +180,7 @@ class FileAnalyzer {
              (tok(name_at).is_ident("alignas") ||
               tok(name_at).is_ident("__attribute__")) &&
              tok(name_at + 1).is_punct("(")) {
-        name_at = matching(name_at + 1) + 1;
+        name_at = ts_.matching(name_at + 1) + 1;
       }
       if (!valid(name_at) || tok(name_at).kind != TokKind::kIdent) continue;
       // Find the '{' before any ';' (skips forward declarations).
@@ -423,7 +190,7 @@ class FileAnalyzer {
         ++b;
       }
       if (!valid(b) || !tok(b).is_punct("{")) continue;
-      const std::size_t close = matching(b);
+      const std::size_t close = ts_.matching(b);
       if (close >= n()) continue;
       StructInfo info;
       info.body_begin = b;
@@ -438,7 +205,7 @@ class FileAnalyzer {
         while (p < close && !tok(p).is_punct(";")) {
           if (tok(p).is_punct("{") || tok(p).is_punct("(")) {
             if (tok(p).is_punct("(")) has_paren = true;
-            p = matching(p) < close ? matching(p) + 1 : close;
+            p = ts_.matching(p) < close ? ts_.matching(p) + 1 : close;
             continue;
           }
           stmt.push_back(p);
@@ -489,19 +256,19 @@ class FileAnalyzer {
   void collect_lambdas() {
     for (std::size_t i = 0; i + 1 < n(); ++i) {
       if (!tok(i).is_punct("=") || !tok(i + 1).is_punct("[")) continue;
-      const std::size_t intro_close = matching(i + 1);
+      const std::size_t intro_close = ts_.matching(i + 1);
       if (intro_close >= n()) continue;
-      BackChain name = read_chain_back(i - 1);
+      BackChain name = ts_.read_chain_back(i - 1);
       if (!name.ok || name.text.find('.') != std::string::npos) continue;
       // Optional (params), optional -> T, then the body braces.
       std::size_t p = intro_close + 1;
-      if (valid(p) && tok(p).is_punct("(")) p = matching(p) + 1;
+      if (valid(p) && tok(p).is_punct("(")) p = ts_.matching(p) + 1;
       while (valid(p) && !tok(p).is_punct("{") && !tok(p).is_punct(";") &&
              p < intro_close + 24) {
         ++p;
       }
       if (!valid(p) || !tok(p).is_punct("{")) continue;
-      const std::size_t close = matching(p);
+      const std::size_t close = ts_.matching(p);
       if (close >= n()) continue;
       lambdas_[name.text] = {p + 1, close};
     }
@@ -565,10 +332,10 @@ class FileAnalyzer {
   void collect_tables() {
     for (std::size_t i = 0; i + 1 < n(); ++i) {
       if (!tok(i).is_punct("=") || !tok(i + 1).is_punct("{")) continue;
-      BackChain name = read_chain_back(i - 1);
+      BackChain name = ts_.read_chain_back(i - 1);
       if (!name.ok || name.text.find('.') != std::string::npos) continue;
       // The declaration must name a known struct type.
-      const std::size_t s = stmt_start(i);
+      const std::size_t s = ts_.stmt_start(i);
       std::string struct_name;
       for (std::size_t k = s; k < i; ++k) {
         if (tok(k).kind == TokKind::kIdent && structs_.count(tok(k).text)) {
@@ -586,7 +353,7 @@ class FileAnalyzer {
   /// Recursively descends brace groups; a group whose first cell is a
   /// string literal is a row.
   void collect_rows(std::size_t open, TableInfo& table) {
-    const std::size_t close = matching(open);
+    const std::size_t close = ts_.matching(open);
     if (close >= n()) return;
     // Direct children at depth 0 inside this group.
     std::size_t i = open + 1;
@@ -595,11 +362,11 @@ class FileAnalyzer {
     while (i < close) {
       if (tok(i).is_punct("{")) {
         child_groups.push_back(i);
-        i = matching(i) < close ? matching(i) + 1 : close;
+        i = ts_.matching(i) < close ? ts_.matching(i) + 1 : close;
         continue;
       }
       if (tok(i).is_punct("(") || tok(i).is_punct("[")) {
-        i = matching(i) < close ? matching(i) + 1 : close;
+        i = ts_.matching(i) < close ? ts_.matching(i) + 1 : close;
         saw_scalar = true;
         continue;
       }
@@ -613,13 +380,13 @@ class FileAnalyzer {
     // Leaf group: a row iff the first cell is a string literal.
     Row row;
     row.line = tok(open).line;
-    for (auto [b, e] : split_args(open)) {
+    for (auto [b, e] : ts_.split_args(open)) {
       Cell cell;
       if (b < e && tok(b).kind == TokKind::kString) {
         cell.kind = Cell::kStr;
         cell.text = tok(b).text;
       } else if (b < e && tok(b).is_punct("&") && b + 1 < e) {
-        Chain c = read_chain(b + 1);
+        const Chain c = ts_.read_chain(b + 1);
         cell.kind = Cell::kLval;
         cell.text = c.text;
       } else if (b < e && (tok(b).is_ident("true") || tok(b).is_ident("false"))) {
@@ -637,14 +404,14 @@ class FileAnalyzer {
     // for ( <decl> ITER : TABLE )
     for (std::size_t i = 0; i + 1 < n(); ++i) {
       if (!tok(i).is_ident("for") || !tok(i + 1).is_punct("(")) continue;
-      const std::size_t close = matching(i + 1);
+      const std::size_t close = ts_.matching(i + 1);
       if (close >= n()) continue;
       // Find a depth-0 ':' (skip '::').
       for (std::size_t k = i + 2; k < close; ++k) {
         if (!tok(k).is_punct(":")) continue;
         // iter = identifier immediately before ':'.
         if (k == 0 || tok(k - 1).kind != TokKind::kIdent) break;
-        Chain seq = read_chain(k + 1);
+        const Chain seq = ts_.read_chain(k + 1);
         if (!seq.text.empty() && tables_.count(seq.text)) {
           range_iters_[tok(k - 1).text] = seq.text;
         }
@@ -653,153 +420,29 @@ class FileAnalyzer {
     }
   }
 
-  void collect_ifs() {
-    for (std::size_t i = 0; i + 1 < n(); ++i) {
-      if (!tok(i).is_ident("if") || !tok(i + 1).is_punct("(")) continue;
-      const std::size_t cond_close = matching(i + 1);
-      if (cond_close >= n()) continue;
-      IfBlock blk;
-      blk.cond_begin = i + 2;
-      blk.cond_end = cond_close;
-      std::size_t p = cond_close + 1;
-      if (valid(p) && tok(p).is_punct("{")) {
-        blk.begin = p + 1;
-        blk.end = matching(p);
-      } else {
-        blk.begin = p;
-        while (valid(p) && !tok(p).is_punct(";")) {
-          if (tok(p).is_punct("(") || tok(p).is_punct("{")) {
-            p = matching(p) < n() ? matching(p) : p;
-          }
-          ++p;
-        }
-        blk.end = p;
-      }
-      if (blk.end <= n()) ifs_.push_back(blk);
-    }
-  }
-
+  /// The regions this pass reads: DSL calls, and pragmas whose words
+  /// name `parallel` and no single/master/critical/num_threads(1 ...),
+  /// with a loop body ending before end of file.
   void collect_regions() {
-    // DSL: parallel_region(machine, COUNT, "name", base, <lambda>) and
-    //      parallel_for(machine, COUNT, "name", base, total, sched, chunk, body)
-    for (std::size_t i = 0; i + 1 < n(); ++i) {
-      const bool pr = tok(i).is_ident("parallel_region");
-      const bool pf = tok(i).is_ident("parallel_for");
-      if ((!pr && !pf) || !tok(i + 1).is_punct("(")) continue;
-      const auto args = split_args(i + 1);
-      if (args.size() < 3) continue;
-      RegionInfo r;
-      r.line = tok(i).line;
-      const auto [cb, ce] = args[1];
-      r.parallel = !(ce == cb + 1 && tok(cb).kind == TokKind::kNumber &&
-                     tok(cb).text == "1");
-      for (std::size_t k = cb; k < ce; ++k) {
-        if (tok(k).kind == TokKind::kIdent) r.count_last = tok(k).text;
-      }
-      if (auto s = first_string_in(args[0].first, matching(i + 1))) {
-        r.name = *s;
-      }
-      // Body: first '{' inside the last argument.
-      const auto [lb, le] = args.back();
-      for (std::size_t k = lb; k < le; ++k) {
-        if (tok(k).is_punct("{") && matching(k) < n()) {
-          r.begin = k + 1;
-          r.end = matching(k);
-          break;
-        }
-      }
-      if (r.begin == 0) continue;
-      finish_region(r);
-    }
-    // OpenMP: #pragma omp parallel [for] ...
-    for (std::size_t i = 0; i + 2 < n(); ++i) {
-      if (!tok(i).is_punct("#") || !tok(i + 1).is_ident("pragma") ||
-          !tok(i + 2).is_ident("omp")) {
+    for (const Region& r : scan_.regions) {
+      if (r.pragma &&
+          (!r.any_parallel || r.any_serial || r.body_end >= n())) {
         continue;
       }
-      const std::uint32_t line = tok(i).line;
-      std::size_t p = i + 3;
-      bool parallel = false;
-      bool serial_override = false;
-      std::string name = "omp";
-      std::uint32_t cur_line = line;
-      while (valid(p) && tok(p).line == cur_line) {
-        // Backslash continuation: the directive extends onto the next line.
-        if (tok(p).is_punct("\\") && valid(p + 1) &&
-            tok(p + 1).line == cur_line + 1) {
-          ++cur_line;
-          ++p;
-          continue;
-        }
-        if (tok(p).kind == TokKind::kIdent) {
-          name += " " + tok(p).text;
-          if (tok(p).text == "parallel") parallel = true;
-          if (tok(p).text == "single" || tok(p).text == "master" ||
-              tok(p).text == "critical") {
-            serial_override = true;
-          }
-          if (tok(p).text == "num_threads" && valid(p + 2) &&
-              tok(p + 1).is_punct("(") && tok(p + 2).text == "1") {
-            serial_override = true;
-          }
-        }
-        ++p;
-      }
-      if (!parallel || serial_override || !valid(p)) continue;
-      RegionInfo r;
-      r.line = line;
-      r.name = name;
-      r.parallel = true;
-      if (tok(p).is_punct("{")) {
-        r.begin = p + 1;
-        r.end = matching(p);
-      } else if (tok(p).is_ident("for") || tok(p).is_ident("while")) {
-        // The loop statement: header parens + body (block or statement).
-        std::size_t q = p + 1;
-        if (valid(q) && tok(q).is_punct("(")) q = matching(q) + 1;
-        if (valid(q) && tok(q).is_punct("{")) {
-          r.begin = p;
-          r.end = matching(q);
-        } else {
-          r.begin = p;
-          while (valid(q) && !tok(q).is_punct(";")) ++q;
-          r.end = q;
-        }
-      } else {
-        continue;
-      }
-      if (r.end >= n()) continue;
-      finish_region(r);
+      regions_.push_back(r);
     }
     std::sort(regions_.begin(), regions_.end(),
-              [](const RegionInfo& a, const RegionInfo& b) {
+              [](const Region& a, const Region& b) {
                 return a.begin < b.begin;
               });
-  }
-
-  void finish_region(RegionInfo& r) {
-    for (std::size_t k = r.begin; k < r.end; ++k) {
-      if (tok(k).is_ident("block_slice") || tok(k).is_ident("schedule")) {
-        r.blocked = true;
-      }
-      if (tok(k).is_punct("+=") && valid(k + 1)) {
-        Chain c = read_chain(k + 1);
-        if (!c.last.empty() &&
-            (c.last == r.count_last || c.last == "threads" ||
-             c.last == "nthreads" || c.last == "num_threads")) {
-          r.round_robin = true;
-        }
-      }
-    }
-    regions_.push_back(r);
   }
 
   int region_of(std::size_t i) const {
     int best = -1;
     std::size_t best_span = SIZE_MAX;
     for (std::size_t r = 0; r < regions_.size(); ++r) {
-      if (regions_[r].begin <= i && i < regions_[r].end) {
-        const std::size_t span = regions_[r].end - regions_[r].begin;
+      if (regions_[r].begin <= i && i < regions_[r].body_end) {
+        const std::size_t span = regions_[r].body_end - regions_[r].begin;
         if (span < best_span) {
           best = static_cast<int>(r);
           best_span = span;
@@ -819,44 +462,35 @@ class FileAnalyzer {
 
   Guards guards_of(std::size_t i) const {
     Guards g;
-    for (const IfBlock& blk : ifs_) {
-      if (!(blk.begin <= i && i < blk.end)) continue;
-      analyze_condition(blk.cond_begin, blk.cond_end, g);
+    for (const IfStmt& stmt : scan_.ifs) {
+      if (!(stmt.body.first <= i && i < stmt.body.second)) continue;
+      g.thread_guarded |= stmt.tid_eq_zero;
+      add_row_filters(stmt.cond.first, stmt.cond.second, g);
     }
     return g;
   }
 
-  void analyze_condition(std::size_t b, std::size_t e, Guards& g) const {
+  /// Row filters: ITER.FIELD where ITER ranges over a table and FIELD is
+  /// a bool column — or TABLE[...].FIELD.
+  void add_row_filters(std::size_t b, std::size_t e, Guards& g) const {
     for (std::size_t i = b; i < e && i < n(); ++i) {
       if (tok(i).kind != TokKind::kIdent) continue;
       const bool negated = i > 0 && tok(i - 1).is_punct("!");
-      Chain c = read_chain(i);
-      // Thread guard: <tid-ish> == 0 (or t.tid() == 0).
-      if ((thread_id_name(c.last) || c.last == "tid") && c.end + 1 < n() &&
-          tok(c.end).is_punct("==") && tok(c.end + 1).text == "0") {
-        g.thread_guarded = true;
-      }
-      // Row filter: ITER.FIELD where ITER ranges over a table and FIELD is
-      // a bool column — or TABLE[...].FIELD.
-      std::string table;
-      auto it = range_iters_.find(c.first);
-      if (it != range_iters_.end()) {
-        table = it->second;
-      } else if (tables_.count(c.first)) {
-        table = c.first;
-      }
-      if (!table.empty() && c.last != c.first) {
-        const TableInfo& t = tables_.at(table);
-        auto sit = structs_.find(t.struct_name);
-        if (sit != structs_.end()) {
-          const int col = sit->second.field_index(c.last);
-          if (col >= 0 && sit->second.fields[col].is_bool) {
-            g.row_filters.emplace_back(table, col, !negated);
-          }
-        }
+      const Chain c = ts_.read_chain(i);
+      if (auto tf = table_field_of(c.first, c.last)) {
+        const int col = bool_column(tables_.at(tf->first), tf->second);
+        if (col >= 0) g.row_filters.emplace_back(tf->first, col, !negated);
       }
       i = c.end > i ? c.end - 1 : i;
     }
+  }
+
+  /// Index of `field` among `table`'s columns when it is a bool, else -1.
+  int bool_column(const TableInfo& table, const std::string& field) const {
+    auto sit = structs_.find(table.struct_name);
+    if (sit == structs_.end()) return -1;
+    const int col = sit->second.field_index(field);
+    return col >= 0 && sit->second.fields[col].is_bool ? col : -1;
   }
 
   // -- declarations -----------------------------------------------------
@@ -864,7 +498,7 @@ class FileAnalyzer {
   void add_size_idents(std::size_t b, std::size_t e, VarDecl& v) const {
     for (std::size_t i = b; i < e && i < n(); ++i) {
       if (tok(i).kind != TokKind::kIdent) continue;
-      Chain c = read_chain(i);
+      const Chain c = ts_.read_chain(i);
       v.size_idents.insert(c.last);
       i = c.end > i ? c.end - 1 : i;
     }
@@ -892,14 +526,8 @@ class FileAnalyzer {
     bool selector_is_bool_col = false;
     for (std::size_t i = b; i < q; ++i) {
       if (tok(i).kind != TokKind::kIdent) continue;
-      Chain c = read_chain(i);
-      auto sit = structs_.find(table.struct_name);
-      if (sit != structs_.end()) {
-        const int col = sit->second.field_index(c.last);
-        if (col >= 0 && sit->second.fields[col].is_bool) {
-          selector_is_bool_col = true;
-        }
-      }
+      const Chain c = ts_.read_chain(i);
+      if (bool_column(table, c.last) >= 0) selector_is_bool_col = true;
       i = c.end > i ? c.end - 1 : i;
     }
     if (!selector_is_bool_col) return resolve_policy(b, e);
@@ -994,21 +622,11 @@ class FileAnalyzer {
     }
   }
 
-  /// The '=' that assigns the statement's lvalue, or SIZE_MAX.
-  std::size_t assignment_before(std::size_t i) const {
-    const std::size_t s = stmt_start(i);
-    std::size_t eq = SIZE_MAX;
-    for (std::size_t k = s; k < i; ++k) {
-      if (tok(k).is_punct("=")) eq = k;
-    }
-    return eq;
-  }
-
   void collect_malloc(std::size_t i, bool member_call) {
-    const auto args = split_args(i + 1);
-    const std::size_t eq = assignment_before(i);
+    const auto args = ts_.split_args(i + 1);
+    const std::size_t eq = ts_.assignment_before(i);
     BackChain lhs;
-    if (eq != SIZE_MAX && eq > 0) lhs = read_chain_back(eq - 1);
+    if (eq != SIZE_MAX && eq > 0) lhs = ts_.read_chain_back(eq - 1);
 
     if (member_call && args.size() >= 2) {
       // DSL: target = t.malloc(size, name-expr[, policy]).
@@ -1017,7 +635,7 @@ class FileAnalyzer {
       // Table form: name expr is TABLE[...].FIELD with a string column.
       Chain name_chain;
       if (tok(args[1].first).kind == TokKind::kIdent) {
-        name_chain = read_chain(args[1].first);
+        name_chain = ts_.read_chain(args[1].first);
       }
       if (!name_chain.text.empty()) {
         if (auto tf = table_field_of(name_chain.first, name_chain.last)) {
@@ -1035,7 +653,7 @@ class FileAnalyzer {
           }
         }
       }
-      auto name = first_string_in(args[1].first, args[1].second);
+      auto name = ts_.first_string_in(args[1].first, args[1].second);
       VarDecl v;
       v.name = name.value_or(lhs.ok ? lhs.last : "");
       v.lvalue = lhs.ok ? lhs.text : "";
@@ -1063,13 +681,13 @@ class FileAnalyzer {
   }
 
   void collect_define_static(std::size_t i) {
-    const auto args = split_args(i + 1);
+    const auto args = ts_.split_args(i + 1);
     if (args.empty()) return;
-    auto name = first_string_in(args[0].first, args[0].second);
+    auto name = ts_.first_string_in(args[0].first, args[0].second);
     if (!name) return;
-    const std::size_t eq = assignment_before(i);
+    const std::size_t eq = ts_.assignment_before(i);
     BackChain lhs;
-    if (eq != SIZE_MAX && eq > 0) lhs = read_chain_back(eq - 1);
+    if (eq != SIZE_MAX && eq > 0) lhs = ts_.read_chain_back(eq - 1);
     VarDecl v;
     v.name = *name;
     v.lvalue = lhs.ok ? lhs.text : *name;
@@ -1083,11 +701,11 @@ class FileAnalyzer {
   }
 
   void collect_stack_registration(std::size_t i) {
-    const auto args = split_args(i + 1);
+    const auto args = ts_.split_args(i + 1);
     if (args.size() < 3) return;
-    auto name = first_string_in(args[0].first, args[0].second);
+    auto name = ts_.first_string_in(args[0].first, args[0].second);
     if (!name) return;
-    Chain addr = read_chain(args[2].first);
+    const Chain addr = ts_.read_chain(args[2].first);
     VarDecl v;
     v.name = *name;
     v.lvalue = addr.text.empty() ? *name : addr.text;
@@ -1104,11 +722,11 @@ class FileAnalyzer {
     const std::size_t eq =
         i > 0 && tok(i - 1).is_punct("=") ? i - 1 : SIZE_MAX;
     if (eq == SIZE_MAX || eq == 0) return;
-    BackChain lhs = read_chain_back(eq - 1);
+    BackChain lhs = ts_.read_chain_back(eq - 1);
     if (!lhs.ok) return;
     std::size_t p = i + 1;
     while (valid(p) && tok(p).kind == TokKind::kIdent) {
-      Chain c = read_chain(p);
+      const Chain c = ts_.read_chain(p);
       p = c.end;
       break;
     }
@@ -1120,7 +738,7 @@ class FileAnalyzer {
     v.line = tok(i).line;
     v.storage = VarDecl::kHeap;
     v.policy.first_touch = true;
-    add_size_idents(p + 1, matching(p), v);
+    add_size_idents(p + 1, ts_.matching(p), v);
     push_var(std::move(v));
   }
 
@@ -1132,10 +750,10 @@ class FileAnalyzer {
       if (in_struct_body(i)) continue;
       const Token& prev = tok(i - 1);
       const bool type_before =
-          (prev.kind == TokKind::kIdent && !type_keywords().count(prev.text)) ||
+          (prev.kind == TokKind::kIdent && !is_non_type_keyword(prev.text)) ||
           prev.is_punct("*") || prev.is_punct(">") || prev.is_punct("&");
       if (!type_before) continue;
-      const std::size_t close = matching(i + 1);
+      const std::size_t close = ts_.matching(i + 1);
       if (close >= n() || !valid(close + 1)) continue;
       const Token& after = tok(close + 1);
       if (!(after.is_punct(";") || after.is_punct("=") ||
@@ -1143,7 +761,7 @@ class FileAnalyzer {
         continue;
       }
       // Reject parameter declarations: '(' between statement start and i.
-      const std::size_t s = stmt_start(i);
+      const std::size_t s = ts_.stmt_start(i);
       bool has_paren = false;
       bool is_static = false;
       std::uint32_t elem = 0;
@@ -1198,7 +816,7 @@ class FileAnalyzer {
       ++b;
     }
     if (b >= e || tok(b).kind != TokKind::kIdent) return {};
-    Chain c = read_chain(b);
+    const Chain c = ts_.read_chain(b);
     if (deref) {
       if (auto tf = table_field_of(c.first, c.last)) {
         const TableInfo& table = tables_.at(tf->first);
@@ -1248,8 +866,9 @@ class FileAnalyzer {
                       IndexShape& shape, int depth) const {
     for (std::size_t i = b; i < e && i < n(); ++i) {
       if (tok(i).kind != TokKind::kIdent) continue;
-      Chain c = read_chain(i);
+      const Chain c = ts_.read_chain(i);
       // Unknown call => indirect indexing (the RAP_diag_j-as-index class).
+      // to_string counts as linear here; the IR reads it as a gather.
       const bool is_call = c.end < n() && tok(c.end).is_punct("(") &&
                            c.end < e;
       if (is_call) {
@@ -1259,7 +878,7 @@ class FileAnalyzer {
             classify_index(lam->second.first, lam->second.second, var, shape,
                            depth - 1);
           }
-        } else if (!known_linear_call(c.last)) {
+        } else if (!known_linear_call(c.last) && c.last != "to_string") {
           shape.indirect = true;
         }
       }
@@ -1299,7 +918,7 @@ class FileAnalyzer {
       const bool call = valid(i + 1) && tok(i + 1).is_punct("(");
 
       if ((t == "store_lines" || t == "load_lines") && call) {
-        const auto args = split_args(i + 1);
+        const auto args = ts_.split_args(i + 1);
         if (args.size() < 2) continue;
         const Guards g = guards_of(i);
         add_access(resolve_expr(args[1].first, args[1].second, g),
@@ -1309,7 +928,7 @@ class FileAnalyzer {
       const bool member_call =
           call && i > 0 && (tok(i - 1).is_punct(".") || tok(i - 1).is_punct("->"));
       if ((t == "store" || t == "load") && member_call) {
-        const auto args = split_args(i + 1);
+        const auto args = ts_.split_args(i + 1);
         if (args.empty()) continue;
         const Guards g = guards_of(i);
         analyze_address_expr(args[0].first, args[0].second, t == "store", i,
@@ -1338,7 +957,7 @@ class FileAnalyzer {
             continue;
           }
         }
-        const std::size_t close = matching(i + 1);
+        const std::size_t close = ts_.matching(i + 1);
         if (close >= n()) continue;
         IndexShape shape;
         classify_index(i + 2, close, v, shape, 1);
@@ -1371,10 +990,10 @@ class FileAnalyzer {
     while (b < e && tok(b).is_punct("(")) ++b;
     if (b >= e) return;
     if (tok(b).kind == TokKind::kIdent) {
-      Chain c = read_chain(b);
+      const Chain c = ts_.read_chain(b);
       if (c.end < e && tok(c.end).is_punct("(")) {
         if (c.last == "elem_addr" || c.last == "field_addr_of") {
-          const auto inner = split_args(c.end);
+          const auto inner = ts_.split_args(c.end);
           if (inner.empty()) return;
           const std::vector<int> vars =
               resolve_expr(inner[0].first, inner[0].second, g);
@@ -1399,7 +1018,7 @@ class FileAnalyzer {
             std::size_t p = k + 1;
             while (p < le && tok(p).is_punct("(")) ++p;
             if (p < le && tok(p).kind == TokKind::kIdent) {
-              Chain rc = read_chain(p);
+              const Chain rc = ts_.read_chain(p);
               for (int vi : resolve_chain(rc.text, rc.last)) bases.insert(vi);
             }
           }
@@ -1452,9 +1071,9 @@ class FileAnalyzer {
           if (a.soa) any_soa = true;
           if (a.write && a.per_thread) any_per_thread_write = true;
           if (a.region >= 0) {
-            const RegionInfo& r = regions_[static_cast<std::size_t>(a.region)];
+            const Region& r = regions_[static_cast<std::size_t>(a.region)];
             par_regions.insert(r.name.empty() ? "<anonymous>" : r.name);
-            if (r.blocked) any_blocked_region = true;
+            if (r.partitioned) any_blocked_region = true;
             if (r.round_robin) any_round_robin = true;
           }
         }
@@ -1593,17 +1212,16 @@ class FileAnalyzer {
 
   // -- state ------------------------------------------------------------
 
+  const TokenStream& ts_;
+  const ParallelScan& scan_;
   std::string file_;
-  std::vector<Token> toks_;
-  std::vector<std::size_t> match_;
-  std::vector<BraceInfo> braces_;
+  std::vector<TokenRange> code_blocks_;  // function / control-flow bodies
   std::map<std::string, StructInfo> structs_;
   std::map<std::string, TableInfo> tables_;
   std::map<std::string, std::pair<std::size_t, std::size_t>> lambdas_;
   std::map<std::string, Policy> policies_;
   std::map<std::string, std::string> range_iters_;  // iter -> table
-  std::vector<IfBlock> ifs_;
-  std::vector<RegionInfo> regions_;
+  std::vector<Region> regions_;
   std::vector<VarDecl> vars_;
   std::vector<Access> accesses_;
   std::map<std::string, std::vector<int>> by_last_;
@@ -1614,25 +1232,13 @@ class FileAnalyzer {
 
 }  // namespace
 
-namespace {
-
-void sort_findings(std::vector<StaticFinding>& findings) {
-  std::sort(findings.begin(), findings.end(),
-            [](const StaticFinding& a, const StaticFinding& b) {
-              if (a.file != b.file) return a.file < b.file;
-              if (a.line != b.line) return a.line < b.line;
-              if (a.variable != b.variable) return a.variable < b.variable;
-              return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-            });
-}
-
-}  // namespace
-
 FilePhase1 lint_file_phase1(std::string_view source, std::string file) {
+  const TokenStream tokens(source);
+  const ParallelScan scan = scan_parallel(tokens);
   FilePhase1 out;
-  FileAnalyzer analyzer(source, file);
-  out.local = analyzer.run();
-  out.summary = dataflow::summarize(ir::build_ir(source, std::move(file)));
+  out.local = FileAnalyzer(tokens, scan, file).run();
+  out.summary =
+      dataflow::summarize(ir::build_ir(tokens, scan, std::move(file)));
   return out;
 }
 
@@ -1644,7 +1250,7 @@ LintResult lint_source(std::string_view source, std::string file) {
   out.findings.insert(out.findings.end(),
                       std::make_move_iterator(inter.begin()),
                       std::make_move_iterator(inter.end()));
-  sort_findings(out.findings);
+  dataflow::sort_findings(out.findings);
   return out;
 }
 
@@ -1741,8 +1347,26 @@ LintResult lint_paths(const std::vector<std::string>& paths,
   out.findings.insert(out.findings.end(),
                       std::make_move_iterator(inter.begin()),
                       std::make_move_iterator(inter.end()));
-  sort_findings(out.findings);
+  dataflow::sort_findings(out.findings);
   return out;
+}
+
+std::optional<Severity> parse_werror(const support::CliParser& cli) {
+  if (!cli.has("--werror")) return std::nullopt;
+  const std::string spelled = cli.value("--werror").value_or("warning");
+  if (spelled == "note") return Severity::kNote;
+  if (spelled == "warning") return Severity::kWarning;
+  if (spelled == "error") return Severity::kError;
+  throw Error(ErrorKind::kUsage, {}, "--werror", 0,
+              "--werror expects note, warning, or error\n" + cli.usage());
+}
+
+bool any_at_or_above(const std::vector<StaticFinding>& findings,
+                     Severity threshold) noexcept {
+  return std::any_of(findings.begin(), findings.end(),
+                     [threshold](const StaticFinding& f) {
+                       return severity_of(f.kind) >= threshold;
+                     });
 }
 
 std::string_view kind_code(LintKind kind) noexcept {

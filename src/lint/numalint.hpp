@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +31,8 @@
 #include "core/advisor.hpp"
 #include "core/options.hpp"
 #include "lint/dataflow.hpp"
+#include "lint/sarif.hpp"
+#include "support/cliflags.hpp"
 #include "support/error.hpp"
 
 namespace numaprof::lint {
@@ -89,6 +92,16 @@ LintResult lint_paths(const std::vector<std::string>& paths);
 /// value. Only the parallelism knobs of `options` are consumed.
 LintResult lint_paths(const std::vector<std::string>& paths,
                       const numaprof::PipelineOptions& options);
+
+/// The `--werror[=SEV]` gate numa_lint and analyze_profile share: nullopt
+/// without --werror; note, warning or error otherwise (a bare --werror
+/// means warning). Any other value throws a usage Error (exit status 2)
+/// that ends with `cli.usage()`.
+std::optional<Severity> parse_werror(const support::CliParser& cli);
+
+/// True when some finding's severity is at least `threshold`.
+bool any_at_or_above(const std::vector<core::StaticFinding>& findings,
+                     Severity threshold) noexcept;
 
 /// Short L1..L4 code for a finding kind.
 std::string_view kind_code(core::LintKind kind) noexcept;

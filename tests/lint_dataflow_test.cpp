@@ -260,6 +260,212 @@ TEST(LintDataflow, ReadMostlyReplicationCandidate) {
             nullptr);
 }
 
+// --- the recognizer's and the IR's readings of shared constructs ---------
+
+// L1-L4 and L5-L8 read some constructs differently; each finding below
+// depends on one of those readings, so a change that silently gives both
+// passes the same reading fails here even when every golden still holds:
+//   sweep    a single-statement loop body holding a ';' inside a lambda
+//            (L1-L4 stop at that ';', L5-L8 skip bracketed tokens)
+//   braced   L5-L8 extend a braced `omp parallel for` to the next ';'
+//            (tail), L1-L4 stop at the closing brace
+//   masters  `parallel master` drops the region for L1-L4 and is a thread
+//            guard for L5-L8; a nested `omp single` guards only for L5-L8
+//            (owner)
+//   chunked  a backslash-continued schedule(static, 4), to_string in an
+//            index (linear for L1-L4, a gather for L5-L8), num_threads(1)
+//            vs num_threads(1 + n), and `0 == tid` (a guard for L5-L8
+//            only: flag)
+//   strided  round-robin strides by ctx.threads[0] and cfg::nthreads
+//            (L1-L4 read the chain's last identifier, L5-L8 the text
+//            after its last '.')
+constexpr const char* kSplitReadings = R"lint(#include <cstdlib>
+#include <string>
+static double grid[4096];
+static double halo[4096];
+static double lut[4096];
+static double tail[4096];
+static int owner[64];
+static double cells[8192];
+static double solo[1024];
+static double ring[4096];
+static double wrap[4096];
+static double flag[64];
+void seed(long n) {
+  for (long i = 0; i < n; ++i) grid[i] = 0.0;
+  for (long i = 0; i < n; ++i) halo[i] = 1.0;
+  for (long i = 0; i < n; ++i) lut[i] = 2.0;
+  for (long i = 0; i < n; ++i) tail[i] = 3.0;
+  for (long i = 0; i < n; ++i) cells[i] = 4.0;
+  for (long i = 0; i < n; ++i) solo[i] = 5.0;
+  for (long i = 0; i < n; ++i) ring[i] = 6.0;
+  for (long i = 0; i < n; ++i) wrap[i] = 7.0;
+  for (long i = 0; i < 64; ++i) owner[i] = 0;
+  for (long i = 0; i < 64; ++i) flag[i] = 0.0;
+}
+void sweep(long n) {
+  #pragma omp parallel for
+  for (long i = 0; i < n; ++i) run([&] { step(i); grid[i] += 1.0; });
+}
+void braced(long n) {
+  #pragma omp parallel for
+  for (long i = 0; i < n; ++i) { halo[i] *= 2.0; }
+  tail[0] = 0.0;
+}
+void masters(long n) {
+  #pragma omp parallel master
+  { owner[0] = 1; }
+  #pragma omp parallel
+  {
+    #pragma omp single
+    { owner[1] = 2; }
+  }
+}
+void chunked(long n, int tid) {
+  #pragma omp parallel for \
+      schedule(static, 4)
+  for (long i = 0; i < n; ++i) cells[i] += lut[to_string(i).size()];
+  #pragma omp parallel num_threads(1)
+  { solo[0] = 1.0; }
+  #pragma omp parallel num_threads(1 + n)
+  { solo[1] = 1.0; }
+  #pragma omp parallel
+  {
+    if (0 == tid) flag[0] = 1.0;
+    if (tid == 0) grid[1] = 0.0;
+  }
+}
+void strided(SimMachine& m, Ctx& ctx) {
+  parallel_region(m, ctx.threads, "stride", 0, [&](SimThread& t, uint32_t index) {
+    for (long i = index; i < 4096; i += ctx.threads[0]) wrap[i] += 1.0;
+  });
+  parallel_region(m, cfg::nthreads, "ns-stride", 0, [&](SimThread& t, uint32_t index) {
+    for (long i = index; i < 4096; i += cfg::nthreads) ring[i] += 1.0;
+  });
+}
+)lint";
+
+constexpr const char* kSplitReadingsFindings =
+    "split_readings.cpp:14 [L5 cross-fn-serial-first-touch] grid\n"
+    "    expected blocked, suggest blockwise-first-touch (declared at "
+    "line 3)\n"
+    "    grid: allocated at split_readings.cpp:3; first touched "
+    "serially at split_readings.cpp:14 (seed); consumed in parallel at "
+    "split_readings.cpp:27 (sweep) with schedule(static). All pages "
+    "land on the initializing thread's domain; initialize in parallel "
+    "with the consumer's partitioning so each block is first touched "
+    "by the thread that uses it.\n"
+    "split_readings.cpp:15 [L1 serial-first-touch] halo\n"
+    "    expected irregular, suggest blockwise-first-touch (declared "
+    "at line 4)\n"
+    "    'halo' is written by serial code (1 site) but consumed by "
+    "parallel region 'omp parallel for'; first touch homes every page "
+    "in the initializing thread's domain\n"
+    "split_readings.cpp:15 [L5 cross-fn-serial-first-touch] halo\n"
+    "    expected blocked, suggest blockwise-first-touch (declared at "
+    "line 4)\n"
+    "    halo: allocated at split_readings.cpp:4; first touched "
+    "serially at split_readings.cpp:15 (seed); consumed in parallel at "
+    "split_readings.cpp:31 (braced) with schedule(static). All pages "
+    "land on the initializing thread's domain; initialize in parallel "
+    "with the consumer's partitioning so each block is first touched "
+    "by the thread that uses it.\n"
+    "split_readings.cpp:16 [L1 serial-first-touch] lut\n"
+    "    expected irregular, suggest blockwise-first-touch (declared "
+    "at line 5)\n"
+    "    'lut' is written by serial code (1 site) but consumed by "
+    "parallel region 'omp parallel for schedule static'; first touch "
+    "homes every page in the initializing thread's domain\n"
+    "split_readings.cpp:16 [L8 read-mostly-replicable] lut\n"
+    "    expected full-range, suggest interleave (declared at line 5)\n"
+    "    lut: allocated at split_readings.cpp:5; first touched "
+    "serially at split_readings.cpp:16 (seed); consumed in parallel at "
+    "split_readings.cpp:46 (chunked) with schedule(static-chunk,4). "
+    "Every thread reads the whole extent but only one thread ever "
+    "writes it: a replication candidate — interleave the pages (or "
+    "replicate per domain) instead of leaving them on the initializing "
+    "thread's node.\n"
+    "split_readings.cpp:17 [L5 cross-fn-serial-first-touch] tail\n"
+    "    expected full-range, suggest blockwise-first-touch (declared "
+    "at line 6)\n"
+    "    tail: allocated at split_readings.cpp:6; first touched "
+    "serially at split_readings.cpp:17 (seed); consumed in parallel at "
+    "split_readings.cpp:32 (braced) with schedule(static). All pages "
+    "land on the initializing thread's domain; initialize in parallel "
+    "with the consumer's partitioning so each block is first touched "
+    "by the thread that uses it.\n"
+    "split_readings.cpp:18 [L1 serial-first-touch] cells\n"
+    "    expected irregular, suggest blockwise-first-touch (declared "
+    "at line 8)\n"
+    "    'cells' is written by serial code (1 site) but consumed by "
+    "parallel region 'omp parallel for schedule static'; first touch "
+    "homes every page in the initializing thread's domain\n"
+    "split_readings.cpp:18 [L5 cross-fn-serial-first-touch] cells\n"
+    "    expected blocked, suggest blockwise-first-touch (declared at "
+    "line 8)\n"
+    "    cells: allocated at split_readings.cpp:8; first touched "
+    "serially at split_readings.cpp:18 (seed); consumed in parallel at "
+    "split_readings.cpp:46 (chunked) with schedule(static-chunk,4). "
+    "All pages land on the initializing thread's domain; initialize in "
+    "parallel with the consumer's partitioning so each block is first "
+    "touched by the thread that uses it.\n"
+    "split_readings.cpp:19 [L5 cross-fn-serial-first-touch] solo\n"
+    "    expected full-range, suggest blockwise-first-touch (declared "
+    "at line 9)\n"
+    "    solo: allocated at split_readings.cpp:9; first touched "
+    "serially at split_readings.cpp:19 (seed); consumed in parallel at "
+    "split_readings.cpp:50 (chunked). All pages land on the "
+    "initializing thread's domain; initialize in parallel with the "
+    "consumer's partitioning so each block is first touched by the "
+    "thread that uses it.\n"
+    "split_readings.cpp:20 [L1 serial-first-touch] ring\n"
+    "    expected full-range, suggest blockwise-first-touch (declared "
+    "at line 10)\n"
+    "    'ring' is written by serial code (1 site) but consumed by "
+    "parallel region 'ns-stride'; first touch homes every page in the "
+    "initializing thread's domain\n"
+    "split_readings.cpp:20 [L5 cross-fn-serial-first-touch] ring\n"
+    "    expected full-range, suggest blockwise-first-touch (declared "
+    "at line 10)\n"
+    "    ring: allocated at split_readings.cpp:10; first touched "
+    "serially at split_readings.cpp:20 (seed); consumed in parallel at "
+    "split_readings.cpp:62 (strided). All pages land on the "
+    "initializing thread's domain; initialize in parallel with the "
+    "consumer's partitioning so each block is first touched by the "
+    "thread that uses it.\n"
+    "split_readings.cpp:21 [L1 serial-first-touch] wrap\n"
+    "    expected full-range, suggest blockwise-first-touch (declared "
+    "at line 11)\n"
+    "    'wrap' is written by serial code (1 site) but consumed by "
+    "parallel region 'stride'; first touch homes every page in the "
+    "initializing thread's domain\n"
+    "split_readings.cpp:21 [L5 cross-fn-serial-first-touch] wrap\n"
+    "    expected full-range, suggest blockwise-first-touch (declared "
+    "at line 11)\n"
+    "    wrap: allocated at split_readings.cpp:11; first touched "
+    "serially at split_readings.cpp:21 (seed); consumed in parallel at "
+    "split_readings.cpp:59 (strided). All pages land on the "
+    "initializing thread's domain; initialize in parallel with the "
+    "consumer's partitioning so each block is first touched by the "
+    "thread that uses it.\n"
+    "split_readings.cpp:22 [L1 serial-first-touch] owner\n"
+    "    expected irregular, suggest blockwise-first-touch (declared "
+    "at line 7)\n"
+    "    'owner' is written by serial code (2 sites) but consumed by "
+    "parallel region 'omp parallel'; first touch homes every page in "
+    "the initializing thread's domain\n"
+    "split_readings.cpp:23 [L1 serial-first-touch] flag\n"
+    "    expected irregular, suggest blockwise-first-touch (declared "
+    "at line 12)\n"
+    "    'flag' is written by serial code (1 site) but consumed by "
+    "parallel region 'omp parallel'; first touch homes every page in "
+    "the initializing thread's domain\n";
+
+TEST(LintReadings, EachPassKeepsItsReadingOfSharedConstructs) {
+  const LintResult result = lint_source(kSplitReadings, "split_readings.cpp");
+  EXPECT_EQ(render_findings(result.findings), kSplitReadingsFindings);
+}
+
 // --- incremental cache ---------------------------------------------------
 
 TEST(LintDataflow, CacheColdAndWarmRunsAreByteIdentical) {
@@ -346,6 +552,37 @@ TEST(LintSarif, SeverityTiers) {
   EXPECT_EQ(severity_of(LintKind::kInterleaveMisuse), Severity::kWarning);
   EXPECT_EQ(severity_of(LintKind::kScheduleMismatch), Severity::kWarning);
   EXPECT_EQ(severity_of(LintKind::kReadMostly), Severity::kNote);
+}
+
+std::optional<Severity> werror_of(const std::vector<std::string>& args) {
+  support::CliParser cli("numa_lint", "test");
+  cli.add_optional_value_flag("--werror", "gate", "SEV");
+  cli.parse(args);
+  return parse_werror(cli);
+}
+
+TEST(LintWerror, ParsesEverySeverityAndRejectsOtherValues) {
+  EXPECT_EQ(werror_of({}), std::nullopt);
+  EXPECT_EQ(werror_of({"--werror"}), Severity::kWarning);
+  EXPECT_EQ(werror_of({"--werror=note"}), Severity::kNote);
+  EXPECT_EQ(werror_of({"--werror=warning"}), Severity::kWarning);
+  EXPECT_EQ(werror_of({"--werror=error"}), Severity::kError);
+  try {
+    werror_of({"--werror=fatal"});
+    FAIL() << "--werror=fatal was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kUsage);
+    EXPECT_NE(std::string(e.what()).find("--werror expects note, warning, or "
+                                         "error"),
+              std::string::npos)
+        << e.what();
+  }
+  // The gate itself: a note-level L8 trips --werror=note, not =warning.
+  StaticFinding l8;
+  l8.kind = LintKind::kReadMostly;
+  EXPECT_TRUE(any_at_or_above({l8}, Severity::kNote));
+  EXPECT_FALSE(any_at_or_above({l8}, Severity::kWarning));
+  EXPECT_FALSE(any_at_or_above({}, Severity::kNote));
 }
 
 // --- baseline ------------------------------------------------------------
