@@ -31,10 +31,7 @@ numaprof_bench(export_throughput)
 numaprof_bench(ingest_throughput)
 target_link_libraries(ingest_throughput PRIVATE numaprof_ingest)
 
-add_executable(micro_tool_paths ${CMAKE_SOURCE_DIR}/bench/micro_tool_paths.cpp)
-target_link_libraries(micro_tool_paths PRIVATE numaprof_apps numaprof_core benchmark::benchmark benchmark::benchmark_main)
-set_target_properties(micro_tool_paths PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${NUMAPROF_BENCH_DIR})
+numaprof_bench(micro_tool_paths)
 
 # matrix_kernels has a custom main (BENCH lines + BENCH_matrix.json
 # aggregate, broken-vs-fixed validity gate); it shares the grid cell
@@ -46,16 +43,14 @@ set_target_properties(matrix_kernels PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${NUMAPROF_BENCH_DIR})
 
 # micro_io has a custom main (BENCH lines + BENCH_io.json aggregate,
-# Analyzer-report validity gate over every load path), so no
-# benchmark_main here.
+# Analyzer-report validity gate over every load path).
 add_executable(micro_io ${CMAKE_SOURCE_DIR}/bench/micro_io.cpp)
 target_link_libraries(micro_io PRIVATE numaprof_apps numaprof_core)
 set_target_properties(micro_io PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${NUMAPROF_BENCH_DIR})
 
 # monitor_refresh has a custom main (BENCH lines + BENCH_monitor.json
-# aggregate, determinism/frame-shape validity gates), so no
-# benchmark_main here.
+# aggregate, determinism/frame-shape validity gates).
 add_executable(monitor_refresh ${CMAKE_SOURCE_DIR}/bench/monitor_refresh.cpp)
 target_link_libraries(monitor_refresh PRIVATE
   numaprof_apps numaprof_core numaprof_monitor)
@@ -63,7 +58,7 @@ set_target_properties(monitor_refresh PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${NUMAPROF_BENCH_DIR})
 
 # micro_lint has a custom main (BENCH lines + BENCH_lint.json aggregate,
-# validity-checked driver/cache runs), so no benchmark_main here.
+# validity-checked lint_paths/cache runs).
 add_executable(micro_lint ${CMAKE_SOURCE_DIR}/bench/micro_lint.cpp)
 target_link_libraries(micro_lint PRIVATE numaprof_lint)
 set_target_properties(micro_lint PROPERTIES

@@ -1,15 +1,24 @@
-// Microbenchmarks of the tool's hot paths (google-benchmark).
+// micro_tool_paths: per-operation cost of the tool's hot paths.
 //
 // These are engineering benchmarks, not paper reproductions: they bound
 // the per-event cost of the machinery that runs inside the monitored
 // program (cache model lookups, sampler dispatch, CCT insertion, page-table
 // queries, metric updates) and of the offline stages (merge, serialization).
-
-#include <benchmark/benchmark.h>
-
+//
+// Each case doubles its batch size until one batch takes at least 20 ms,
+// then reports the best of five batches of that size as ns per operation:
+//   BENCH {"bench":"micro_tool_paths","case":"CacheAccess",
+//          "iterations":N,"ns_per_op":X}
+// and the full record set is additionally written as one JSON document to
+// BENCH_tool_paths.json (or argv[1] if given) for the perf trajectory.
+#include <algorithm>
+#include <cstdint>
+#include <iostream>
 #include <sstream>
+#include <string>
 
 #include "apps/minilulesh.hpp"
+#include "bench_common.hpp"
 #include "core/analyzer.hpp"
 #include "core/profile_io.hpp"
 #include "core/profiler.hpp"
@@ -19,123 +28,109 @@
 #include "simos/page_table.hpp"
 #include "support/faultinject.hpp"
 #include "support/rng.hpp"
+#include "support/table.hpp"
 
 namespace {
 
 using namespace numaprof;
 
-void BM_CacheAccess(benchmark::State& state) {
+/// Keeps `value` (and the work that produced it) from being optimized
+/// away without costing a store.
+template <typename T>
+void keep(const T& value) {
+  asm volatile("" : : "r,m"(value) : "memory");
+}
+
+struct Timing {
+  std::uint64_t iterations = 0;
+  double ns_per_op = 0.0;
+};
+
+/// Times `op()` as described in the header comment.
+template <typename Op>
+Timing time_op(Op&& op) {
+  const auto batch = [&](std::uint64_t n) {
+    return bench::time_seconds([&] {
+      for (std::uint64_t i = 0; i < n; ++i) op();
+    });
+  };
+  op();  // first-call costs (allocation, page faults) are not the op's
+  std::uint64_t n = 1;
+  while (batch(n) < 0.02 && n < (std::uint64_t{1} << 32)) n *= 2;
+  double best = batch(n);
+  for (int rep = 1; rep < 5; ++rep) best = std::min(best, batch(n));
+  return {n, best * 1e9 / static_cast<double>(n)};
+}
+
+Timing cache_access() {
   numasim::SetAssocCache cache({.sets = 64, .ways = 8, .hit_latency = 3});
   support::Rng rng(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.access(rng.next_below(4096)));
-  }
+  return time_op([&] { keep(cache.access(rng.next_below(4096))); });
 }
-BENCHMARK(BM_CacheAccess);
 
-void BM_SystemAccessColdStream(benchmark::State& state) {
+Timing system_access_cold_stream() {
   numasim::System system(numasim::amd_magny_cours());
   std::uint64_t addr = 0;
   numasim::Cycles now = 0;
-  for (auto _ : state) {
+  return time_op([&] {
     const auto result = system.access(0, 3, addr, false, now);
-    benchmark::DoNotOptimize(result.latency);
+    keep(result.latency);
     addr += numasim::kLineBytes;
     now += result.latency;
-  }
+  });
 }
-BENCHMARK(BM_SystemAccessColdStream);
 
-void BM_PageTableHomeOf(benchmark::State& state) {
+Timing page_table_home_of() {
   simos::PageTable table(8);
   table.register_region(0, 1 << 16, simos::PolicySpec::interleave());
   support::Rng rng(2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.home_of(rng.next_below(1 << 16), 3));
-  }
+  return time_op([&] { keep(table.home_of(rng.next_below(1 << 16), 3)); });
 }
-BENCHMARK(BM_PageTableHomeOf);
 
-void BM_CctExtend(benchmark::State& state) {
+Timing cct_extend() {
   core::Cct cct;
   support::Rng rng(3);
   simrt::FrameId path[6];
-  for (auto _ : state) {
+  return time_op([&] {
     for (auto& f : path) {
       f = static_cast<simrt::FrameId>(rng.next_below(64));
     }
-    benchmark::DoNotOptimize(cct.extend(core::kRootNode, path));
-  }
+    keep(cct.extend(core::kRootNode, path));
+  });
 }
-BENCHMARK(BM_CctExtend);
 
-void BM_MetricAdd(benchmark::State& state) {
+Timing metric_add() {
   core::MetricStore store(8);
   support::Rng rng(4);
-  for (auto _ : state) {
+  const Timing t = time_op([&] {
     store.add(static_cast<core::NodeId>(rng.next_below(4096)),
               core::kMemorySamples, 1.0);
-  }
-  benchmark::DoNotOptimize(store.width());
+  });
+  keep(store.width());
+  return t;
 }
-BENCHMARK(BM_MetricAdd);
 
-void BM_SamplerDispatchIbs(benchmark::State& state) {
-  // Cost of the per-access observer path for a hardware sampler (this is
-  // what every memory access of a monitored program pays).
-  auto config = pmu::EventConfig::mini(pmu::Mechanism::kIbs);
-  config.period = 1 << 20;  // effectively never fire: measures the fast path
-  pmu::IbsSampler sampler(config);
+/// The per-access observer path of a sampler: what every memory access
+/// of a monitored program pays.
+template <typename Sampler>
+Timing sampler_dispatch(pmu::Mechanism mechanism, std::uint64_t period) {
+  auto config = pmu::EventConfig::mini(mechanism);
+  if (period > 0) config.period = period;
+  Sampler sampler(config);
   simrt::Machine machine(numasim::test_machine(2, 2));
   machine.spawn([](simrt::SimThread&) -> simrt::Task { co_return; });
   machine.run();
   simrt::AccessEvent event{};
   event.addr = simos::kStaticBase;
-  for (auto _ : state) {
-    sampler.on_access(machine.thread(0), event);
-  }
-  benchmark::DoNotOptimize(sampler.samples_emitted());
+  const Timing t =
+      time_op([&] { sampler.on_access(machine.thread(0), event); });
+  keep(sampler.samples_emitted());
+  return t;
 }
-BENCHMARK(BM_SamplerDispatchIbs);
 
-void BM_SoftIbsStub(benchmark::State& state) {
-  auto config = pmu::EventConfig::mini(pmu::Mechanism::kSoftIbs);
-  pmu::SoftIbsSampler sampler(config);
-  simrt::Machine machine(numasim::test_machine(2, 2));
-  machine.spawn([](simrt::SimThread&) -> simrt::Task { co_return; });
-  machine.run();
-  simrt::AccessEvent event{};
-  event.addr = simos::kStaticBase;
-  for (auto _ : state) {
-    sampler.on_access(machine.thread(0), event);
-  }
-  benchmark::DoNotOptimize(sampler.samples_emitted());
-}
-BENCHMARK(BM_SoftIbsStub);
-
-void BM_ProfileSaveLoad(benchmark::State& state) {
-  simrt::Machine machine(numasim::test_machine(4, 2));
-  core::ProfilerConfig cfg;
-  cfg.event = pmu::EventConfig::mini(pmu::Mechanism::kIbs);
-  cfg.event.period = 50;
-  core::Profiler profiler(machine, cfg);
-  apps::run_minilulesh(machine, {.threads = 8,
-                                 .pages_per_thread = 2,
-                                 .timesteps = 2,
-                                 .variant = apps::Variant::kBaseline});
-  const core::SessionData data = profiler.snapshot();
-  for (auto _ : state) {
-    std::stringstream stream;
-    core::ProfileWriter().write(data, stream);
-    benchmark::DoNotOptimize(
-        core::ProfileReader().read(stream).data.cct.size());
-  }
-}
-BENCHMARK(BM_ProfileSaveLoad);
-
-/// Serialized profile for the corrupted-load benches (built once).
-const std::string& corrupted_profile_text(bool corrupted) {
-  static const std::string good = [] {
+/// A small IBS-sampled LULESH session (built once).
+const core::SessionData& lulesh_session() {
+  static const core::SessionData data = [] {
     simrt::Machine machine(numasim::test_machine(4, 2));
     core::ProfilerConfig cfg;
     cfg.event = pmu::EventConfig::mini(pmu::Mechanism::kIbs);
@@ -145,79 +140,94 @@ const std::string& corrupted_profile_text(bool corrupted) {
                                    .pages_per_thread = 2,
                                    .timesteps = 2,
                                    .variant = apps::Variant::kBaseline});
-    return core::ProfileWriter().bytes(profiler.snapshot());
+    return profiler.snapshot();
   }();
-  static const std::string bad = [] {
-    // Damage the body, not line 1: the bench measures recovery/diagnosis
-    // cost, not the trivial magic-check rejection.
-    auto plan = support::FaultPlan::parse("seed=1;bitflip=48");
-    const std::string header = good.substr(0, good.find('\n') + 1);
-    return header + plan.mutate_stream(good.substr(header.size()));
-  }();
-  return corrupted ? bad : good;
+  return data;
 }
 
-void BM_ProfileLoadStrictCorrupted(benchmark::State& state) {
-  const std::string& text = corrupted_profile_text(true);
-  std::uint64_t threw = 0, parsed = 0;
-  for (auto _ : state) {
+/// The session's text profile, intact or with its body bit-flipped (the
+/// header stays, so loads measure recovery and diagnosis, not the
+/// trivial magic-check rejection).
+std::string profile_text(bool corrupted) {
+  const std::string good = core::ProfileWriter().bytes(lulesh_session());
+  if (!corrupted) return good;
+  auto plan = support::FaultPlan::parse("seed=1;bitflip=48");
+  const std::string header = good.substr(0, good.find('\n') + 1);
+  return header + plan.mutate_stream(good.substr(header.size()));
+}
+
+Timing profile_save_load() {
+  const core::SessionData& data = lulesh_session();
+  return time_op([&] {
+    std::stringstream stream;
+    core::ProfileWriter().write(data, stream);
+    keep(core::ProfileReader().read(stream).data.cct.size());
+  });
+}
+
+Timing profile_load(bool corrupted, bool lenient) {
+  const std::string text = profile_text(corrupted);
+  core::LoadOptions options;
+  options.lenient = lenient;
+  return time_op([&] {
     std::stringstream stream(text);
     try {
-      benchmark::DoNotOptimize(
-          core::ProfileReader().read(stream).data.cct.size());
-      ++parsed;
+      keep(core::ProfileReader(options).read(stream).data.cct.size());
     } catch (const core::ProfileError&) {
-      ++threw;
     }
-  }
-  benchmark::DoNotOptimize(threw + parsed);
+  });
 }
-BENCHMARK(BM_ProfileLoadStrictCorrupted);
 
-void BM_ProfileLoadLenientCorrupted(benchmark::State& state) {
-  const std::string& text = corrupted_profile_text(true);
-  core::LoadOptions options;
-  options.lenient = true;
-  std::size_t diagnostics = 0;
-  for (auto _ : state) {
-    std::stringstream stream(text);
-    const core::LoadResult result = core::ProfileReader(options).read(stream);
-    diagnostics += result.diagnostics.size();
-    benchmark::DoNotOptimize(result.data.cct.size());
-  }
-  benchmark::DoNotOptimize(diagnostics);
-}
-BENCHMARK(BM_ProfileLoadLenientCorrupted);
-
-void BM_ProfileLoadLenientClean(benchmark::State& state) {
-  // Baseline: what the lenient machinery costs on an undamaged stream.
-  const std::string& text = corrupted_profile_text(false);
-  core::LoadOptions options;
-  options.lenient = true;
-  for (auto _ : state) {
-    std::stringstream stream(text);
-    benchmark::DoNotOptimize(
-        core::ProfileReader(options).read(stream).data.cct.size());
-  }
-}
-BENCHMARK(BM_ProfileLoadLenientClean);
-
-void BM_AnalyzerMerge(benchmark::State& state) {
-  simrt::Machine machine(numasim::test_machine(4, 2));
-  core::ProfilerConfig cfg;
-  cfg.event = pmu::EventConfig::mini(pmu::Mechanism::kIbs);
-  cfg.event.period = 50;
-  core::Profiler profiler(machine, cfg);
-  apps::run_minilulesh(machine, {.threads = 8,
-                                 .pages_per_thread = 2,
-                                 .timesteps = 2,
-                                 .variant = apps::Variant::kBaseline});
-  const core::SessionData data = profiler.snapshot();
-  for (auto _ : state) {
+Timing analyzer_merge() {
+  const core::SessionData& data = lulesh_session();
+  return time_op([&] {
     const core::Analyzer analyzer(data);
-    benchmark::DoNotOptimize(analyzer.program().samples);
-  }
+    keep(analyzer.program().samples);
+  });
 }
-BENCHMARK(BM_AnalyzerMerge);
 
 }  // namespace
+
+int main(int argc, char** argv) {
+  const std::string out_path = argc > 1 ? argv[1] : "BENCH_tool_paths.json";
+  bench::heading("micro_tool_paths: per-operation cost of hot paths");
+  const std::pair<const char*, Timing (*)()> cases[] = {
+      {"CacheAccess", cache_access},
+      {"SystemAccessColdStream", system_access_cold_stream},
+      {"PageTableHomeOf", page_table_home_of},
+      {"CctExtend", cct_extend},
+      {"MetricAdd", metric_add},
+      // A period that never fires: the sampler's fast path.
+      {"SamplerDispatchIbs",
+       [] {
+         return sampler_dispatch<pmu::IbsSampler>(pmu::Mechanism::kIbs,
+                                                  1 << 20);
+       }},
+      {"SoftIbsStub",
+       [] {
+         return sampler_dispatch<pmu::SoftIbsSampler>(
+             pmu::Mechanism::kSoftIbs, 0);
+       }},
+      {"ProfileSaveLoad", profile_save_load},
+      {"ProfileLoadStrictCorrupted", [] { return profile_load(true, false); }},
+      {"ProfileLoadLenientCorrupted", [] { return profile_load(true, true); }},
+      // What the lenient machinery costs on an undamaged stream.
+      {"ProfileLoadLenientClean", [] { return profile_load(false, true); }},
+      {"AnalyzerMerge", analyzer_merge},
+  };
+  bench::BenchRecords records("micro_tool_paths");
+  support::Table table({"case", "iterations", "ns/op"});
+  for (const auto& [name, run] : cases) {
+    const Timing t = run();
+    table.add_row({name, std::to_string(t.iterations),
+                   support::format_fixed(t.ns_per_op, 1)});
+    std::ostringstream json;
+    json << "{\"bench\":\"micro_tool_paths\",\"case\":\"" << name
+         << "\",\"iterations\":" << t.iterations
+         << ",\"ns_per_op\":" << t.ns_per_op << "}";
+    records.add(json.str());
+  }
+  std::cout << "\n" << table.to_text();
+  records.write(out_path);
+  return 0;
+}

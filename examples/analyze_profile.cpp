@@ -3,9 +3,8 @@
 // Loads a profile written by ProfileWriter (e.g. by record_app or the
 // lulesh_analysis example) — text or binary, autodetected from magic
 // bytes — and either prints the analysis to stdout or
-// writes a full report directory. All flag parsing goes through
-// support::CliParser — unknown flags are rejected with the usage string,
-// and every failure is reported through numaprof::format_error.
+// writes a full report directory. Flags, --help and errors go through
+// support::run_cli (docs/api.md, "CLI flags").
 //
 // Usage:
 //   analyze_profile [flags] <profile-file> [report-dir]
@@ -29,7 +28,6 @@
 //   --export-dir D  directory the artifacts go to (default: exports)
 //   --flame-weight  flamegraph frame weight: mismatch, remote-latency
 //                   (default), or lpi
-#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -43,7 +41,6 @@
 #include "lint/sarif.hpp"
 #include "numasim/topology.hpp"
 #include "support/cliflags.hpp"
-#include "support/threadpool.hpp"
 
 using namespace numaprof;
 
@@ -193,133 +190,102 @@ support::CliParser make_parser() {
   cli.add_flag("--merge", false, "merge per-thread measurement files");
   cli.add_flag("--diff", false, "compare two profiles (before after)");
   cli.add_flag("--selftest", false, "generate and analyze a demo profile");
-  cli.add_flag("--help", false, "show this message");
   return cli;
+}
+
+int run(const support::CliParser& cli) {
+  PipelineOptions options;
+  options.jobs = cli.jobs_value();
+  options.lenient = cli.has("--lenient");
+  options.lint_paths = cli.values("--lint");
+  const bool json =
+      cli.choice("--format", {{"text", false}, {"json", true}}, false);
+  const std::string telemetry = cli.value("--telemetry").value_or("");
+  const std::optional<lint::Severity> werror = lint::parse_werror(cli);
+
+  ExportRequest exports;
+  exports.kind = cli.choice<std::optional<core::ExportKind>>(
+      "--export",
+      {{"trace", core::ExportKind::kTraceJson},
+       {"flamegraph", core::ExportKind::kFlamegraph},
+       {"html", core::ExportKind::kHtml},
+       {"all", core::ExportKind::kAll}},
+      std::nullopt);
+  exports.directory = cli.value("--export-dir").value_or("exports");
+  exports.options.weight =
+      cli.choice("--flame-weight",
+                 {{"mismatch", core::FlameWeight::kMismatch},
+                  {"remote-latency", core::FlameWeight::kRemoteLatency},
+                  {"lpi", core::FlameWeight::kLpi}},
+                 exports.options.weight);
+
+  std::vector<std::string> inputs = cli.positional();
+  if (const auto profile = cli.value("--profile")) {
+    inputs.insert(inputs.begin(), *profile);
+  }
+
+  if (cli.has("--selftest")) {
+    return print_analysis(demo_session(), options, json, telemetry, exports,
+                          werror);
+  }
+  if (cli.has("--diff")) {
+    if (inputs.size() != 2) cli.fail("--diff expects <before> <after>");
+    const core::ProfileReader reader;
+    const core::SessionData before = reader.read_file(inputs[0]).data;
+    const core::SessionData after = reader.read_file(inputs[1]).data;
+    const core::Analyzer before_an(before, options);
+    const core::Analyzer after_an(after, options);
+    std::cout << core::render_diff(core::diff_profiles(before_an, after_an));
+    return 0;
+  }
+  if (cli.has("--merge")) {
+    if (inputs.empty()) cli.fail("--merge expects measurement files");
+    const core::MergeResult merged = merge_profile_files(inputs, options);
+    std::cout << "merged " << merged.summary.files_merged << " of "
+              << merged.summary.files_total << " profile files\n";
+    for (const core::SkippedProfile& skip : merged.summary.skipped) {
+      std::cout << "  skipped " << skip.path << ": " << skip.reason << "\n";
+    }
+    for (const core::Diagnostic& d : merged.summary.diagnostics) {
+      std::cout << "  diagnostic " << d.field << " (line " << d.line
+                << "): " << d.message << "\n";
+    }
+    return print_analysis(merged.data, options, json, telemetry, exports,
+                          werror);
+  }
+  if (inputs.empty() && !telemetry.empty()) {
+    // Telemetry-only mode: render the health pane with no profile to
+    // cross-check against.
+    std::cout << core::render_health_pane(
+        core::load_telemetry_trace_file(telemetry));
+    return 0;
+  }
+  if (inputs.empty()) cli.fail("expected a profile file");
+
+  core::LoadOptions load_options;
+  load_options.lenient = options.lenient;
+  const core::LoadResult loaded =
+      core::ProfileReader(load_options).read_file(inputs[0]);
+  for (const core::Diagnostic& d : loaded.diagnostics) {
+    std::cout << "diagnostic: " << d.field << " (line " << d.line
+              << "): " << d.message << "\n";
+  }
+  if (inputs.size() < 2) {
+    return print_analysis(loaded.data, options, json, telemetry, exports,
+                          werror);
+  }
+  const core::Analyzer analyzer(loaded.data, options);
+  run_exports(analyzer, exports, json);
+  const std::string main_file = core::write_report(analyzer, inputs[1]);
+  std::cout << "report written; start at " << main_file << "\n";
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  support::CliParser cli = make_parser();
-  try {
-    cli.parse(std::vector<std::string>(argv + 1, argv + argc));
-    if (cli.has("--help")) {
-      std::cout << cli.usage()
-                << "exit status: 0 = ok, 1 = analysis error (or, with "
-                   "--lint --werror, a lint finding at/above SEV), "
-                   "2 = usage error\n";
-      return 0;
-    }
-    PipelineOptions options;
-    options.jobs = std::clamp(
-        cli.unsigned_value("--jobs", support::default_jobs()), 1u, 256u);
-    options.lenient = cli.has("--lenient");
-    options.lint_paths = cli.values("--lint");
-    const bool json = cli.value("--format").value_or("text") == "json";
-    if (cli.has("--format") && !json &&
-        cli.value("--format").value_or("") != "text") {
-      throw Error(ErrorKind::kUsage, {}, "--format", 0,
-                  "--format expects text or json\n" + cli.usage());
-    }
-    const std::string telemetry = cli.value("--telemetry").value_or("");
-    const std::optional<lint::Severity> werror = lint::parse_werror(cli);
-
-    ExportRequest exports;
-    if (const auto kind_text = cli.value("--export")) {
-      exports.kind = core::parse_export_kind(*kind_text);
-      if (!exports.kind) {
-        throw Error(ErrorKind::kUsage, {}, "--export", 0,
-                    "--export expects trace, flamegraph, html, or all\n" +
-                        cli.usage());
-      }
-    }
-    exports.directory = cli.value("--export-dir").value_or("exports");
-    if (const auto weight_text = cli.value("--flame-weight")) {
-      const auto weight = core::parse_flame_weight(*weight_text);
-      if (!weight) {
-        throw Error(ErrorKind::kUsage, {}, "--flame-weight", 0,
-                    "--flame-weight expects mismatch, remote-latency, or "
-                    "lpi\n" +
-                        cli.usage());
-      }
-      exports.options.weight = *weight;
-    }
-
-    std::vector<std::string> inputs = cli.positional();
-    if (const auto profile = cli.value("--profile")) {
-      inputs.insert(inputs.begin(), *profile);
-    }
-
-    if (cli.has("--selftest")) {
-      return print_analysis(demo_session(), options, json, telemetry, exports,
-                            werror);
-    }
-    if (cli.has("--diff")) {
-      if (inputs.size() != 2) {
-        throw Error(ErrorKind::kUsage, {}, "--diff", 0,
-                    "--diff expects <before> <after>\n" + cli.usage());
-      }
-      const core::ProfileReader reader;
-      const core::SessionData before = reader.read_file(inputs[0]).data;
-      const core::SessionData after = reader.read_file(inputs[1]).data;
-      const core::Analyzer before_an(before, options);
-      const core::Analyzer after_an(after, options);
-      std::cout << core::render_diff(core::diff_profiles(before_an, after_an));
-      return 0;
-    }
-    if (cli.has("--merge")) {
-      if (inputs.empty()) {
-        throw Error(ErrorKind::kUsage, {}, "--merge", 0,
-                    "--merge expects measurement files\n" + cli.usage());
-      }
-      const core::MergeResult merged = merge_profile_files(inputs, options);
-      std::cout << "merged " << merged.summary.files_merged << " of "
-                << merged.summary.files_total << " profile files\n";
-      for (const core::SkippedProfile& skip : merged.summary.skipped) {
-        std::cout << "  skipped " << skip.path << ": " << skip.reason << "\n";
-      }
-      for (const core::Diagnostic& d : merged.summary.diagnostics) {
-        std::cout << "  diagnostic " << d.field << " (line " << d.line
-                  << "): " << d.message << "\n";
-      }
-      return print_analysis(merged.data, options, json, telemetry, exports,
-                            werror);
-    }
-    if (inputs.empty() && !telemetry.empty()) {
-      // Telemetry-only mode: render the health pane with no profile to
-      // cross-check against.
-      std::cout << core::render_health_pane(
-          core::load_telemetry_trace_file(telemetry));
-      return 0;
-    }
-    if (inputs.empty()) {
-      throw Error(ErrorKind::kUsage, {}, "analyze_profile", 0,
-                  "expected a profile file\n" + cli.usage());
-    }
-
-    core::LoadOptions load_options;
-    load_options.lenient = options.lenient;
-    const core::LoadResult loaded =
-        core::ProfileReader(load_options).read_file(inputs[0]);
-    for (const core::Diagnostic& d : loaded.diagnostics) {
-      std::cout << "diagnostic: " << d.field << " (line " << d.line
-                << "): " << d.message << "\n";
-    }
-    if (inputs.size() >= 2) {
-      const core::Analyzer analyzer(loaded.data, options);
-      run_exports(analyzer, exports, json);
-      const std::string main_file = core::write_report(analyzer, inputs[1]);
-      std::cout << "report written; start at " << main_file << "\n";
-    } else {
-      return print_analysis(loaded.data, options, json, telemetry, exports,
-                            werror);
-    }
-    return 0;
-  } catch (const Error& error) {
-    std::cerr << "analyze_profile: " << format_error(error) << "\n";
-    return error.kind() == ErrorKind::kUsage ? 2 : 1;
-  } catch (const std::exception& error) {
-    std::cerr << "analyze_profile: " << format_error(error) << "\n";
-    return 1;
-  }
+  return support::run_cli(
+      make_parser(), argc, argv, run, 1,
+      "exit status: 0 = ok, 1 = analysis error (or, with --lint --werror, a "
+      "lint finding at/above SEV), 2 = usage error\n");
 }

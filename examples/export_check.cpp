@@ -27,52 +27,39 @@ support::CliParser make_parser() {
   support::CliParser cli("export_check",
                          "validate exported artifacts against the bundled "
                          "schema checkers; operands: <artifact>...");
-  cli.add_flag("--help", false, "show this message");
   return cli;
+}
+
+int run(const support::CliParser& cli) {
+  if (cli.positional().empty()) {
+    cli.fail("expected artifact files to validate");
+  }
+  bool all_valid = true;
+  for (const std::string& path : cli.positional()) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+      std::cout << path << ": UNREADABLE\n";
+      all_valid = false;
+      continue;
+    }
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    const std::vector<std::string> errors = check_artifact(path, bytes.str());
+    if (errors.empty()) {
+      std::cout << path << ": ok\n";
+      continue;
+    }
+    all_valid = false;
+    std::cout << path << ": " << errors.size() << " error(s)\n";
+    for (const std::string& error : errors) {
+      std::cout << "  " << error << "\n";
+    }
+  }
+  return all_valid ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  support::CliParser cli = make_parser();
-  try {
-    cli.parse(std::vector<std::string>(argv + 1, argv + argc));
-    if (cli.has("--help")) {
-      std::cout << cli.usage();
-      return 0;
-    }
-    if (cli.positional().empty()) {
-      throw Error(ErrorKind::kUsage, {}, "export_check", 0,
-                  "expected artifact files to validate\n" + cli.usage());
-    }
-    bool all_valid = true;
-    for (const std::string& path : cli.positional()) {
-      std::ifstream in(path, std::ios::binary);
-      if (!in) {
-        std::cout << path << ": UNREADABLE\n";
-        all_valid = false;
-        continue;
-      }
-      std::ostringstream bytes;
-      bytes << in.rdbuf();
-      const std::vector<std::string> errors =
-          check_artifact(path, bytes.str());
-      if (errors.empty()) {
-        std::cout << path << ": ok\n";
-        continue;
-      }
-      all_valid = false;
-      std::cout << path << ": " << errors.size() << " error(s)\n";
-      for (const std::string& error : errors) {
-        std::cout << "  " << error << "\n";
-      }
-    }
-    return all_valid ? 0 : 1;
-  } catch (const Error& error) {
-    std::cerr << "export_check: " << format_error(error) << "\n";
-    return error.kind() == ErrorKind::kUsage ? 2 : 1;
-  } catch (const std::exception& error) {
-    std::cerr << "export_check: " << format_error(error) << "\n";
-    return 1;
-  }
+  return support::run_cli(make_parser(), argc, argv, run);
 }

@@ -3,8 +3,7 @@
 // L1..L4 per translation unit, L5..L8 from the interprocedural dataflow
 // engine — and prints findings with file/line/variable and a suggested
 // fix drawn from the advisor's action vocabulary. Flags share their
-// spelling with analyze_profile and go through support::CliParser —
-// unknown flags are rejected with the usage string.
+// spelling with analyze_profile and go through support::run_cli.
 //
 //   numa_lint [flags] <file-or-dir>...
 //   numa_lint --selftest
@@ -29,7 +28,6 @@
 // Exit status: 0 = clean (or all findings below the --werror threshold /
 // covered by the baseline), 1 = gating findings reported, 2 = usage or
 // input error.
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -41,7 +39,6 @@
 #include "lint/numalint.hpp"
 #include "lint/sarif.hpp"
 #include "support/cliflags.hpp"
-#include "support/threadpool.hpp"
 
 using namespace numaprof;
 
@@ -127,137 +124,116 @@ support::CliParser make_parser() {
                "DIR");
   cli.add_flag("--stats", false, "print scan statistics");
   cli.add_flag("--selftest", false, "lint a built-in antipattern sample");
-  cli.add_flag("--help", false, "show this message");
   return cli;
+}
+
+/// What --export asks for: json is the fused-findings document (needs
+/// dynamic evidence); sarif is the static findings alone, for
+/// code-scanning UIs and CI artifacts.
+enum class Export { kNone, kFused, kSarif };
+
+int run(const support::CliParser& cli) {
+  const bool json =
+      cli.choice("--format", {{"text", false}, {"json", true}}, false);
+  const std::optional<lint::Severity> werror = lint::parse_werror(cli);
+  const Export export_kind = cli.choice(
+      "--export", {{"json", Export::kFused}, {"sarif", Export::kSarif}},
+      Export::kNone);
+  if (export_kind == Export::kFused && !cli.has("--profile")) {
+    cli.fail(
+        "--export json requires --profile (fused findings join static and "
+        "dynamic evidence)");
+  }
+  if (cli.has("--selftest")) {
+    const auto result = lint::lint_source(kSelftestSource, "selftest.cpp");
+    std::cout << lint::render_findings(result.findings);
+    print_stats(std::cout, result, result.findings.size(), 0);
+    // The sample plants the antipatterns; finding none means the
+    // analyzer is broken, so invert the exit convention here.
+    if (result.findings.empty()) {
+      std::cerr << "selftest FAILED: expected findings, got none\n";
+      return 2;
+    }
+    std::cout << "selftest OK\n";
+    return 0;
+  }
+  if (cli.positional().empty()) {
+    cli.fail("expected files or directories to lint");
+  }
+  PipelineOptions options;
+  options.jobs = cli.jobs_value();
+  options.lint_paths = cli.positional();
+  options.lint_cache_dir = cli.value("--cache").value_or("");
+  const lint::LintResult result =
+      lint::lint_paths(options.lint_paths, options);
+
+  if (const auto out_path = cli.value("--write-baseline")) {
+    std::ofstream out(*out_path, std::ios::binary | std::ios::trunc);
+    if (!out) {
+      throw Error(ErrorKind::kUsage, *out_path, "--write-baseline", 0,
+                  "cannot write baseline file " + *out_path);
+    }
+    out << lint::render_baseline(lint::make_baseline(result.findings));
+    std::cout << "baseline: accepted " << result.findings.size()
+              << " finding" << (result.findings.size() == 1 ? "" : "s")
+              << " into " << *out_path << "\n";
+    return 0;
+  }
+
+  std::vector<core::StaticFinding> findings = result.findings;
+  std::size_t suppressed = 0;
+  if (const auto baseline_path = cli.value("--baseline")) {
+    std::string error;
+    const auto baseline = lint::load_baseline(*baseline_path, &error);
+    if (!baseline) {
+      throw Error(ErrorKind::kUsage, *baseline_path, "--baseline", 0, error);
+    }
+    findings =
+        lint::apply_baseline(*baseline, std::move(findings), &suppressed);
+  }
+
+  if (export_kind == Export::kSarif) {
+    // The SARIF document owns stdout; stats go to stderr.
+    std::cout << lint::render_sarif(findings) << "\n";
+    if (cli.has("--stats")) {
+      print_stats(std::cerr, result, findings.size(), suppressed);
+    }
+    return gate_exit(findings, werror);
+  }
+
+  std::cout << (json ? lint::render_findings_json(findings)
+                     : lint::render_findings(findings));
+  if (cli.has("--stats")) {
+    print_stats(std::cout, result, findings.size(), suppressed);
+  }
+  const int rc = gate_exit(findings, werror);
+
+  if (const auto profile = cli.value("--profile")) {
+    const Session data = core::ProfileReader().read_file(*profile).data;
+    const Analyzer analyzer(data, options);
+    const core::Advisor advisor(analyzer);
+    const std::vector<core::FusedFinding> fused =
+        core::fuse_findings(advisor, findings);
+    if (export_kind == Export::kFused) {
+      std::cout << core::render_fused_findings_json(fused);
+    } else {
+      std::cout << "\n" << core::render_fused_findings(fused);
+    }
+    if (const auto trace_path = cli.value("--telemetry")) {
+      std::cout << render_health_pane(load_telemetry_trace_file(*trace_path),
+                                      &data);
+    }
+  } else if (const auto trace_path = cli.value("--telemetry")) {
+    std::cout << render_health_pane(load_telemetry_trace_file(*trace_path));
+  }
+  return rc;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  support::CliParser cli = make_parser();
-  try {
-    cli.parse(std::vector<std::string>(argv + 1, argv + argc));
-    if (cli.has("--help")) {
-      std::cout << cli.usage()
-                << "exit status: 0 = clean (no finding at/above the gate), "
-                   "1 = gating findings, 2 = usage/input error\n";
-      return 0;
-    }
-    const bool json = cli.value("--format").value_or("text") == "json";
-    if (cli.has("--format") && !json &&
-        cli.value("--format").value_or("") != "text") {
-      throw Error(ErrorKind::kUsage, {}, "--format", 0,
-                  "--format expects text or json\n" + cli.usage());
-    }
-    const std::optional<lint::Severity> werror = lint::parse_werror(cli);
-    // --export shares the grammar of analyze_profile's flag. json is the
-    // fused-findings document (needs dynamic evidence); sarif is the
-    // static findings alone, for code-scanning UIs and CI artifacts.
-    const std::string export_kind = cli.value("--export").value_or("");
-    const bool export_fused = cli.has("--export") && export_kind == "json";
-    const bool export_sarif = cli.has("--export") && export_kind == "sarif";
-    if (cli.has("--export") && !export_fused && !export_sarif) {
-      throw Error(ErrorKind::kUsage, {}, "--export", 0,
-                  "--export expects json or sarif\n" + cli.usage());
-    }
-    if (export_fused && !cli.has("--profile")) {
-      throw Error(ErrorKind::kUsage, {}, "--export", 0,
-                  "--export json requires --profile (fused findings join "
-                  "static and dynamic evidence)\n" +
-                      cli.usage());
-    }
-    if (cli.has("--selftest")) {
-      const auto result = lint::lint_source(kSelftestSource, "selftest.cpp");
-      std::cout << lint::render_findings(result.findings);
-      print_stats(std::cout, result, result.findings.size(), 0);
-      // The sample plants the antipatterns; finding none means the
-      // analyzer is broken, so invert the exit convention here.
-      if (result.findings.empty()) {
-        std::cerr << "selftest FAILED: expected findings, got none\n";
-        return 2;
-      }
-      std::cout << "selftest OK\n";
-      return 0;
-    }
-    if (cli.positional().empty()) {
-      throw Error(ErrorKind::kUsage, {}, "numa_lint", 0,
-                  "expected files or directories to lint\n" + cli.usage());
-    }
-    PipelineOptions options;
-    options.jobs = std::clamp(
-        cli.unsigned_value("--jobs", support::default_jobs()), 1u, 256u);
-    options.lint_paths = cli.positional();
-    options.lint_cache_dir = cli.value("--cache").value_or("");
-    const lint::LintResult result =
-        lint::lint_paths(options.lint_paths, options);
-
-    if (const auto out_path = cli.value("--write-baseline")) {
-      std::ofstream out(*out_path, std::ios::binary | std::ios::trunc);
-      if (!out) {
-        throw Error(ErrorKind::kUsage, *out_path, "--write-baseline", 0,
-                    "cannot write baseline file " + *out_path);
-      }
-      out << lint::render_baseline(lint::make_baseline(result.findings));
-      std::cout << "baseline: accepted " << result.findings.size()
-                << " finding" << (result.findings.size() == 1 ? "" : "s")
-                << " into " << *out_path << "\n";
-      return 0;
-    }
-
-    std::vector<core::StaticFinding> findings = result.findings;
-    std::size_t suppressed = 0;
-    if (const auto baseline_path = cli.value("--baseline")) {
-      std::string error;
-      const auto baseline = lint::load_baseline(*baseline_path, &error);
-      if (!baseline) {
-        throw Error(ErrorKind::kUsage, *baseline_path, "--baseline", 0,
-                    error);
-      }
-      findings = lint::apply_baseline(*baseline, std::move(findings),
-                                      &suppressed);
-    }
-
-    if (export_sarif) {
-      // The SARIF document owns stdout; stats go to stderr.
-      std::cout << lint::render_sarif(findings) << "\n";
-      if (cli.has("--stats")) {
-        print_stats(std::cerr, result, findings.size(), suppressed);
-      }
-      return gate_exit(findings, werror);
-    }
-
-    std::cout << (json ? lint::render_findings_json(findings)
-                       : lint::render_findings(findings));
-    if (cli.has("--stats")) {
-      print_stats(std::cout, result, findings.size(), suppressed);
-    }
-    const int rc = gate_exit(findings, werror);
-
-    if (const auto profile = cli.value("--profile")) {
-      const Session data = core::ProfileReader().read_file(*profile).data;
-      const Analyzer analyzer(data, options);
-      const core::Advisor advisor(analyzer);
-      const std::vector<core::FusedFinding> fused =
-          core::fuse_findings(advisor, findings);
-      if (export_fused) {
-        std::cout << core::render_fused_findings_json(fused);
-      } else {
-        std::cout << "\n" << core::render_fused_findings(fused);
-      }
-      if (const auto trace_path = cli.value("--telemetry")) {
-        std::cout << render_health_pane(
-            load_telemetry_trace_file(*trace_path), &data);
-      }
-    } else if (const auto trace_path = cli.value("--telemetry")) {
-      std::cout << render_health_pane(
-          load_telemetry_trace_file(*trace_path));
-    }
-    return rc;
-  } catch (const Error& error) {
-    std::cerr << "numa_lint: " << format_error(error) << "\n";
-    return 2;
-  } catch (const std::exception& error) {
-    std::cerr << "numa_lint: " << format_error(error) << "\n";
-    return 2;
-  }
+  return support::run_cli(
+      make_parser(), argc, argv, run, 2,
+      "exit status: 0 = clean (no finding at/above the gate), 1 = gating "
+      "findings, 2 = usage/input error\n");
 }

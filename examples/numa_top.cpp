@@ -33,7 +33,6 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -69,31 +68,15 @@ support::CliParser make_parser() {
                "--replay: pause between frames (default 0)", "N");
   cli.add_flag("--idle-exit-ms", true,
                "--follow: exit after N ms without a new snapshot", "N");
-  cli.add_flag("--help", false, "show this message");
   return cli;
 }
 
-[[noreturn]] void bad_usage(const support::CliParser& cli,
-                            const std::string& message) {
-  throw Error(ErrorKind::kUsage, {}, "numa_top", 0,
-              message + "\n" + cli.usage());
-}
-
 TermSize frame_size(const support::CliParser& cli) {
-  TermSize size = detect_term_size(STDOUT_FILENO);
-  if (const auto text = cli.value("--size")) {
-    std::size_t width = 0;
-    std::size_t height = 0;
-    char x = 0;
-    std::istringstream in(*text);
-    if (!(in >> width >> x >> height) || x != 'x' || width == 0 ||
-        height == 0 || (in >> x)) {
-      bad_usage(cli, "--size expects WxH, e.g. 80x24");
-    }
-    size.width = width;
-    size.height = height;
-  }
-  return size;
+  const auto text = cli.value("--size");
+  if (!text) return detect_term_size(STDOUT_FILENO);
+  const auto size = parse_term_size(*text);
+  if (!size) cli.fail("--size expects WxH, e.g. 80x24");
+  return *size;
 }
 
 /// Paints one frame: ANSI repaint-in-place on a tty, a plain framed block
@@ -227,53 +210,39 @@ int run_follow(const support::CliParser& cli) {
   return 0;
 }
 
+int run(const support::CliParser& cli) {
+  const std::vector<std::string>& operands = cli.positional();
+  if (cli.has("--follow")) {
+    if (!operands.empty()) cli.fail("--follow takes no trace operand");
+    if (cli.has("--script") || cli.has("--replay")) {
+      cli.fail("--follow excludes --script/--replay");
+    }
+    return run_follow(cli);
+  }
+  if (operands.size() != 1) {
+    cli.fail("expected exactly one <trace.jsonl> operand");
+  }
+  if (cli.has("--script")) {
+    if (cli.has("--replay")) cli.fail("--script excludes --replay");
+    return run_scripted(cli, operands[0]);
+  }
+  if (cli.has("--replay")) return run_replay(cli, operands[0]);
+
+  // Default: one frame of the trace's final state.
+  const core::TelemetryTrace trace =
+      core::load_telemetry_trace_file(operands[0]);
+  MonitorModel model;
+  if (trace.has_mechanism) model.set_mechanism(trace.mechanism);
+  for (const support::TelemetrySnapshot& snapshot : trace.snapshots) {
+    model.feed(snapshot);
+  }
+  const TermSize size = frame_size(cli);
+  std::cout << model.render(size.width, size.height);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  support::CliParser cli = make_parser();
-  try {
-    cli.parse(std::vector<std::string>(argv + 1, argv + argc));
-    if (cli.has("--help")) {
-      std::cout << cli.usage();
-      return 0;
-    }
-    const std::vector<std::string>& operands = cli.positional();
-    if (cli.has("--follow")) {
-      if (!operands.empty()) {
-        bad_usage(cli, "--follow takes no trace operand");
-      }
-      if (cli.has("--script") || cli.has("--replay")) {
-        bad_usage(cli, "--follow excludes --script/--replay");
-      }
-      return run_follow(cli);
-    }
-    if (operands.size() != 1) {
-      bad_usage(cli, "expected exactly one <trace.jsonl> operand");
-    }
-    if (cli.has("--script")) {
-      if (cli.has("--replay")) {
-        bad_usage(cli, "--script excludes --replay");
-      }
-      return run_scripted(cli, operands[0]);
-    }
-    if (cli.has("--replay")) return run_replay(cli, operands[0]);
-
-    // Default: one frame of the trace's final state.
-    const core::TelemetryTrace trace =
-        core::load_telemetry_trace_file(operands[0]);
-    MonitorModel model;
-    if (trace.has_mechanism) model.set_mechanism(trace.mechanism);
-    for (const support::TelemetrySnapshot& snapshot : trace.snapshots) {
-      model.feed(snapshot);
-    }
-    const TermSize size = frame_size(cli);
-    std::cout << model.render(size.width, size.height);
-    return 0;
-  } catch (const Error& error) {
-    std::cerr << "numa_top: " << format_error(error) << "\n";
-    return error.kind() == ErrorKind::kUsage ? 2 : 1;
-  } catch (const std::exception& error) {
-    std::cerr << "numa_top: " << format_error(error) << "\n";
-    return 1;
-  }
+  return support::run_cli(make_parser(), argc, argv, run);
 }

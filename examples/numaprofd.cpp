@@ -31,7 +31,7 @@
 //
 // Set NUMAPROF_FAULTS (see docs/robustness.md) to exercise the daemon
 // side under injected failures (disk-full WAL appends).
-#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -69,8 +69,20 @@ support::CliParser make_parser() {
   cli.add_flag("--telemetry-out", true,
                "append JSONL telemetry snapshots here (numa_top --follow)",
                "PATH");
-  cli.add_flag("--help", false, "show this message");
   return cli;
+}
+
+/// --quorum: a fully read number in [0, 1]; `fallback` when absent.
+double quorum_value(const support::CliParser& cli, double fallback) {
+  const auto text = cli.value("--quorum");
+  if (!text) return fallback;
+  double quorum = 0.0;
+  const char* const end = text->data() + text->size();
+  const auto [stop, ec] = std::from_chars(text->data(), end, quorum);
+  if (ec != std::errc() || stop != end || !(quorum >= 0.0 && quorum <= 1.0)) {
+    cli.fail("--quorum expects a fraction in [0, 1]");
+  }
+  return quorum;
 }
 
 std::string read_stream_file(const std::string& path) {
@@ -109,122 +121,99 @@ void write_report(const core::SessionData& data,
   }
 }
 
+int run(const support::CliParser& cli) {
+  if (cli.positional().empty()) {
+    cli.fail("expected at least one <stream-file>");
+  }
+  PipelineOptions pipeline;
+  pipeline.jobs = cli.jobs_value(1);
+  pipeline.lenient = !cli.has("--strict");
+  pipeline.format = cli.choice(
+      "--out-format",
+      {{"text", ProfileFormat::kText}, {"binary", ProfileFormat::kBinary}},
+      pipeline.format);
+  pipeline.quorum = quorum_value(cli, pipeline.quorum);
+
+  support::FaultPlan& faults = support::global_fault_plan();
+  ingest::ServerOptions options;
+  options.wal_path = cli.value("--wal").value_or("numaprofd.wal");
+  if (faults.enabled()) options.faults = &faults;
+  options.crash_after_appends = cli.unsigned_value("--crash-after", 0);
+
+  // Telemetry spool for `numa_top --follow`: the server publishes its
+  // ingest counters/events into the hub, and we fold one snapshot per
+  // ingested stream (plus one after the merge) into an appendable JSONL
+  // file. Snapshot "time" is the 1-based fold number — the daemon has
+  // no virtual clock.
+  Telemetry hub;
+  std::ofstream telemetry_out;
+  const auto telemetry_path = cli.value("--telemetry-out");
+  if (telemetry_path) {
+    telemetry_out.open(*telemetry_path, std::ios::app);
+    if (!telemetry_out) {
+      throw Error(ErrorKind::kTelemetry, *telemetry_path, "telemetry", 0,
+                  "cannot open telemetry spool for writing: " +
+                      *telemetry_path);
+    }
+    options.telemetry = &hub;
+  }
+  std::uint64_t folds = 0;
+  const auto publish_snapshot = [&] {
+    if (!telemetry_path) return;
+    core::write_snapshot_jsonl(hub.snapshot(++folds), telemetry_out);
+    telemetry_out.flush();
+  };
+
+  ingest::IngestServer server(options);
+
+  const ingest::ServerStats recovered = server.stats();
+  if (recovered.wal_records_replayed > 0 || recovered.wal_torn_bytes > 0) {
+    std::cerr << "numaprofd: recovered " << recovered.wal_records_replayed
+              << " record(s) from " << options.wal_path;
+    if (recovered.wal_torn_bytes > 0) {
+      std::cerr << ", truncated " << recovered.wal_torn_bytes
+                << " torn byte(s) (" << server.wal_stop_reason() << ")";
+    }
+    std::cerr << "\n";
+  }
+
+  for (const std::string& path : cli.positional()) {
+    server.ingest_stream(read_stream_file(path));
+    publish_snapshot();
+  }
+
+  const std::string spool =
+      cli.value("--spool").value_or(options.wal_path + ".spool");
+  const core::MergeResult merged = server.merge(spool, pipeline);
+  publish_snapshot();
+
+  const ingest::ServerStats stats = server.stats();
+  std::cout << "ingested " << stats.frames_accepted << " shard(s) from "
+            << server.client_summaries().size() << " client(s) ("
+            << stats.frames_duplicate << " duplicate(s), "
+            << stats.corrupt_regions << " corrupt region(s), "
+            << stats.clients_evicted << " eviction(s), "
+            << stats.wal_rejections << " WAL rejection(s))\n";
+  std::cout << "merged " << merged.summary.files_merged << " of "
+            << merged.summary.files_total << " shard(s)";
+  if (!merged.summary.skipped.empty()) {
+    std::cout << "; skipped " << merged.summary.skipped.size();
+  }
+  std::cout << "\n";
+
+  if (const auto out = cli.value("--out")) {
+    core::ProfileWriter(pipeline).write_file(merged.data, *out);
+    std::cout << "wrote merged profile -> " << *out << "\n";
+  }
+  if (const auto report = cli.value("--report")) {
+    write_report(merged.data, pipeline, *report);
+    std::cout << "wrote analysis report -> " << *report << "\n";
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  support::CliParser cli = make_parser();
-  try {
-    cli.parse(std::vector<std::string>(argv + 1, argv + argc));
-    if (cli.has("--help")) {
-      std::cout << cli.usage();
-      return 0;
-    }
-    if (cli.positional().empty()) {
-      throw Error(ErrorKind::kUsage, {}, "numaprofd", 0,
-                  "expected at least one <stream-file>\n" + cli.usage());
-    }
-
-    support::FaultPlan& faults = support::global_fault_plan();
-    ingest::ServerOptions options;
-    options.wal_path = cli.value("--wal").value_or("numaprofd.wal");
-    if (faults.enabled()) options.faults = &faults;
-    options.crash_after_appends = cli.unsigned_value("--crash-after", 0);
-
-    // Telemetry spool for `numa_top --follow`: the server publishes its
-    // ingest counters/events into the hub, and we fold one snapshot per
-    // ingested stream (plus one after the merge) into an appendable JSONL
-    // file. Snapshot "time" is the 1-based fold number — the daemon has
-    // no virtual clock.
-    Telemetry hub;
-    std::ofstream telemetry_out;
-    const auto telemetry_path = cli.value("--telemetry-out");
-    if (telemetry_path) {
-      telemetry_out.open(*telemetry_path, std::ios::app);
-      if (!telemetry_out) {
-        throw Error(ErrorKind::kTelemetry, *telemetry_path, "telemetry", 0,
-                    "cannot open telemetry spool for writing: " +
-                        *telemetry_path);
-      }
-      options.telemetry = &hub;
-    }
-    std::uint64_t folds = 0;
-    const auto publish_snapshot = [&] {
-      if (!telemetry_path) return;
-      core::write_snapshot_jsonl(hub.snapshot(++folds), telemetry_out);
-      telemetry_out.flush();
-    };
-
-    ingest::IngestServer server(options);
-
-    const ingest::ServerStats recovered = server.stats();
-    if (recovered.wal_records_replayed > 0 || recovered.wal_torn_bytes > 0) {
-      std::cerr << "numaprofd: recovered " << recovered.wal_records_replayed
-                << " record(s) from " << options.wal_path;
-      if (recovered.wal_torn_bytes > 0) {
-        std::cerr << ", truncated " << recovered.wal_torn_bytes
-                  << " torn byte(s) (" << server.wal_stop_reason() << ")";
-      }
-      std::cerr << "\n";
-    }
-
-    for (const std::string& path : cli.positional()) {
-      server.ingest_stream(read_stream_file(path));
-      publish_snapshot();
-    }
-
-    PipelineOptions pipeline;
-    pipeline.jobs = std::max(1u, cli.unsigned_value("--jobs", 1));
-    pipeline.lenient = !cli.has("--strict");
-    if (const auto fmt = cli.value("--out-format")) {
-      if (*fmt == "binary") {
-        pipeline.format = ProfileFormat::kBinary;
-      } else if (*fmt != "text") {
-        throw Error(ErrorKind::kUsage, {}, "numaprofd", 0,
-                    "--out-format expects text or binary");
-      }
-    }
-    if (const auto quorum = cli.value("--quorum")) {
-      try {
-        pipeline.quorum = std::stod(*quorum);
-      } catch (const std::exception&) {
-        throw Error(ErrorKind::kUsage, {}, "numaprofd", 0,
-                    "--quorum expects a fraction in [0, 1]");
-      }
-    }
-
-    const std::string spool =
-        cli.value("--spool").value_or(options.wal_path + ".spool");
-    const core::MergeResult merged = server.merge(spool, pipeline);
-    publish_snapshot();
-
-    const ingest::ServerStats stats = server.stats();
-    std::cout << "ingested " << stats.frames_accepted << " shard(s) from "
-              << server.client_summaries().size() << " client(s) ("
-              << stats.frames_duplicate << " duplicate(s), "
-              << stats.corrupt_regions << " corrupt region(s), "
-              << stats.clients_evicted << " eviction(s), "
-              << stats.wal_rejections << " WAL rejection(s))\n";
-    std::cout << "merged " << merged.summary.files_merged << " of "
-              << merged.summary.files_total << " shard(s)";
-    if (!merged.summary.skipped.empty()) {
-      std::cout << "; skipped " << merged.summary.skipped.size();
-    }
-    std::cout << "\n";
-
-    if (const auto out = cli.value("--out")) {
-      core::ProfileWriter(pipeline).write_file(merged.data, *out);
-      std::cout << "wrote merged profile -> " << *out << "\n";
-    }
-    if (const auto report = cli.value("--report")) {
-      write_report(merged.data, pipeline, *report);
-      std::cout << "wrote analysis report -> " << *report << "\n";
-    }
-    return 0;
-  } catch (const Error& error) {
-    std::cerr << "numaprofd: " << format_error(error) << "\n";
-    return error.kind() == ErrorKind::kUsage ? 2 : 1;
-  } catch (const std::exception& error) {
-    std::cerr << "numaprofd: " << format_error(error) << "\n";
-    return 1;
-  }
+  return support::run_cli(make_parser(), argc, argv, run);
 }

@@ -42,7 +42,6 @@ support::CliParser make_parser() {
   cli.add_flag("--lenient", false,
                "recover readable sections, report damage as diagnostics");
   cli.add_flag("--quiet", false, "suppress the conversion summary line");
-  cli.add_flag("--help", false, "show this message");
   return cli;
 }
 
@@ -50,80 +49,57 @@ const char* name_of(ProfileFormat format) noexcept {
   return format == ProfileFormat::kBinary ? "binary" : "text";
 }
 
+int run(const support::CliParser& cli) {
+  if (cli.positional().size() != 2) cli.fail("expected <in-file> <out-file>");
+  if (cli.has("--strict") && cli.has("--lenient")) {
+    cli.fail("--strict and --lenient are mutually exclusive");
+  }
+  const std::string& in_path = cli.positional()[0];
+  const std::string& out_path = cli.positional()[1];
+
+  // Sniff the input's encoding first so the default output direction
+  // (the opposite encoding) is known before the full load.
+  ProfileFormat in_format = ProfileFormat::kText;
+  {
+    std::ifstream sniff(in_path, std::ios::binary);
+    if (!sniff) {
+      throw Error(ErrorKind::kProfile, in_path, "file", 0,
+                  "cannot open for read: " + in_path);
+    }
+    char prefix[8] = {};
+    sniff.read(prefix, sizeof(prefix));
+    in_format = ProfileReader::detect(
+        std::string_view(prefix, static_cast<std::size_t>(sniff.gcount())));
+  }
+  const ProfileFormat out_format = cli.choice(
+      "--to",
+      {{"text", ProfileFormat::kText}, {"binary", ProfileFormat::kBinary}},
+      in_format == ProfileFormat::kBinary ? ProfileFormat::kText
+                                          : ProfileFormat::kBinary);
+
+  LoadOptions load;
+  load.lenient = cli.has("--lenient");
+  const LoadResult loaded = ProfileReader(load).read_file(in_path);
+  for (const Diagnostic& d : loaded.diagnostics) {
+    std::cerr << "profile_convert: diagnostic: " << d.field << " (line "
+              << d.line << "): " << d.message << "\n";
+  }
+
+  ProfileWriter(out_format).write_file(loaded.data, out_path);
+  if (!cli.has("--quiet")) {
+    std::cout << "converted " << in_path << " (" << name_of(in_format)
+              << ") -> " << out_path << " (" << name_of(out_format) << ")";
+    if (!loaded.diagnostics.empty()) {
+      std::cout << " with " << loaded.diagnostics.size() << " diagnostic(s)";
+    }
+    std::cout << "\n";
+  }
+  // 3: converted, but the input needed recovery (docs/api.md).
+  return loaded.diagnostics.empty() ? 0 : 3;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  support::CliParser cli = make_parser();
-  try {
-    cli.parse(std::vector<std::string>(argv + 1, argv + argc));
-    if (cli.has("--help")) {
-      std::cout << cli.usage();
-      return 0;
-    }
-    if (cli.positional().size() != 2) {
-      throw Error(ErrorKind::kUsage, {}, "profile_convert", 0,
-                  "expected <in-file> <out-file>\n" + cli.usage());
-    }
-    if (cli.has("--strict") && cli.has("--lenient")) {
-      throw Error(ErrorKind::kUsage, {}, "profile_convert", 0,
-                  "--strict and --lenient are mutually exclusive");
-    }
-    const std::string& in_path = cli.positional()[0];
-    const std::string& out_path = cli.positional()[1];
-
-    // Sniff the input's encoding first so the default output direction
-    // (the opposite encoding) is known before the full load.
-    ProfileFormat in_format = ProfileFormat::kText;
-    {
-      std::ifstream sniff(in_path, std::ios::binary);
-      if (!sniff) {
-        throw Error(ErrorKind::kProfile, in_path, "file", 0,
-                    "cannot open for read: " + in_path);
-      }
-      char prefix[8] = {};
-      sniff.read(prefix, sizeof(prefix));
-      in_format = ProfileReader::detect(
-          std::string_view(prefix, static_cast<std::size_t>(sniff.gcount())));
-    }
-
-    ProfileFormat out_format = in_format == ProfileFormat::kBinary
-                                   ? ProfileFormat::kText
-                                   : ProfileFormat::kBinary;
-    if (const auto to = cli.value("--to")) {
-      if (*to == "text") {
-        out_format = ProfileFormat::kText;
-      } else if (*to == "binary") {
-        out_format = ProfileFormat::kBinary;
-      } else {
-        throw Error(ErrorKind::kUsage, {}, "profile_convert", 0,
-                    "--to expects text or binary");
-      }
-    }
-
-    LoadOptions load;
-    load.lenient = cli.has("--lenient");
-    const LoadResult loaded = ProfileReader(load).read_file(in_path);
-    for (const Diagnostic& d : loaded.diagnostics) {
-      std::cerr << "profile_convert: diagnostic: " << d.field << " (line "
-                << d.line << "): " << d.message << "\n";
-    }
-
-    ProfileWriter(out_format).write_file(loaded.data, out_path);
-    if (!cli.has("--quiet")) {
-      std::cout << "converted " << in_path << " (" << name_of(in_format)
-                << ") -> " << out_path << " (" << name_of(out_format) << ")";
-      if (!loaded.diagnostics.empty()) {
-        std::cout << " with " << loaded.diagnostics.size()
-                  << " diagnostic(s)";
-      }
-      std::cout << "\n";
-    }
-    return loaded.diagnostics.empty() ? 0 : 3;
-  } catch (const Error& error) {
-    std::cerr << "profile_convert: " << format_error(error) << "\n";
-    return error.kind() == ErrorKind::kUsage ? 2 : 1;
-  } catch (const std::exception& error) {
-    std::cerr << "profile_convert: " << format_error(error) << "\n";
-    return 1;
-  }
+  return support::run_cli(make_parser(), argc, argv, run);
 }

@@ -54,7 +54,6 @@
 #include <iostream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include <unistd.h>
@@ -94,7 +93,11 @@ support::CliParser make_parser() {
   support::CliParser cli(
       "record_app",
       "run a case-study workload under a sampling mechanism; "
-      "operands: <app> <variant> <mechanism> <out-file>");
+      "operands: <app> <variant> <mechanism> <out-file>",
+      "  app:       lulesh | amg | blackscholes | umt | fig1\n"
+      "  variant:   baseline | blockwise | interleave | aos | "
+      "parallel-init\n"
+      "  mechanism: ibs | mrk | pebs | dear | pebs-ll | soft-ibs | spe\n");
   cli.add_flag("--trace", false, "record the per-sample trace");
   cli.add_flag("--format", true,
                "profile encoding for out-file, shards, and the daemon "
@@ -125,19 +128,7 @@ support::CliParser make_parser() {
                "N");
   cli.add_flag("--top-size", true,
                "monitor frame size (default: tty size or 80x24)", "WxH");
-  cli.add_flag("--help", false, "show this message");
   return cli;
-}
-
-[[noreturn]] void bad_usage(const support::CliParser& cli,
-                            const std::string& message) {
-  throw Error(ErrorKind::kUsage, {}, "record_app", 0,
-              message + "\n" + cli.usage() +
-                  "  app:       lulesh | amg | blackscholes | umt | fig1\n"
-                  "  variant:   baseline | blockwise | interleave | aos | "
-                  "parallel-init\n"
-                  "  mechanism: ibs | mrk | pebs | dear | pebs-ll | "
-                  "soft-ibs | spe\n");
 }
 
 void run_workload(simrt::Machine& machine, const std::string& app,
@@ -175,220 +166,194 @@ void run_workload(simrt::Machine& machine, const std::string& app,
   }
 }
 
+int run(const support::CliParser& cli) {
+  const std::vector<std::string>& operands = cli.positional();
+  if (operands.size() != 4) {
+    cli.fail("expected <app> <variant> <mechanism> <out-file>");
+  }
+  const std::string& app = operands[0];
+  const auto variant_it = kVariants.find(operands[1]);
+  const auto mech_it = kMechanisms.find(operands[2]);
+  if (variant_it == kVariants.end()) {
+    cli.fail("unknown variant: " + operands[1]);
+  }
+  if (mech_it == kMechanisms.end()) {
+    cli.fail("unknown mechanism: " + operands[2]);
+  }
+  if (app != "lulesh" && app != "amg" && app != "blackscholes" &&
+      app != "umt" && app != "fig1") {
+    cli.fail("unknown app: " + app);
+  }
+  const std::string& out = operands[3];
+  const ProfileFormat format = cli.choice(
+      "--format",
+      {{"text", ProfileFormat::kText}, {"binary", ProfileFormat::kBinary}},
+      ProfileFormat::kText);
+  const std::optional<ExportKind> export_kind =
+      cli.choice<std::optional<ExportKind>>(
+          "--export",
+          {{"trace", ExportKind::kTraceJson},
+           {"flamegraph", ExportKind::kFlamegraph},
+           {"html", ExportKind::kHtml},
+           {"all", ExportKind::kAll}},
+          std::nullopt);
+
+  // MRK belongs on the POWER7 preset, everything else on the AMD box —
+  // mirroring Table 1's mechanism/host pairing.
+  const bool on_power7 = mech_it->second == pmu::Mechanism::kMrk;
+  simrt::Machine machine(on_power7 ? numasim::power7()
+                                   : numasim::amd_magny_cours());
+
+  // Live telemetry: the hub every measurement component publishes into,
+  // and the streamer that periodically folds it into status lines and/or
+  // the JSONL trace.
+  Telemetry hub;
+  machine.set_telemetry(&hub);
+  std::ofstream jsonl;
+  const auto trace_path = cli.value("--telemetry");
+  if (trace_path) {
+    jsonl.open(*trace_path);
+    if (!jsonl) {
+      throw Error(ErrorKind::kTelemetry, *trace_path, "telemetry", 0,
+                  "cannot open telemetry trace for writing: " + *trace_path);
+    }
+  }
+
+  core::ProfilerConfig cfg;
+  cfg.event = pmu::EventConfig::mini(mech_it->second);
+  // These runs are seconds long, not hours: sample densely enough that
+  // every mechanism populates the profile. Latency-threshold samplers
+  // (DEAR, PEBS-LL) see few qualifying events on cache-friendly apps, so
+  // they get the densest setting.
+  const bool event_filtered =
+      pmu::capabilities_of(mech_it->second).event_filtered;
+  cfg.event.period = std::min<std::uint64_t>(cfg.event.period,
+                                             event_filtered ? 50 : 500);
+  cfg.event.min_sample_gap =
+      std::min<numasim::Cycles>(cfg.event.min_sample_gap, 20'000);
+  cfg.record_trace = cli.has("--trace");
+  cfg.telemetry = &hub;
+  core::Profiler profiler(machine, cfg);
+
+  TelemetryStreamer::Config stream_cfg;
+  stream_cfg.interval_instructions =
+      cli.unsigned_value("--telemetry-interval", 0);
+  stream_cfg.status = cli.has("--telemetry-interval") ? &std::cerr : nullptr;
+  stream_cfg.jsonl = trace_path ? &jsonl : nullptr;
+  stream_cfg.mechanism = profiler.sampler().mechanism();
+  TelemetryStreamer streamer(hub, stream_cfg);
+  const bool streaming =
+      stream_cfg.status != nullptr || stream_cfg.jsonl != nullptr;
+  if (streaming) machine.add_observer(streamer);
+
+  // Live monitor. It pulls snapshots from the same hub, and a hub
+  // snapshot drains the per-ring event queues (single consumer), so
+  // --top cannot share the hub with the telemetry streamer.
+  if (cli.has("--top") && streaming) {
+    cli.fail(
+        "--top excludes --telemetry/--telemetry-interval (both drain the "
+        "telemetry hub, which is single-consumer)");
+  }
+  monitor::LiveTop::Config top_cfg;
+  top_cfg.out = &std::cerr;
+  top_cfg.mechanism = profiler.sampler().mechanism();
+  top_cfg.interval_instructions =
+      cli.unsigned_value("--top-interval", 100000);
+  top_cfg.ansi = ::isatty(STDERR_FILENO) != 0;
+  monitor::TermSize top_size = monitor::detect_term_size(STDERR_FILENO);
+  if (const auto text = cli.value("--top-size")) {
+    const auto parsed = monitor::parse_term_size(*text);
+    if (!parsed) cli.fail("--top-size expects WxH, e.g. 80x24");
+    top_size = *parsed;
+  }
+  top_cfg.width = top_size.width;
+  top_cfg.height = top_size.height;
+  const unsigned client_id_raw = cli.unsigned_value("--client-id", 1);
+  const auto client_id =
+      static_cast<std::uint32_t>(client_id_raw == 0 ? 1 : client_id_raw);
+  monitor::LiveTop top(hub, top_cfg);
+  const bool topping = cli.has("--top");
+  if (topping) machine.add_observer(top);
+
+  run_workload(machine, app, variant_it->second);
+
+  if (topping) {
+    top.flush(machine.elapsed());
+    machine.remove_observer(top);
+    if (top_cfg.ansi) std::cerr << monitor::ansi_leave() << std::flush;
+  }
+  if (streaming) {
+    streamer.flush(machine.elapsed());
+    machine.remove_observer(streamer);
+  }
+  const core::SessionData data = profiler.snapshot();
+  const ProfileWriter writer(format);
+  writer.write_file(data, out);
+  std::cout << "recorded " << app << "/" << operands[1] << " under "
+            << to_string(data.mechanism) << " -> " << out << "\n";
+  if (data.degraded()) {
+    std::cout << "collection degraded (" << data.degradations.size()
+              << " event(s)); see the report's collection health section\n";
+  }
+  if (const auto shard_dir = cli.value("--shards")) {
+    const auto paths = writer.write_thread_shards(data, *shard_dir);
+    std::cout << "wrote " << paths.size() << " per-thread shards to "
+              << *shard_dir << "\n";
+  }
+  if (const auto wal = cli.value("--daemon")) {
+    support::FaultPlan& faults = support::global_fault_plan();
+    ingest::ServerOptions server_options;
+    server_options.wal_path = *wal;
+    if (faults.enabled()) server_options.faults = &faults;
+    server_options.telemetry = &hub;
+    ingest::IngestServer server(server_options);
+    ingest::LoopbackTransport loop(server);
+    ingest::ClientOptions client_options;
+    client_options.client_id = client_id;
+    client_options.shard_format = format;
+    if (faults.enabled()) client_options.faults = &faults;
+    ingest::IngestClient client(loop, client_options);
+    const ingest::SendReport sent = client.send_session(data);
+    std::cout << "daemon ingest: " << sent.shards_delivered << " of "
+              << sent.shards_total << " shard(s) acknowledged in "
+              << sent.frames_sent << " frame(s) (" << sent.retries
+              << " retransmit(s), " << sent.busy_deferrals
+              << " busy deferral(s)) -> " << *wal << "\n";
+    if (!sent.complete) {
+      std::cout << "daemon ingest degraded: " << sent.give_up_reason << "\n";
+    }
+  }
+  if (const auto spool = cli.value("--daemon-spool")) {
+    support::FaultPlan& faults = support::global_fault_plan();
+    const std::vector<std::string> shards = writer.thread_shards(data);
+    const std::string stream = ingest::encode_client_stream(
+        shards, client_id, faults.enabled() ? &faults : nullptr);
+    std::ofstream os(*spool, std::ios::binary);
+    if (!os.write(stream.data(),
+                  static_cast<std::streamsize>(stream.size()))) {
+      throw Error(ErrorKind::kIngest, *spool, "spool", 0,
+                  "cannot write client stream: " + *spool);
+    }
+    std::cout << "spooled " << stream.size() << " stream byte(s) ("
+              << shards.size() << " shard(s)) -> " << *spool << "\n";
+  }
+  if (trace_path) {
+    std::cout << "wrote telemetry trace (" << streamer.snapshots_emitted()
+              << " snapshot(s)) to " << *trace_path << "\n";
+  }
+  if (export_kind) {
+    const Analyzer analyzer(data);
+    for (const std::string& path :
+         write_exports(analyzer, *export_kind,
+                       cli.value("--export-dir").value_or("exports"))) {
+      std::cout << "exported " << path << "\n";
+    }
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  support::CliParser cli = make_parser();
-  try {
-    cli.parse(std::vector<std::string>(argv + 1, argv + argc));
-    if (cli.has("--help")) {
-      std::cout << cli.usage();
-      return 0;
-    }
-    const std::vector<std::string>& operands = cli.positional();
-    if (operands.size() != 4) {
-      bad_usage(cli, "expected <app> <variant> <mechanism> <out-file>");
-    }
-    const std::string& app = operands[0];
-    const auto variant_it = kVariants.find(operands[1]);
-    const auto mech_it = kMechanisms.find(operands[2]);
-    if (variant_it == kVariants.end()) {
-      bad_usage(cli, "unknown variant: " + operands[1]);
-    }
-    if (mech_it == kMechanisms.end()) {
-      bad_usage(cli, "unknown mechanism: " + operands[2]);
-    }
-    if (app != "lulesh" && app != "amg" && app != "blackscholes" &&
-        app != "umt" && app != "fig1") {
-      bad_usage(cli, "unknown app: " + app);
-    }
-    const std::string& out = operands[3];
-
-    ProfileFormat format = ProfileFormat::kText;
-    if (const auto fmt = cli.value("--format")) {
-      if (*fmt == "binary") {
-        format = ProfileFormat::kBinary;
-      } else if (*fmt != "text") {
-        bad_usage(cli, "--format expects text or binary");
-      }
-    }
-
-    std::optional<ExportKind> export_kind;
-    if (const auto kind_text = cli.value("--export")) {
-      export_kind = parse_export_kind(*kind_text);
-      if (!export_kind) {
-        bad_usage(cli, "--export expects trace, flamegraph, html, or all");
-      }
-    }
-
-    // MRK belongs on the POWER7 preset, everything else on the AMD box —
-    // mirroring Table 1's mechanism/host pairing.
-    const bool on_power7 = mech_it->second == pmu::Mechanism::kMrk;
-    simrt::Machine machine(on_power7 ? numasim::power7()
-                                     : numasim::amd_magny_cours());
-
-    // Live telemetry: the hub every measurement component publishes into,
-    // and the streamer that periodically folds it into status lines and/or
-    // the JSONL trace.
-    Telemetry hub;
-    machine.set_telemetry(&hub);
-    std::ofstream jsonl;
-    const auto trace_path = cli.value("--telemetry");
-    if (trace_path) {
-      jsonl.open(*trace_path);
-      if (!jsonl) {
-        throw Error(ErrorKind::kTelemetry, *trace_path, "telemetry", 0,
-                    "cannot open telemetry trace for writing: " +
-                        *trace_path);
-      }
-    }
-
-    core::ProfilerConfig cfg;
-    cfg.event = pmu::EventConfig::mini(mech_it->second);
-    // These runs are seconds long, not hours: sample densely enough that
-    // every mechanism populates the profile. Latency-threshold samplers
-    // (DEAR, PEBS-LL) see few qualifying events on cache-friendly apps, so
-    // they get the densest setting.
-    const bool event_filtered =
-        pmu::capabilities_of(mech_it->second).event_filtered;
-    cfg.event.period = std::min<std::uint64_t>(cfg.event.period,
-                                               event_filtered ? 50 : 500);
-    cfg.event.min_sample_gap =
-        std::min<numasim::Cycles>(cfg.event.min_sample_gap, 20'000);
-    cfg.record_trace = cli.has("--trace");
-    cfg.telemetry = &hub;
-    core::Profiler profiler(machine, cfg);
-
-    TelemetryStreamer::Config stream_cfg;
-    stream_cfg.interval_instructions =
-        cli.unsigned_value("--telemetry-interval", 0);
-    stream_cfg.status =
-        cli.has("--telemetry-interval") ? &std::cerr : nullptr;
-    stream_cfg.jsonl = trace_path ? &jsonl : nullptr;
-    stream_cfg.mechanism = profiler.sampler().mechanism();
-    TelemetryStreamer streamer(hub, stream_cfg);
-    const bool streaming = stream_cfg.status != nullptr ||
-                           stream_cfg.jsonl != nullptr;
-    if (streaming) machine.add_observer(streamer);
-
-    // Live monitor. It pulls snapshots from the same hub, and a hub
-    // snapshot drains the per-ring event queues (single consumer), so
-    // --top cannot share the hub with the telemetry streamer.
-    if (cli.has("--top") && streaming) {
-      bad_usage(cli,
-                "--top excludes --telemetry/--telemetry-interval (both "
-                "drain the telemetry hub, which is single-consumer)");
-    }
-    monitor::LiveTop::Config top_cfg;
-    top_cfg.out = &std::cerr;
-    top_cfg.mechanism = profiler.sampler().mechanism();
-    top_cfg.interval_instructions =
-        cli.unsigned_value("--top-interval", 100000);
-    top_cfg.ansi = ::isatty(STDERR_FILENO) != 0;
-    const monitor::TermSize top_size = monitor::detect_term_size(
-        STDERR_FILENO);
-    top_cfg.width = top_size.width;
-    top_cfg.height = top_size.height;
-    if (const auto text = cli.value("--top-size")) {
-      std::size_t width = 0;
-      std::size_t height = 0;
-      char x = 0;
-      std::istringstream in(*text);
-      if (!(in >> width >> x >> height) || x != 'x' || width == 0 ||
-          height == 0 || (in >> x)) {
-        bad_usage(cli, "--top-size expects WxH, e.g. 80x24");
-      }
-      top_cfg.width = width;
-      top_cfg.height = height;
-    }
-    monitor::LiveTop top(hub, top_cfg);
-    const bool topping = cli.has("--top");
-    if (topping) machine.add_observer(top);
-
-    run_workload(machine, app, variant_it->second);
-
-    if (topping) {
-      top.flush(machine.elapsed());
-      machine.remove_observer(top);
-      if (top_cfg.ansi) std::cerr << monitor::ansi_leave() << std::flush;
-    }
-    if (streaming) {
-      streamer.flush(machine.elapsed());
-      machine.remove_observer(streamer);
-    }
-    const core::SessionData data = profiler.snapshot();
-    const ProfileWriter writer(format);
-    writer.write_file(data, out);
-    std::cout << "recorded " << app << "/" << operands[1] << " under "
-              << to_string(data.mechanism) << " -> " << out << "\n";
-    if (data.degraded()) {
-      std::cout << "collection degraded (" << data.degradations.size()
-                << " event(s)); see the report's collection health section\n";
-    }
-    if (const auto shard_dir = cli.value("--shards")) {
-      const auto paths = writer.write_thread_shards(data, *shard_dir);
-      std::cout << "wrote " << paths.size() << " per-thread shards to "
-                << *shard_dir << "\n";
-    }
-    const unsigned client_id_raw = cli.unsigned_value("--client-id", 1);
-    const auto client_id =
-        static_cast<std::uint32_t>(client_id_raw == 0 ? 1 : client_id_raw);
-    if (const auto wal = cli.value("--daemon")) {
-      support::FaultPlan& faults = support::global_fault_plan();
-      ingest::ServerOptions server_options;
-      server_options.wal_path = *wal;
-      if (faults.enabled()) server_options.faults = &faults;
-      server_options.telemetry = &hub;
-      ingest::IngestServer server(server_options);
-      ingest::LoopbackTransport loop(server);
-      ingest::ClientOptions client_options;
-      client_options.client_id = client_id;
-      client_options.shard_format = format;
-      if (faults.enabled()) client_options.faults = &faults;
-      ingest::IngestClient client(loop, client_options);
-      const ingest::SendReport sent = client.send_session(data);
-      std::cout << "daemon ingest: " << sent.shards_delivered << " of "
-                << sent.shards_total << " shard(s) acknowledged in "
-                << sent.frames_sent << " frame(s) (" << sent.retries
-                << " retransmit(s), " << sent.busy_deferrals
-                << " busy deferral(s)) -> " << *wal << "\n";
-      if (!sent.complete) {
-        std::cout << "daemon ingest degraded: " << sent.give_up_reason
-                  << "\n";
-      }
-    }
-    if (const auto spool = cli.value("--daemon-spool")) {
-      support::FaultPlan& faults = support::global_fault_plan();
-      const std::vector<std::string> shards = writer.thread_shards(data);
-      const std::string stream = ingest::encode_client_stream(
-          shards, client_id, faults.enabled() ? &faults : nullptr);
-      std::ofstream os(*spool, std::ios::binary);
-      if (!os.write(stream.data(),
-                    static_cast<std::streamsize>(stream.size()))) {
-        throw Error(ErrorKind::kIngest, *spool, "spool", 0,
-                    "cannot write client stream: " + *spool);
-      }
-      std::cout << "spooled " << stream.size() << " stream byte(s) ("
-                << shards.size() << " shard(s)) -> " << *spool << "\n";
-    }
-    if (trace_path) {
-      std::cout << "wrote telemetry trace (" << streamer.snapshots_emitted()
-                << " snapshot(s)) to " << *trace_path << "\n";
-    }
-    if (export_kind) {
-      const Analyzer analyzer(data);
-      for (const std::string& path : write_exports(
-               analyzer, *export_kind,
-               cli.value("--export-dir").value_or("exports"))) {
-        std::cout << "exported " << path << "\n";
-      }
-    }
-    return 0;
-  } catch (const Error& error) {
-    std::cerr << "record_app: " << format_error(error) << "\n";
-    return error.kind() == ErrorKind::kUsage ? 2 : 1;
-  } catch (const std::exception& error) {
-    std::cerr << "record_app: " << format_error(error) << "\n";
-    return 1;
-  }
+  return support::run_cli(make_parser(), argc, argv, run);
 }

@@ -110,9 +110,10 @@ class IrBuilder {
     const Region* best = nullptr;
     std::size_t best_span = SIZE_MAX;
     for (const Region& r : regions_) {
-      if (r.begin <= pos && pos < r.end && r.end - r.begin < best_span) {
+      if (r.begin <= pos && pos < r.body_end &&
+          r.body_end - r.begin < best_span) {
         best = &r;
-        best_span = r.end - r.begin;
+        best_span = r.body_end - r.begin;
       }
     }
     if (best != nullptr && best->parallel) {

@@ -1353,12 +1353,11 @@ LintResult lint_paths(const std::vector<std::string>& paths,
 
 std::optional<Severity> parse_werror(const support::CliParser& cli) {
   if (!cli.has("--werror")) return std::nullopt;
-  const std::string spelled = cli.value("--werror").value_or("warning");
-  if (spelled == "note") return Severity::kNote;
-  if (spelled == "warning") return Severity::kWarning;
-  if (spelled == "error") return Severity::kError;
-  throw Error(ErrorKind::kUsage, {}, "--werror", 0,
-              "--werror expects note, warning, or error\n" + cli.usage());
+  return cli.choice("--werror",
+                    {{"note", Severity::kNote},
+                     {"warning", Severity::kWarning},
+                     {"error", Severity::kError}},
+                    Severity::kWarning);
 }
 
 bool any_at_or_above(const std::vector<StaticFinding>& findings,

@@ -69,11 +69,11 @@ void scan_dsl(const TokenStream& ts, std::vector<Region>& out) {
     for (std::size_t k = lb; k < le; ++k) {
       if (ts[k].is_punct("{") && ts.matching(k) < ts.size()) {
         r.begin = k + 1;
-        r.end = r.body_end = ts.matching(k);
+        r.body_end = ts.matching(k);
         break;
       }
     }
-    if (r.begin == 0 || r.begin >= r.end) continue;
+    if (r.begin == 0 || r.begin >= r.body_end) continue;
     // Explicit schedule idents in the non-body arguments.
     for (std::size_t a = 2; a + 1 < args.size(); ++a) {
       for (std::size_t k = args[a].first; k < args[a].second; ++k) {
@@ -98,6 +98,27 @@ void scan_dsl(const TokenStream& ts, std::vector<Region>& out) {
     }
     out.push_back(std::move(r));
   }
+}
+
+/// One past the body of the `for`/`while` loop whose keyword is at `p`:
+/// after the header parentheses, a brace block ends at its '}', a nested
+/// loop ends where its own body does, and any other statement ends at its
+/// first ';' outside brackets.
+std::size_t loop_body_end(const TokenStream& ts, std::size_t p) {
+  std::size_t q = p;
+  while (ts.valid(q) && (ts[q].is_ident("for") || ts[q].is_ident("while"))) {
+    ++q;
+    if (ts.valid(q) && ts[q].is_punct("(")) q = ts.matching(q) + 1;
+  }
+  if (ts.valid(q) && ts[q].is_punct("{")) return ts.matching(q);
+  while (ts.valid(q) && !ts[q].is_punct(";")) {
+    if ((ts[q].is_punct("(") || ts[q].is_punct("{") || ts[q].is_punct("[")) &&
+        ts.matching(q) < ts.size()) {
+      q = ts.matching(q);
+    }
+    ++q;
+  }
+  return q;
 }
 
 /// Reads the num_threads(...)/schedule(...) clause whose name is at `p`.
@@ -169,20 +190,10 @@ void scan_pragmas(const TokenStream& ts, ParallelScan& out) {
     if (ts[p].is_punct("{")) {
       if (ts.matching(p) >= ts.size()) continue;
       r.begin = p + 1;
-      r.end = r.body_end = ts.matching(p);
+      r.body_end = ts.matching(p);
     } else if (ts[p].is_ident("for") || ts[p].is_ident("while")) {
       r.begin = p;
-      r.end = ts.construct_range(p).second;
-      // Recognizer reading: header parens, then a brace block or
-      // everything up to the first ';'.
-      std::size_t q = p + 1;
-      if (ts.valid(q) && ts[q].is_punct("(")) q = ts.matching(q) + 1;
-      if (ts.valid(q) && ts[q].is_punct("{")) {
-        r.body_end = ts.matching(q);
-      } else {
-        while (ts.valid(q) && !ts[q].is_punct(";")) ++q;
-        r.body_end = q;
-      }
+      r.body_end = loop_body_end(ts, p);
       if (ts[p].is_ident("for") && ts.valid(p + 1) &&
           ts[p + 1].is_punct("(")) {
         const std::size_t hclose = ts.matching(p + 1);
@@ -198,7 +209,7 @@ void scan_pragmas(const TokenStream& ts, ParallelScan& out) {
     } else {
       continue;
     }
-    if (r.begin >= r.end) continue;
+    if (r.begin >= r.body_end) continue;
     if (r.omp_for) {
       r.blocked = true;
       if (r.sched == Schedule::kNone) r.sched = Schedule::kStaticBlock;

@@ -38,13 +38,9 @@ struct Region {
   std::string name;  // DSL: first string literal in the call; omp: "omp"
                      // followed by every directive word
   bool pragma = false;  // `#pragma omp` (else a DSL call)
-  std::size_t begin = 0;  // first body token
-  /// One past the body. The two readings differ after a loop keyword:
-  /// `end` runs to the first top-level ';' from the keyword (the IR's
-  /// reading; after a braced body that is the next statement's ';'),
-  /// `body_end` stops at the body's closing brace or at the first ';'
-  /// after the loop header (the recognizer's reading).
-  std::size_t end = 0;
+  std::size_t begin = 0;  // first body token (the keyword of a loop)
+  /// One past the body: a brace block's '}'; for a loop, the end of its
+  /// body (see loop_body_end in regions.cpp).
   std::size_t body_end = 0;
   bool parallel = false;  // runs on many threads: DSL COUNT is not the
                           // literal 1; always set for a pragma

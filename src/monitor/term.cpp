@@ -1,5 +1,6 @@
 #include "monitor/term.hpp"
 
+#include <charconv>
 #include <cstring>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -26,6 +27,19 @@ TermSize detect_term_size(int fd) noexcept {
 #else
   (void)fd;
 #endif
+  return size;
+}
+
+std::optional<TermSize> parse_term_size(std::string_view text) noexcept {
+  const char* const end = text.data() + text.size();
+  TermSize size;
+  const auto w = std::from_chars(text.data(), end, size.width);
+  if (w.ec != std::errc() || w.ptr == end || *w.ptr != 'x') return std::nullopt;
+  const auto h = std::from_chars(w.ptr + 1, end, size.height);
+  if (h.ec != std::errc() || h.ptr != end || size.width == 0 ||
+      size.height == 0) {
+    return std::nullopt;
+  }
   return size;
 }
 

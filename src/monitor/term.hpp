@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -22,6 +23,11 @@ struct TermSize {
 /// Size of the terminal attached to `fd`, or 80x24 when `fd` is not a
 /// tty (pipes, CI).
 TermSize detect_term_size(int fd) noexcept;
+
+/// Parses a `WxH` frame size such as "80x24": decimal digits, 'x',
+/// decimal digits, both non-zero. nullopt for anything else (signs,
+/// spaces, overflow).
+std::optional<TermSize> parse_term_size(std::string_view text) noexcept;
 
 /// Wraps a finished frame in cursor-home + clear-to-end codes so a
 /// repaint replaces the previous frame without scrollback spam.

@@ -1,6 +1,8 @@
 #include "support/cliflags.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <iostream>
 #include <sstream>
 
 namespace numaprof::support {
@@ -40,9 +42,21 @@ const CliParser::Flag* CliParser::find(std::string_view name) const {
   return nullptr;
 }
 
-void CliParser::usage_error(const std::string& message) const {
+void CliParser::fail(const std::string& message) const {
   throw Error(ErrorKind::kUsage, {}, program_, 0,
               message + "\n" + usage());
+}
+
+void CliParser::fail_choice(
+    std::string_view name,
+    const std::vector<std::string_view>& spellings) const {
+  std::string message = std::string(name) + " expects ";
+  for (std::size_t i = 0; i < spellings.size(); ++i) {
+    if (i > 0) message += spellings.size() > 2 ? ", " : " ";
+    if (i > 0 && i + 1 == spellings.size()) message += "or ";
+    message += spellings[i];
+  }
+  fail(message);
 }
 
 void CliParser::parse(const std::vector<std::string>& args) {
@@ -60,11 +74,11 @@ void CliParser::parse(const std::vector<std::string>& args) {
       inline_value = arg.substr(eq + 1);
     }
     Flag* flag = find(name);
-    if (flag == nullptr) usage_error("unknown flag: " + name);
+    if (flag == nullptr) fail("unknown flag: " + name);
     ++flag->seen_count;
     if (!flag->takes_value) {
       if (inline_value) {
-        usage_error(name + " does not take a value");
+        fail(name + " does not take a value");
       }
       continue;
     }
@@ -74,7 +88,7 @@ void CliParser::parse(const std::vector<std::string>& args) {
     }
     if (flag->optional_value) continue;  // bare occurrence is complete
     if (i + 1 >= args.size()) {
-      usage_error(name + " requires a " + flag->placeholder + " argument");
+      fail(name + " requires a " + flag->placeholder + " argument");
     }
     flag->seen_values.push_back(args[++i]);
   }
@@ -100,15 +114,18 @@ unsigned CliParser::unsigned_value(std::string_view name,
                                    unsigned fallback) const {
   const std::optional<std::string> raw = value(name);
   if (!raw) return fallback;
-  try {
-    std::size_t consumed = 0;
-    const unsigned long parsed = std::stoul(*raw, &consumed);
-    if (consumed != raw->size()) throw std::invalid_argument(*raw);
-    return static_cast<unsigned>(parsed);
-  } catch (const std::exception&) {
-    usage_error(std::string(name) + " expects a non-negative integer, got '" +
-                *raw + "'");
+  unsigned parsed = 0;
+  const char* const end = raw->data() + raw->size();
+  const auto [stop, ec] = std::from_chars(raw->data(), end, parsed);
+  if (ec != std::errc() || stop != end) {
+    fail(std::string(name) + " expects a non-negative integer, got '" +
+         *raw + "'");
   }
+  return parsed;
+}
+
+unsigned CliParser::jobs_value(unsigned fallback) const {
+  return std::clamp(unsigned_value("--jobs", fallback), 1u, 256u);
 }
 
 std::string CliParser::usage() const {
@@ -128,7 +145,28 @@ std::string CliParser::usage() const {
     os << "  " << left << std::string(width - left.size() + 2, ' ')
        << flag.help << "\n";
   }
+  os << epilog_;
   return os.str();
+}
+
+int run_cli(CliParser cli, int argc, char** argv,
+            const std::function<int(const CliParser&)>& body,
+            int error_exit, std::string_view help_legend) {
+  cli.add_flag("--help", false, "show this message");
+  try {
+    cli.parse(std::vector<std::string>(argv + 1, argv + argc));
+    if (cli.has("--help")) {
+      std::cout << cli.usage() << help_legend;
+      return 0;
+    }
+    return body(cli);
+  } catch (const std::exception& error) {
+    std::cerr << cli.program() << ": " << format_error(error) << "\n";
+    const auto* typed = dynamic_cast<const Error*>(&error);
+    return typed != nullptr && typed->kind() == ErrorKind::kUsage
+               ? 2
+               : error_exit;
+  }
 }
 
 }  // namespace numaprof::support

@@ -6,27 +6,36 @@
 //   --flag            boolean flags
 //   --flag value      valued flags (also --flag=value)
 //   everything else   positional operands
-// Unknown flags and missing values throw numaprof::Error with kind
-// kUsage; the CLIs print usage() and exit non-zero through the shared
-// format_error() path.
+// Unknown flags, missing values and bad values throw numaprof::Error
+// with kind kUsage, carrying the message and usage(). run_cli() is every
+// tool's main(): it parses, answers --help, and reports errors through
+// the shared format_error() path with one exit-status convention.
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/threadpool.hpp"
 
 namespace numaprof::support {
 
 class CliParser {
  public:
   /// `program` is the executable name for the usage header; `summary` is
-  /// the one-line description under it.
-  CliParser(std::string program, std::string summary)
-      : program_(std::move(program)), summary_(std::move(summary)) {}
+  /// the one-line description under it; `epilog` (e.g. an operand legend)
+  /// follows the flag table.
+  CliParser(std::string program, std::string summary,
+            std::string epilog = {})
+      : program_(std::move(program)),
+        summary_(std::move(summary)),
+        epilog_(std::move(epilog)) {}
 
   /// Registers a flag. `takes_value` flags consume the next argument (or
   /// the `=`-suffix); they may repeat — values accumulate in order.
@@ -51,14 +60,41 @@ class CliParser {
   /// All values of a repeatable valued flag, in command-line order.
   std::vector<std::string> values(std::string_view name) const;
   /// Last value parsed as a non-negative integer; `fallback` when absent.
-  /// Throws Error(kUsage) when present but not a number.
+  /// Only decimal digits within `unsigned` are accepted (no sign, space or
+  /// wrap-around); anything else throws Error(kUsage).
   unsigned unsigned_value(std::string_view name, unsigned fallback) const;
+
+  /// The --jobs value clamped to [1, 256]; `fallback` when absent.
+  unsigned jobs_value(unsigned fallback = default_jobs()) const;
+
+  /// The value of one-of-a-set flag `name`: the option its last value
+  /// spells, `fallback` when absent. Any other value throws Error(kUsage)
+  /// "NAME expects a or b" / "NAME expects a, b, or c".
+  template <typename T>
+  T choice(std::string_view name,
+           std::initializer_list<std::pair<std::string_view, T>> options,
+           T fallback) const {
+    const std::optional<std::string> raw = value(name);
+    if (!raw) return fallback;
+    std::vector<std::string_view> spellings;
+    for (const auto& [spelled, option] : options) {
+      if (spelled == *raw) return option;
+      spellings.push_back(spelled);
+    }
+    fail_choice(name, spellings);
+  }
+
+  /// Throws Error(kUsage) with `message`, then the usage block.
+  [[noreturn]] void fail(const std::string& message) const;
+
+  const std::string& program() const noexcept { return program_; }
 
   const std::vector<std::string>& positional() const noexcept {
     return positional_;
   }
 
-  /// The rendered usage block (header, flag table, one flag per line).
+  /// The rendered usage block (header, flag table, one flag per line,
+  /// epilog).
   std::string usage() const;
 
  private:
@@ -74,12 +110,25 @@ class CliParser {
 
   Flag* find(std::string_view name);
   const Flag* find(std::string_view name) const;
-  [[noreturn]] void usage_error(const std::string& message) const;
+  [[noreturn]] void fail_choice(
+      std::string_view name,
+      const std::vector<std::string_view>& spellings) const;
 
   std::string program_;
   std::string summary_;
+  std::string epilog_;
   std::vector<Flag> flags_;
   std::vector<std::string> positional_;
 };
+
+/// The body of every tool's main(): registers --help on `cli`, parses
+/// argv[1..argc), prints usage() and then `help_legend` (e.g. the tool's
+/// exit statuses) for --help and exits 0, and otherwise returns
+/// body(cli). A thrown error is printed to stderr as
+/// "<program>: " + format_error(e); a usage Error exits 2, anything else
+/// `error_exit` (docs/api.md, "CLI flags").
+int run_cli(CliParser cli, int argc, char** argv,
+            const std::function<int(const CliParser&)>& body,
+            int error_exit = 1, std::string_view help_legend = {});
 
 }  // namespace numaprof::support

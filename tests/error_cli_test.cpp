@@ -4,7 +4,10 @@
 // CLIs promise.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/profile_io.hpp"
 #include "lint/numalint.hpp"
@@ -111,6 +114,136 @@ TEST(CliParserTest, UnsignedValueValidates) {
   } catch (const Error& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kUsage);
   }
+}
+
+TEST(CliParserTest, UnsignedValueTakesDecimalDigitsWithinUnsigned) {
+  const auto parse = [](const std::string& text) {
+    support::CliParser cli = test_parser();
+    cli.parse({"--jobs", text});
+    return cli.unsigned_value("--jobs", 1);
+  };
+  EXPECT_EQ(parse("0"), 0u);
+  EXPECT_EQ(parse("007"), 7u);
+  EXPECT_EQ(parse("4294967295"), 4294967295u);
+  for (const char* bad : {"-1", "4294967296", "18446744073709551616", " 7",
+                          "+3", "7 ", "7x", "0x10", ""}) {
+    try {
+      parse(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kUsage);
+      EXPECT_NE(std::string(e.what()).find(
+                    "--jobs expects a non-negative integer, got '" +
+                    std::string(bad) + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(CliParserTest, JobsValueClampsToOneThrough256) {
+  const auto jobs = [](std::vector<std::string> args, unsigned fallback) {
+    support::CliParser cli = test_parser();
+    cli.parse(args);
+    return cli.jobs_value(fallback);
+  };
+  EXPECT_EQ(jobs({}, 3), 3u);
+  EXPECT_EQ(jobs({}, 0), 1u);
+  EXPECT_EQ(jobs({"--jobs", "0"}, 3), 1u);
+  EXPECT_EQ(jobs({"--jobs=8"}, 3), 8u);
+  EXPECT_EQ(jobs({"--jobs", "1000"}, 3), 256u);
+}
+
+TEST(CliParserTest, ChoiceMapsSpellingsAndListsThemOnAMiss) {
+  enum class Kind { kA, kB, kC };
+  const auto pick = [](std::vector<std::string> args) {
+    support::CliParser cli = test_parser();
+    cli.parse(args);
+    return cli.choice("--lint", {{"a", Kind::kA}, {"b", Kind::kB}},
+                      Kind::kC);
+  };
+  EXPECT_EQ(pick({}), Kind::kC);
+  EXPECT_EQ(pick({"--lint", "a"}), Kind::kA);
+  EXPECT_EQ(pick({"--lint=a", "--lint=b"}), Kind::kB);  // last one wins
+  const auto message = [](std::vector<std::string> args,
+                          std::initializer_list<std::pair<std::string_view,
+                                                          int>> options) {
+    support::CliParser cli = test_parser();
+    cli.parse(args);
+    try {
+      cli.choice("--lint", options, 0);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kUsage);
+      const std::string what = e.what();
+      EXPECT_NE(what.find("usage: tool"), std::string::npos) << what;
+      return what.substr(0, what.find('\n'));
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message({"--lint", "c"}, {{"a", 1}, {"b", 2}}),
+            "--lint expects a or b");
+  EXPECT_EQ(message({"--lint", ""}, {{"a", 1}, {"b", 2}, {"c", 3}}),
+            "--lint expects a, b, or c");
+  EXPECT_EQ(message({"--lint", "A"}, {{"a", 1}}), "--lint expects a");
+}
+
+TEST(CliParserTest, FailThrowsTheMessageThenUsageAndEpilog) {
+  support::CliParser cli("tool", "test parser", "  operands: <x>\n");
+  try {
+    cli.fail("bad thing");
+    FAIL() << "fail() returned";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kUsage);
+    EXPECT_EQ(std::string(e.what()), "bad thing\n" + cli.usage());
+  }
+  EXPECT_EQ(cli.usage(),
+            "usage: tool [flags] ...\n  test parser\n  operands: <x>\n");
+}
+
+int run_tool(std::vector<std::string> args,
+             const std::function<int(const support::CliParser&)>& body,
+             int error_exit, std::string_view legend, std::string* out,
+             std::string* err) {
+  args.insert(args.begin(), "tool");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  const int rc = support::run_cli(test_parser(), static_cast<int>(argv.size()),
+                                  argv.data(), body, error_exit, legend);
+  *out = testing::internal::GetCapturedStdout();
+  *err = testing::internal::GetCapturedStderr();
+  return rc;
+}
+
+TEST(CliParserTest, RunCliAnswersHelpAndMapsErrorsToExitStatus) {
+  std::string out, err;
+  const auto ok = [](const support::CliParser& cli) {
+    return cli.has("--verbose") ? 5 : 0;
+  };
+  EXPECT_EQ(run_tool({"--verbose"}, ok, 1, {}, &out, &err), 5);
+  EXPECT_EQ(out + err, "");
+
+  EXPECT_EQ(run_tool({"--help"}, ok, 1, "exit status: 0\n", &out, &err), 0);
+  support::CliParser with_help = test_parser();
+  with_help.add_flag("--help", false, "show this message");
+  EXPECT_EQ(out, with_help.usage() + "exit status: 0\n");
+  EXPECT_EQ(err, "");
+
+  EXPECT_EQ(run_tool({"--bogus"}, ok, 7, {}, &out, &err), 2);
+  EXPECT_EQ(err.substr(0, err.find('\n')),
+            "tool: [usage] unknown flag: --bogus");
+  const auto throws_lint = [](const support::CliParser&) -> int {
+    throw Error(ErrorKind::kLint, {}, {}, 0, "lint input error: x");
+  };
+  EXPECT_EQ(run_tool({}, throws_lint, 1, {}, &out, &err), 1);
+  EXPECT_EQ(err, "tool: [lint] lint input error: x\n");
+  EXPECT_EQ(run_tool({}, throws_lint, 2, {}, &out, &err), 2);
+  const auto throws_std = [](const support::CliParser&) -> int {
+    throw std::runtime_error("plain");
+  };
+  EXPECT_EQ(run_tool({}, throws_std, 1, {}, &out, &err), 1);
+  EXPECT_EQ(err, "tool: plain\n");
 }
 
 TEST(CliParserTest, UsageListsEveryFlag) {

@@ -101,6 +101,18 @@ TelemetrySnapshot model_snapshot() {
   return hub.snapshot(10000);
 }
 
+TEST(MonitorTerm, ParseTermSizeTakesDigitsXDigits) {
+  const auto size = parse_term_size("120x40");
+  ASSERT_TRUE(size.has_value());
+  EXPECT_EQ(size->width, 120u);
+  EXPECT_EQ(size->height, 40u);
+  for (const char* bad : {"", "80", "80x", "x24", "0x24", "80x0", "80X24",
+                          "+80x24", "-1x24", " 80x24", "80x 24", "80x24 ",
+                          "80x24x", "99999999999999999999x24"}) {
+    EXPECT_FALSE(parse_term_size(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
 TEST(MonitorModel, RenderBeforeFirstSnapshotIsAWaitScreen) {
   MonitorModel model;
   const std::string frame = model.render(40, 5);
