@@ -24,7 +24,7 @@
 #include "core/profiler.hpp"
 #include "numasim/cache.hpp"
 #include "numasim/system.hpp"
-#include "pmu/mechanisms.hpp"
+#include "pmu/sampler.hpp"
 #include "simos/page_table.hpp"
 #include "support/faultinject.hpp"
 #include "support/rng.hpp"
@@ -112,19 +112,18 @@ Timing metric_add() {
 
 /// The per-access observer path of a sampler: what every memory access
 /// of a monitored program pays.
-template <typename Sampler>
 Timing sampler_dispatch(pmu::Mechanism mechanism, std::uint64_t period) {
   auto config = pmu::EventConfig::mini(mechanism);
   if (period > 0) config.period = period;
-  Sampler sampler(config);
+  const auto sampler = pmu::make_sampler(config);
   simrt::Machine machine(numasim::test_machine(2, 2));
   machine.spawn([](simrt::SimThread&) -> simrt::Task { co_return; });
   machine.run();
   simrt::AccessEvent event{};
   event.addr = simos::kStaticBase;
   const Timing t =
-      time_op([&] { sampler.on_access(machine.thread(0), event); });
-  keep(sampler.samples_emitted());
+      time_op([&] { sampler->on_access(machine.thread(0), event); });
+  keep(sampler->samples_emitted());
   return t;
 }
 
@@ -200,13 +199,11 @@ int main(int argc, char** argv) {
       // A period that never fires: the sampler's fast path.
       {"SamplerDispatchIbs",
        [] {
-         return sampler_dispatch<pmu::IbsSampler>(pmu::Mechanism::kIbs,
-                                                  1 << 20);
+         return sampler_dispatch(pmu::Mechanism::kIbs, 1 << 20);
        }},
       {"SoftIbsStub",
        [] {
-         return sampler_dispatch<pmu::SoftIbsSampler>(
-             pmu::Mechanism::kSoftIbs, 0);
+         return sampler_dispatch(pmu::Mechanism::kSoftIbs, 0);
        }},
       {"ProfileSaveLoad", profile_save_load},
       {"ProfileLoadStrictCorrupted", [] { return profile_load(true, false); }},

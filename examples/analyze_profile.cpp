@@ -182,11 +182,16 @@ support::CliParser make_parser() {
       "(note|warning|error; default warning)",
       "SEV");
   cli.add_flag("--export", true,
-               "write artifacts: trace | flamegraph | html | all", "KIND");
+               "write artifacts: " +
+                   support::choice_list<core::ExportKind>(
+                       core::kExportKindNames),
+               "KIND");
   cli.add_flag("--export-dir", true,
                "directory for exported artifacts (default: exports)", "DIR");
   cli.add_flag("--flame-weight", true,
-               "flamegraph weight: mismatch | remote-latency | lpi", "W");
+               "flamegraph weight: " + support::choice_list<core::FlameWeight>(
+                                           core::kFlameWeightNames),
+               "W");
   cli.add_flag("--merge", false, "merge per-thread measurement files");
   cli.add_flag("--diff", false, "compare two profiles (before after)");
   cli.add_flag("--selftest", false, "generate and analyze a demo profile");
@@ -204,20 +209,12 @@ int run(const support::CliParser& cli) {
   const std::optional<lint::Severity> werror = lint::parse_werror(cli);
 
   ExportRequest exports;
-  exports.kind = cli.choice<std::optional<core::ExportKind>>(
-      "--export",
-      {{"trace", core::ExportKind::kTraceJson},
-       {"flamegraph", core::ExportKind::kFlamegraph},
-       {"html", core::ExportKind::kHtml},
-       {"all", core::ExportKind::kAll}},
-      std::nullopt);
+  exports.kind = cli.choice<core::ExportKind>("--export",
+                                              core::kExportKindNames);
   exports.directory = cli.value("--export-dir").value_or("exports");
   exports.options.weight =
-      cli.choice("--flame-weight",
-                 {{"mismatch", core::FlameWeight::kMismatch},
-                  {"remote-latency", core::FlameWeight::kRemoteLatency},
-                  {"lpi", core::FlameWeight::kLpi}},
-                 exports.options.weight);
+      cli.choice<core::FlameWeight>("--flame-weight", core::kFlameWeightNames)
+          .value_or(exports.options.weight);
 
   std::vector<std::string> inputs = cli.positional();
   if (const auto profile = cli.value("--profile")) {

@@ -55,6 +55,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <unistd.h>
 
@@ -75,12 +77,31 @@ using namespace numaprof;
 
 namespace {
 
-const std::map<std::string, pmu::Mechanism> kMechanisms = {
-    {"ibs", pmu::Mechanism::kIbs},       {"mrk", pmu::Mechanism::kMrk},
-    {"pebs", pmu::Mechanism::kPebs},     {"dear", pmu::Mechanism::kDear},
-    {"pebs-ll", pmu::Mechanism::kPebsLl},
-    {"soft-ibs", pmu::Mechanism::kSoftIbs},
-    {"spe", pmu::Mechanism::kSpe}};
+/// The seven mechanisms in enumerator order: the <mechanism> operand is
+/// one's pmu::spec_name, the name NUMAPROF_FAULTS uses too.
+std::vector<pmu::Mechanism> all_mechanisms() {
+  std::vector<pmu::Mechanism> all;
+  for (int i = 0; i < pmu::kMechanismCount; ++i) {
+    all.push_back(static_cast<pmu::Mechanism>(i));
+  }
+  return all;
+}
+
+std::optional<pmu::Mechanism> parse_mechanism(std::string_view name) {
+  for (const pmu::Mechanism m : all_mechanisms()) {
+    if (pmu::spec_name(m) == name) return m;
+  }
+  return std::nullopt;
+}
+
+std::string mechanism_list() {
+  std::string list;
+  for (const pmu::Mechanism m : all_mechanisms()) {
+    if (!list.empty()) list += " | ";
+    list += pmu::spec_name(m);
+  }
+  return list;
+}
 
 const std::map<std::string, apps::Variant> kVariants = {
     {"baseline", apps::Variant::kBaseline},
@@ -97,7 +118,7 @@ support::CliParser make_parser() {
       "  app:       lulesh | amg | blackscholes | umt | fig1\n"
       "  variant:   baseline | blockwise | interleave | aos | "
       "parallel-init\n"
-      "  mechanism: ibs | mrk | pebs | dear | pebs-ll | soft-ibs | spe\n");
+      "  mechanism: " + mechanism_list() + "\n");
   cli.add_flag("--trace", false, "record the per-sample trace");
   cli.add_flag("--format", true,
                "profile encoding for out-file, shards, and the daemon "
@@ -110,7 +131,8 @@ support::CliParser make_parser() {
   cli.add_flag("--telemetry", true, "write the telemetry JSONL trace here",
                "PATH");
   cli.add_flag("--export", true,
-               "also export artifacts: trace | flamegraph | html | all",
+               "also export artifacts: " +
+                   support::choice_list<ExportKind>(core::kExportKindNames),
                "KIND");
   cli.add_flag("--export-dir", true,
                "directory for exported artifacts (default: exports)", "DIR");
@@ -173,11 +195,11 @@ int run(const support::CliParser& cli) {
   }
   const std::string& app = operands[0];
   const auto variant_it = kVariants.find(operands[1]);
-  const auto mech_it = kMechanisms.find(operands[2]);
+  const std::optional<pmu::Mechanism> mechanism = parse_mechanism(operands[2]);
   if (variant_it == kVariants.end()) {
     cli.fail("unknown variant: " + operands[1]);
   }
-  if (mech_it == kMechanisms.end()) {
+  if (!mechanism) {
     cli.fail("unknown mechanism: " + operands[2]);
   }
   if (app != "lulesh" && app != "amg" && app != "blackscholes" &&
@@ -190,17 +212,11 @@ int run(const support::CliParser& cli) {
       {{"text", ProfileFormat::kText}, {"binary", ProfileFormat::kBinary}},
       ProfileFormat::kText);
   const std::optional<ExportKind> export_kind =
-      cli.choice<std::optional<ExportKind>>(
-          "--export",
-          {{"trace", ExportKind::kTraceJson},
-           {"flamegraph", ExportKind::kFlamegraph},
-           {"html", ExportKind::kHtml},
-           {"all", ExportKind::kAll}},
-          std::nullopt);
+      cli.choice<ExportKind>("--export", core::kExportKindNames);
 
   // MRK belongs on the POWER7 preset, everything else on the AMD box —
   // mirroring Table 1's mechanism/host pairing.
-  const bool on_power7 = mech_it->second == pmu::Mechanism::kMrk;
+  const bool on_power7 = *mechanism == pmu::Mechanism::kMrk;
   simrt::Machine machine(on_power7 ? numasim::power7()
                                    : numasim::amd_magny_cours());
 
@@ -220,13 +236,13 @@ int run(const support::CliParser& cli) {
   }
 
   core::ProfilerConfig cfg;
-  cfg.event = pmu::EventConfig::mini(mech_it->second);
+  cfg.event = pmu::EventConfig::mini(*mechanism);
   // These runs are seconds long, not hours: sample densely enough that
   // every mechanism populates the profile. Latency-threshold samplers
   // (DEAR, PEBS-LL) see few qualifying events on cache-friendly apps, so
   // they get the densest setting.
   const bool event_filtered =
-      pmu::capabilities_of(mech_it->second).event_filtered;
+      pmu::capabilities_of(*mechanism).event_filtered;
   cfg.event.period = std::min<std::uint64_t>(cfg.event.period,
                                              event_filtered ? 50 : 500);
   cfg.event.min_sample_gap =

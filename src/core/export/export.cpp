@@ -8,38 +8,43 @@
 
 namespace numaprof::core {
 
-std::string_view to_string(ExportKind k) noexcept {
-  switch (k) {
-    case ExportKind::kTraceJson: return "trace";
-    case ExportKind::kFlamegraph: return "flamegraph";
-    case ExportKind::kHtml: return "html";
-    case ExportKind::kAll: return "all";
+namespace {
+
+/// The spelling of `value` in `names`, "unknown" when out of range.
+template <typename T, std::size_t N>
+std::string_view spelling(const std::array<std::pair<std::string_view, T>, N>&
+                              names,
+                          T value) noexcept {
+  const auto i = static_cast<std::size_t>(value);
+  return i < N ? names[i].first : "unknown";
+}
+
+template <typename T, std::size_t N>
+std::optional<T> parse_spelling(
+    const std::array<std::pair<std::string_view, T>, N>& names,
+    std::string_view text) noexcept {
+  for (const auto& [name, value] : names) {
+    if (name == text) return value;
   }
-  return "unknown";
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::string_view to_string(ExportKind k) noexcept {
+  return spelling(kExportKindNames, k);
 }
 
 std::optional<ExportKind> parse_export_kind(std::string_view text) noexcept {
-  if (text == "trace") return ExportKind::kTraceJson;
-  if (text == "flamegraph") return ExportKind::kFlamegraph;
-  if (text == "html") return ExportKind::kHtml;
-  if (text == "all") return ExportKind::kAll;
-  return std::nullopt;
+  return parse_spelling(kExportKindNames, text);
 }
 
 std::string_view to_string(FlameWeight w) noexcept {
-  switch (w) {
-    case FlameWeight::kMismatch: return "mismatch";
-    case FlameWeight::kRemoteLatency: return "remote-latency";
-    case FlameWeight::kLpi: return "lpi";
-  }
-  return "unknown";
+  return spelling(kFlameWeightNames, w);
 }
 
 std::optional<FlameWeight> parse_flame_weight(std::string_view text) noexcept {
-  if (text == "mismatch") return FlameWeight::kMismatch;
-  if (text == "remote-latency") return FlameWeight::kRemoteLatency;
-  if (text == "lpi") return FlameWeight::kLpi;
-  return std::nullopt;
+  return parse_spelling(kFlameWeightNames, text);
 }
 
 std::vector<ExportArtifact> export_artifacts(const Analyzer& analyzer,

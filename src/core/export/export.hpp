@@ -23,10 +23,12 @@
 // kind ErrorKind::kExport.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/analyzer.hpp"
@@ -44,6 +46,15 @@ enum class ExportKind : std::uint8_t {
 /// Number of ExportKind enumerators.
 inline constexpr int kExportKindCount = 4;
 
+/// The CLI spelling of every ExportKind, in enumerator order: the one
+/// table behind to_string, parse_export_kind and the tools' --export.
+inline constexpr std::array<std::pair<std::string_view, ExportKind>,
+                            kExportKindCount>
+    kExportKindNames{{{"trace", ExportKind::kTraceJson},
+                      {"flamegraph", ExportKind::kFlamegraph},
+                      {"html", ExportKind::kHtml},
+                      {"all", ExportKind::kAll}}};
+
 std::string_view to_string(ExportKind k) noexcept;
 
 /// Parses the CLI spelling (trace | flamegraph | html | all); nullopt for
@@ -59,6 +70,14 @@ enum class FlameWeight : std::uint8_t {
 
 /// Number of FlameWeight enumerators.
 inline constexpr int kFlameWeightCount = 3;
+
+/// The CLI spelling of every FlameWeight, in enumerator order (the one
+/// table behind to_string, parse_flame_weight and --flame-weight).
+inline constexpr std::array<std::pair<std::string_view, FlameWeight>,
+                            kFlameWeightCount>
+    kFlameWeightNames{{{"mismatch", FlameWeight::kMismatch},
+                       {"remote-latency", FlameWeight::kRemoteLatency},
+                       {"lpi", FlameWeight::kLpi}}};
 
 std::string_view to_string(FlameWeight w) noexcept;
 

@@ -1,6 +1,5 @@
 #include "core/profiler.hpp"
 
-#include "pmu/mechanisms.hpp"
 #include "simos/numa_api.hpp"
 #include "support/faultinject.hpp"
 #include "support/telemetry.hpp"
@@ -353,9 +352,8 @@ SessionData Profiler::snapshot() {
   data.address_centric = addr_;
   data.first_touches = first_touches_;
   data.trace = trace_;
-  if (const auto* pebs_ll =
-          dynamic_cast<const pmu::PebsLlSampler*>(sampler_.get())) {
-    data.pebs_ll_events = pebs_ll->events_counted();
+  if (sampler_->mechanism() == pmu::Mechanism::kPebsLl) {
+    data.pebs_ll_events = sampler_->events_counted();
   }
   const support::FaultPlan& plan =
       config_.faults ? *config_.faults : support::global_fault_plan();

@@ -21,10 +21,13 @@ std::string_view to_string(Mechanism m) noexcept {
 }
 
 Capabilities capabilities_of(Mechanism m) noexcept {
+  // One row per mechanism. The sampling trigger (pmu/sampler.cpp) reads
+  // `samples_all_instructions`, `software_instrumentation`, `precise_ip`,
+  // `filter` and `reload`; the rest says what a sample carries.
   switch (m) {
     case Mechanism::kIbs:
-      // Samples all instruction kinds; reports latency, data source,
-      // precise IP (§3, §10).
+      // Tags every N-th instruction of any kind; reports latency, data
+      // source, precise IP (§3, §10).
       return {.samples_all_instructions = true,
               .reports_latency = true,
               .reports_data_source = true,
@@ -32,8 +35,12 @@ Capabilities capabilities_of(Mechanism m) noexcept {
     case Mechanism::kMrk:
       // Marked-event sampling: only instructions causing the marked event
       // (here PM_MRK_FROM_L3MISS); no latency in the analysis the paper
-      // runs; hardware-rate-limited (§8 footnote 2).
-      return {.precise_ip = true, .event_filtered = true};
+      // runs; hardware-rate-limited below 100 samples/s/thread (§8
+      // footnote 2).
+      return {.precise_ip = true,
+              .event_filtered = true,
+              .filter = AccessFilter::kL3Miss,
+              .reload = Reload::kRateLimited};
     case Mechanism::kPebs:
       // INST_RETIRED:ANY_P samples every instruction kind but the reported
       // IP is the *next* instruction (off-by-1, §8).
@@ -43,24 +50,32 @@ Capabilities capabilities_of(Mechanism m) noexcept {
       // NUMA data-source events (§10).
       return {.reports_latency = true,
               .precise_ip = true,
-              .event_filtered = true};
+              .event_filtered = true,
+              .filter = AccessFilter::kSlowLoad};
     case Mechanism::kPebsLl:
       // Load-latency extension: latency + data source on qualifying loads.
       return {.reports_latency = true,
               .reports_data_source = true,
               .precise_ip = true,
-              .event_filtered = true};
+              .event_filtered = true,
+              .filter = AccessFilter::kSlowLoad};
     case Mechanism::kSoftIbs:
-      // Instrumentation sees every access; effective address + IP only.
-      return {.precise_ip = true, .software_instrumentation = true};
+      // Instrumentation sees every access and decimates it exactly;
+      // effective address + IP only.
+      return {.precise_ip = true,
+              .software_instrumentation = true,
+              .reload = Reload::kFixed};
     case Mechanism::kSpe:
       // ARM SPE samples every N-th micro-op of any kind at a FIXED
-      // architectural interval; sampled memory ops carry total latency,
-      // a data-source packet, and a precise PC (arXiv:2410.01514 §2).
+      // architectural interval (no period randomization; it relies on
+      // collision detection instead); sampled memory ops carry total
+      // latency, a data-source packet, and a precise PC
+      // (arXiv:2410.01514 §2).
       return {.samples_all_instructions = true,
               .reports_latency = true,
               .reports_data_source = true,
-              .precise_ip = true};
+              .precise_ip = true,
+              .reload = Reload::kFixed};
   }
   return {};
 }

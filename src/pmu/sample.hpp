@@ -1,11 +1,13 @@
 // Address-sampling mechanisms and the samples they produce (§3).
 //
 // The paper identifies five hardware mechanisms (IBS, MRK, PEBS, DEAR,
-// PEBS-LL) plus its own software fallback (Soft-IBS), with differing
-// capabilities: what triggers a sample, whether latency and NUMA data
-// source are reported, and whether the instruction pointer is precise.
-// Capabilities drives which derived metrics the profiler can compute
-// (e.g. lpi_NUMA needs latency: IBS Eq. 2, PEBS-LL Eq. 3).
+// PEBS-LL) plus its own software fallback (Soft-IBS); ARM SPE is the
+// seventh. They differ in capabilities: which events they count, how
+// the sampling period reloads, whether latency and NUMA data source are
+// reported, and whether the instruction pointer is precise. Capabilities
+// drives both the one sampling trigger (pmu/sampler.hpp) and which
+// derived metrics the profiler can compute (e.g. lpi_NUMA needs latency:
+// IBS Eq. 2, PEBS-LL Eq. 3).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +38,23 @@ inline constexpr int kMechanismCount = 7;
 
 std::string_view to_string(Mechanism m) noexcept;
 
-/// What a mechanism can report. Mirrors the taxonomy of §3 and §10.
+/// Which memory accesses a mechanism's countdown counts.
+enum class AccessFilter : std::uint8_t {
+  kAll,       // every access
+  kL3Miss,    // L3 misses only: MRK's marked event
+  kSlowLoad,  // loads with latency >= latency_threshold (DEAR, PEBS-LL)
+};
+
+/// How a mechanism's countdown is reloaded when it fires.
+enum class Reload : std::uint8_t {
+  kJittered,     // period +/-12.5%: hardware randomizes low period bits
+  kFixed,        // the exact period
+  kRateLimited,  // the exact period, and a fire within min_sample_gap
+                 // cycles of the thread's last sample is dropped (MRK)
+};
+
+/// What a mechanism can report and how it triggers. Mirrors the taxonomy
+/// of §3 and §10.
 struct Capabilities {
   bool samples_all_instructions = false;  // non-memory ops too (I^s, Eq. 2)
   bool reports_latency = false;           // needed for lpi_NUMA
@@ -44,6 +62,8 @@ struct Capabilities {
   bool precise_ip = true;                 // PEBS has an off-by-1 skid
   bool event_filtered = false;            // only specific events (MRK, DEAR)
   bool software_instrumentation = false;  // per-access stub (Soft-IBS)
+  AccessFilter filter = AccessFilter::kAll;
+  Reload reload = Reload::kJittered;
 };
 
 Capabilities capabilities_of(Mechanism m) noexcept;

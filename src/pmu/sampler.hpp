@@ -1,16 +1,21 @@
-// Sampler: common machinery for the six address-sampling mechanisms.
+// Sampler: the one sampling trigger of the seven address-sampling
+// mechanisms.
 //
 // A sampler observes the machine's instruction/access stream and delivers
-// Samples to a sink (the profiler). Each concrete mechanism implements the
-// trigger logic of its hardware; the base class provides per-thread state,
-// period jitter (hardware randomizes low period bits to keep sampling of
-// regular loops unbiased — §3 requires "uniformly sampled" accesses), and
-// sample construction/emission.
+// Samples to a sink (the profiler). Every mechanism triggers the same way:
+// it counts qualifying events down and fires at zero. What differs is
+// read from the mechanism's capabilities_of row (pmu/config.cpp): which
+// events count (all instructions, every access, L3 misses, slow loads),
+// how the period reloads (jittered, fixed, rate-limited), whether a
+// software stub runs on every access, and whether the IP skids. Jitter
+// models hardware randomizing low period bits to keep sampling of regular
+// loops unbiased — §3 requires "uniformly sampled" accesses.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "pmu/config.hpp"
@@ -28,15 +33,22 @@ namespace numaprof::pmu {
 
 using SampleSink = std::function<void(const Sample&)>;
 
-class Sampler : public simrt::MachineObserver {
+class Sampler final : public simrt::MachineObserver {
  public:
-  explicit Sampler(EventConfig config) : config_(std::move(config)) {}
+  explicit Sampler(EventConfig config);
+
+  /// Counts a batch of non-memory instructions down (all-instruction
+  /// mechanisms only); a batch may straddle several fires.
+  void on_exec(const simrt::SimThread& thread, std::uint64_t count) override;
+  /// Applies the access filter; an access that passes goes to count().
+  void on_access(const simrt::SimThread& thread,
+                 const simrt::AccessEvent& event) override;
+  /// Emits a PEBS sample still waiting for its skid context.
+  void on_thread_finish(const simrt::SimThread& thread) override;
 
   Mechanism mechanism() const noexcept { return config_.mechanism; }
   const EventConfig& config() const noexcept { return config_; }
-  Capabilities capabilities() const noexcept {
-    return capabilities_of(config_.mechanism);
-  }
+  const Capabilities& capabilities() const noexcept { return caps_; }
 
   void set_sink(SampleSink sink) { sink_ = std::move(sink); }
 
@@ -63,36 +75,56 @@ class Sampler : public simrt::MachineObserver {
   /// Samples suppressed / mangled by the fault plan.
   std::uint64_t dropped_samples() const noexcept { return dropped_; }
   std::uint64_t corrupted_samples() const noexcept { return corrupted_; }
+  /// Accesses that passed the access filter: for PEBS-LL the free-running
+  /// count of loads at or above the latency threshold, the "conventional
+  /// counter" reading Eq. 3 scales by.
+  std::uint64_t events_counted() const noexcept { return events_counted_; }
 
- protected:
+ private:
   /// Per-thread sampling state, grown on demand.
   struct ThreadState {
     std::uint64_t countdown = 0;
     numasim::Cycles last_sample_time = 0;
     bool primed = false;
   };
-  ThreadState& state_of(simrt::ThreadId tid);
+  /// The thread's state, its countdown primed on its first counted event.
+  ThreadState& primed_state(simrt::ThreadId tid);
 
-  /// Next period with +/-12.5% deterministic jitter.
-  std::uint64_t jittered_period();
+  /// The next countdown: the period, jittered when the row says so.
+  std::uint64_t reload();
+
+  /// An access that passed the filter: runs the Soft-IBS stub, emits a
+  /// deferred PEBS sample, counts the access down and, when the countdown
+  /// fires, applies MRK's rate limit and emits a memory sample.
+  void count(const simrt::SimThread& thread, const simrt::AccessEvent& event);
 
   /// Builds the mechanism-appropriate Sample for a memory access, honoring
   /// this mechanism's capability mask (latency/data-source stripping).
   Sample make_memory_sample(const simrt::AccessEvent& event) const;
 
-  /// Builds a sample of a non-memory instruction (IBS/PEBS sample those
-  /// too; they count toward I^s in Eq. 2).
+  /// Builds a sample of a non-memory instruction (IBS/PEBS/SPE sample
+  /// those too; they count toward I^s in Eq. 2).
   Sample make_instruction_sample(const simrt::SimThread& thread) const;
+
+  /// PEBS's off-by-1 IP on a memory sample: corrected by per-sample
+  /// previous-instruction analysis, or left to skid onto the context of
+  /// the thread's next instruction.
+  void deliver_skidded(const simrt::SimThread& thread, Sample sample);
+  /// Emits the thread's deferred PEBS sample in the *current* context.
+  void flush_pending(const simrt::SimThread& thread);
 
   void emit(Sample sample);
 
   EventConfig config_;
-
- private:
+  Capabilities caps_;
+  /// PEBS without skid correction: memory samples wait for the next
+  /// instruction's context.
+  bool defers_skid_;
   SampleSink sink_;
   std::vector<ThreadState> states_;
-  support::Rng jitter_{0};
-  bool jitter_seeded_ = false;
+  std::vector<std::optional<Sample>> pending_;  // per thread (PEBS skid)
+  support::Rng jitter_;
+  std::uint64_t events_counted_ = 0;
   std::uint64_t emitted_ = 0;
   std::uint64_t memory_samples_ = 0;
   std::uint64_t dropped_ = 0;

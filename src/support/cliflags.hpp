@@ -16,6 +16,7 @@
 #include <functional>
 #include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -68,20 +69,29 @@ class CliParser {
   unsigned jobs_value(unsigned fallback = default_jobs()) const;
 
   /// The value of one-of-a-set flag `name`: the option its last value
-  /// spells, `fallback` when absent. Any other value throws Error(kUsage)
+  /// spells, nullopt when absent. Any other value throws Error(kUsage)
   /// "NAME expects a or b" / "NAME expects a, b, or c".
   template <typename T>
-  T choice(std::string_view name,
-           std::initializer_list<std::pair<std::string_view, T>> options,
-           T fallback) const {
+  std::optional<T> choice(
+      std::string_view name,
+      std::span<const std::pair<std::string_view, T>> options) const {
     const std::optional<std::string> raw = value(name);
-    if (!raw) return fallback;
+    if (!raw) return std::nullopt;
     std::vector<std::string_view> spellings;
     for (const auto& [spelled, option] : options) {
       if (spelled == *raw) return option;
       spellings.push_back(spelled);
     }
     fail_choice(name, spellings);
+  }
+
+  /// As above, with `fallback` when the flag is absent.
+  template <typename T>
+  T choice(std::string_view name,
+           std::initializer_list<std::pair<std::string_view, T>> options,
+           T fallback) const {
+    return choice(name, std::span(options.begin(), options.size()))
+        .value_or(fallback);
   }
 
   /// Throws Error(kUsage) with `message`, then the usage block.
@@ -120,6 +130,18 @@ class CliParser {
   std::vector<Flag> flags_;
   std::vector<std::string> positional_;
 };
+
+/// The spellings of a one-of-a-set flag as --help lists them: "a | b | c".
+template <typename T>
+std::string choice_list(
+    std::span<const std::pair<std::string_view, T>> options) {
+  std::string list;
+  for (const auto& [spelled, option] : options) {
+    if (!list.empty()) list += " | ";
+    list += spelled;
+  }
+  return list;
+}
 
 /// The body of every tool's main(): registers --help on `cli`, parses
 /// argv[1..argc), prints usage() and then `help_legend` (e.g. the tool's

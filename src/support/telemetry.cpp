@@ -122,7 +122,8 @@ void TelemetryRing::store_label(HotSlot& slot,
   char bytes[kHotLabelBytes] = {};
   const std::size_t n =
       label.size() < kHotLabelBytes - 1 ? label.size() : kHotLabelBytes - 1;
-  std::memcpy(bytes, label.data(), n);
+  // An empty view may carry a null data(); memcpy must not see it.
+  if (n > 0) std::memcpy(bytes, label.data(), n);
   for (std::size_t w = 0; w < slot.label.size(); ++w) {
     std::uint64_t word = 0;
     std::memcpy(&word, bytes + w * 8, 8);

@@ -7,7 +7,7 @@
 #include "apps/distributions.hpp"
 #include "core/trace.hpp"
 #include "numasim/system.hpp"
-#include "pmu/mechanisms.hpp"
+#include "pmu/sampler.hpp"
 #include "simrt/machine.hpp"
 #include "support/table.hpp"
 
@@ -19,11 +19,11 @@ TEST(IbsJitter, InterSampleGapsStayWithinTheDocumentedSpread) {
   // instruction stream lies in [0.875, 1.125] x period.
   pmu::EventConfig cfg = pmu::EventConfig::mini(pmu::Mechanism::kIbs);
   cfg.period = 400;
-  pmu::IbsSampler sampler(cfg);
+  const auto sampler = pmu::make_sampler(cfg);
   simrt::Machine m(numasim::test_machine(1, 1));
-  m.add_observer(sampler);
+  m.add_observer(*sampler);
   std::vector<std::uint64_t> sample_ops;
-  sampler.set_sink([&](const pmu::Sample& s) {
+  sampler->set_sink([&](const pmu::Sample& s) {
     sample_ops.push_back(s.op_index);
   });
   m.spawn([](simrt::SimThread& t) -> simrt::Task {
@@ -49,9 +49,9 @@ TEST(PebsLl, ThresholdSweepMonotonicallyFiltersEvents) {
     pmu::EventConfig cfg = pmu::EventConfig::mini(pmu::Mechanism::kPebsLl);
     cfg.period = 10;
     cfg.latency_threshold = threshold;
-    pmu::PebsLlSampler sampler(cfg);
+    const auto sampler = pmu::make_sampler(cfg);
     simrt::Machine m(numasim::test_machine(2, 2));
-    m.add_observer(sampler);
+    m.add_observer(*sampler);
     m.spawn([](simrt::SimThread& t) -> simrt::Task {
       for (int i = 0; i < 3000; ++i) {
         t.load(simos::kHeapBase + (i % 700) * 64);
@@ -59,7 +59,7 @@ TEST(PebsLl, ThresholdSweepMonotonicallyFiltersEvents) {
       }
     });
     m.run();
-    return sampler.events_counted();
+    return sampler->events_counted();
   };
   const auto any = events_at(1);
   const auto l2ish = events_at(15);

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -269,6 +270,22 @@ TEST(TelemetryHot, SpaceSavingBoundsSlotsAndEvicts) {
     EXPECT_EQ(row.label, "a[]");
   }
   EXPECT_EQ(total, 3u);
+}
+
+TEST(TelemetryHot, EmptyLabelReadsBackEmpty) {
+  // A default label is a view with a null data(); claiming a slot with it
+  // must store (and read back) an empty label.
+  TelemetryRing ring(0, 1, 8);
+  ring.add_hot(HotTableKind::kVariables, 9, 0, false, std::string_view{});
+  ring.add_hot(HotTableKind::kPaths, 4, 0, false);
+  for (const HotTableKind table :
+       {HotTableKind::kVariables, HotTableKind::kPaths}) {
+    std::vector<HotCounter> rows;
+    ring.collect_hot(table, rows);
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].count, 1u);
+    EXPECT_EQ(rows[0].label, "");
+  }
 }
 
 TEST(TelemetryHot, HubSnapshotAggregatesAndRanksHotTables) {
