@@ -11,9 +11,8 @@
 //  - FORMAT AGREEMENT (always enforced): merging binary shards produces
 //    the same session as merging text shards, byte for byte;
 //  - SCALING (enforced only when the host has >= 4 hardware threads): the
-//    4-job merge of text shards is at least 2x faster than the serial
-//    reference — the shard parses dominate and parallelize
-//    embarrassingly.
+//    4-job merge of text shards is at least 2x faster than the jobs-1
+//    merge — the shard parses dominate and parallelize embarrassingly.
 //
 // Besides the human-readable table, each timing is emitted as a
 // machine-readable line:

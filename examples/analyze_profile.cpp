@@ -259,10 +259,8 @@ int run(const support::CliParser& cli) {
   }
   if (inputs.empty()) cli.fail("expected a profile file");
 
-  core::LoadOptions load_options;
-  load_options.lenient = options.lenient;
   const core::LoadResult loaded =
-      core::ProfileReader(load_options).read_file(inputs[0]);
+      core::ProfileReader(options).read_file(inputs[0]);
   for (const core::Diagnostic& d : loaded.diagnostics) {
     std::cout << "diagnostic: " << d.field << " (line " << d.line
               << "): " << d.message << "\n";

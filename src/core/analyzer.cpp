@@ -31,20 +31,11 @@ void Analyzer::validate_stores() const {
 }
 
 void Analyzer::merge_stores(const PipelineOptions& options) {
-  const unsigned jobs = options.pool ? options.pool->jobs() : options.jobs;
-  if (jobs <= 1 || data_->stores.size() <= 1) {
-    for (const MetricStore& store : data_->stores) merged_.merge(store);
-    return;
-  }
   std::vector<const MetricStore*> parts;
   parts.reserve(data_->stores.size());
   for (const MetricStore& store : data_->stores) parts.push_back(&store);
-  if (options.pool) {
-    merged_.merge_all(parts, options.pool);
-  } else {
-    support::ThreadPool pool(jobs);
-    merged_.merge_all(parts, &pool);
-  }
+  support::ThreadPool pool(options.jobs);
+  merged_.merge_all(parts, &pool);
 }
 
 void Analyzer::build_program_summary() {

@@ -87,8 +87,8 @@ class Analyzer {
   /// Merges the session's per-thread stores (§7.2) and derives the §4
   /// metrics. Throws ProfileError if any store's domain count disagrees
   /// with the session's machine — merging mismatched widths would silently
-  /// misattribute every per-domain column. Only the parallelism knobs of
-  /// `options` (jobs, pool) are consumed at this stage.
+  /// misattribute every per-domain column. Only `options.jobs` is
+  /// consumed at this stage.
   explicit Analyzer(const SessionData& data,
                     const PipelineOptions& options = {});
 

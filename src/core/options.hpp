@@ -8,10 +8,6 @@
 #include <string>
 #include <vector>
 
-namespace numaprof::support {
-class ThreadPool;
-}
-
 namespace numaprof {
 
 /// On-disk profile encodings. Text is the lossless interchange format
@@ -24,13 +20,11 @@ enum class ProfileFormat : std::uint8_t {
 };
 
 struct PipelineOptions {
-  /// Participants in every parallel stage (shard parsing, per-thread
-  /// column folds, metric-row merges). 1 = the serial reference path; any
-  /// value produces bitwise-identical results (docs/analyzer.md).
+  /// Participants in every parallel stage (shard parsing, metric-row
+  /// merges, lint phase 1); each stage runs on its own pool of this size.
+  /// 1 runs everything inline on the calling thread; any value produces
+  /// bitwise-identical results (docs/analyzer.md).
   unsigned jobs = 1;
-  /// Reuse an existing pool instead of spawning one per stage. When set,
-  /// `jobs` is ignored in favor of the pool's size.
-  support::ThreadPool* pool = nullptr;
   /// Recover from damaged inputs: malformed sections become diagnostics,
   /// unreadable shard files are skipped (subject to `quorum`).
   bool lenient = false;

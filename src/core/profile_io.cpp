@@ -1,11 +1,14 @@
 #include "core/profile_io.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <filesystem>
-#include <tuple>
 #include <fstream>
+#include <mutex>
 #include <optional>
 #include <sstream>
+#include <tuple>
 
 #include "core/format/format.hpp"
 #include "support/threadpool.hpp"
@@ -825,14 +828,6 @@ void merge_session(SessionData& base, SessionData&& other) {
   // run replicate it); incompatible histories were already screened out.
 }
 
-/// The load policy implied by the pipeline-level knobs.
-LoadOptions load_options_of(const PipelineOptions& options) {
-  LoadOptions load;
-  load.lenient = options.lenient;
-  load.max_count = options.max_count;
-  return load;
-}
-
 /// Fails the merge on a quorum shortfall (checked in both modes).
 void check_quorum(const MergeSummary& summary,
                   const PipelineOptions& options) {
@@ -858,103 +853,42 @@ void record_skips(MergeResult& result) {
   }
 }
 
-/// The `jobs == 1` reference path: load and fold one file at a time, in
-/// input order. Parallel merges are defined by equivalence to this.
-MergeResult merge_files_serial(const std::vector<std::string>& paths,
-                               const PipelineOptions& options) {
+}  // namespace
+
+/// One code path for every `jobs` value (§7.2 at scale). Each pool
+/// participant loops: claim the next path index (claims go in position
+/// order), parse that file into its slot, then under the fold lock mark
+/// the slot ready and fold every consecutive ready slot from `next_fold`.
+/// Screening (skips, diagnostics, base selection, compatibility) and the
+/// fold therefore run strictly in input order, so the bytes, the summary
+/// and the strict-mode error (always the first failing file BY POSITION)
+/// match a serial in-order loop — which is exactly what jobs 1 runs. A
+/// parsed shard lives only until every shard before it has parsed, so
+/// with shards of similar cost about `jobs` of them are alive at once.
+MergeResult merge_profile_files(const std::vector<std::string>& paths,
+                                const PipelineOptions& options) {
+  if (paths.empty()) {
+    throw ProfileError("merge", 0, "no input profiles");
+  }
   MergeResult result;
   MergeSummary& summary = result.summary;
   summary.files_total = paths.size();
-  const LoadOptions load = load_options_of(options);
-
-  bool have_base = false;
-  for (const std::string& path : paths) {
-    LoadResult loaded;
-    try {
-      loaded = ProfileReader(load).read_file(path);
-    } catch (const ProfileError& e) {
-      if (!options.lenient) {
-        throw ProfileError(e.field(), e.line(), path + ": " + e.what());
-      }
-      summary.skipped.push_back(SkippedProfile{path, e.what()});
-      continue;
-    } catch (const std::exception& e) {
-      if (!options.lenient) {
-        throw ProfileError("file", 0, path + ": " + e.what());
-      }
-      summary.skipped.push_back(SkippedProfile{path, e.what()});
-      continue;
-    }
-    for (Diagnostic& d : loaded.diagnostics) {
-      summary.diagnostics.push_back(
-          Diagnostic{d.line, path + ": " + d.field, std::move(d.message)});
-    }
-    if (!have_base) {
-      result.data = std::move(loaded.data);
-      have_base = true;
-      ++summary.files_merged;
-      continue;
-    }
-    const std::string reason = incompatibility(result.data, loaded.data);
-    if (!reason.empty()) {
-      if (!options.lenient) {
-        throw ProfileError("merge", 0, path + ": " + reason);
-      }
-      summary.skipped.push_back(SkippedProfile{path, reason});
-      continue;
-    }
-    merge_session(result.data, std::move(loaded.data));
-    ++summary.files_merged;
-  }
-
-  if (!have_base) {
-    throw ProfileError(
-        "merge", 0,
-        "no loadable profile among " + std::to_string(paths.size()) +
-            " input files");
-  }
-  check_quorum(summary, options);
-  record_skips(result);
-  return result;
-}
-
-/// The parallel pipeline (§7.2 at scale): every input file parses as its
-/// own task; screening (skips, diagnostics, base selection, compatibility)
-/// then runs serially in input order so the bookkeeping matches the serial
-/// path exactly; finally the surviving sessions fold into the base with
-/// per-thread measurement columns parallelized — each column sums its
-/// sessions in index order, so every scalar sees the identical addition
-/// sequence as merge_files_serial and the result is bitwise identical.
-MergeResult merge_files_parallel(const std::vector<std::string>& paths,
-                                 const PipelineOptions& options) {
-  MergeResult result;
-  MergeSummary& summary = result.summary;
-  summary.files_total = paths.size();
-  const LoadOptions load = load_options_of(options);
+  const ProfileReader reader(options);
 
   struct LoadSlot {
     LoadResult loaded;
     std::exception_ptr error;
+    bool ready = false;  // guarded by fold_mutex
   };
   std::vector<LoadSlot> slots(paths.size());
-  std::optional<support::ThreadPool> owned;
-  support::ThreadPool* pool = options.pool;
-  if (pool == nullptr) pool = &owned.emplace(options.jobs);
-  pool->for_each_index(paths.size(), [&](std::size_t i) {
-    try {
-      slots[i].loaded = ProfileReader(load).read_file(paths[i]);
-    } catch (...) {
-      slots[i].error = std::current_exception();
-    }
-  });
+  std::atomic<std::size_t> next_claim{0};
+  std::mutex fold_mutex;
+  std::size_t next_fold = 0;   // guarded by fold_mutex
+  bool have_base = false;      // guarded by fold_mutex
+  std::exception_ptr failure;  // guarded by fold_mutex
 
-  // In-order screening, identical bookkeeping to the serial loop. In
-  // strict mode the FIRST failing input (by position, not by completion
-  // time) throws, exactly as the lazy serial loop would.
-  bool have_base = false;
-  std::vector<SessionData> sessions;
-  sessions.reserve(paths.size());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
+  // Screens and folds slot i; throws in strict mode on the first failure.
+  const auto fold = [&](std::size_t i) {
     const std::string& path = paths[i];
     LoadSlot& slot = slots[i];
     if (slot.error) {
@@ -971,7 +905,7 @@ MergeResult merge_files_parallel(const std::vector<std::string>& paths,
         }
         summary.skipped.push_back(SkippedProfile{path, e.what()});
       }
-      continue;
+      return;
     }
     for (Diagnostic& d : slot.loaded.diagnostics) {
       summary.diagnostics.push_back(
@@ -981,7 +915,7 @@ MergeResult merge_files_parallel(const std::vector<std::string>& paths,
       result.data = std::move(slot.loaded.data);
       have_base = true;
       ++summary.files_merged;
-      continue;
+      return;
     }
     const std::string reason = incompatibility(result.data, slot.loaded.data);
     if (!reason.empty()) {
@@ -989,11 +923,41 @@ MergeResult merge_files_parallel(const std::vector<std::string>& paths,
         throw ProfileError("merge", 0, path + ": " + reason);
       }
       summary.skipped.push_back(SkippedProfile{path, reason});
-      continue;
+      return;
     }
-    sessions.push_back(std::move(slot.loaded.data));
+    merge_session(result.data, std::move(slot.loaded.data));
     ++summary.files_merged;
-  }
+  };
+
+  support::ThreadPool pool(
+      static_cast<unsigned>(std::min<std::size_t>(options.jobs, paths.size())));
+  pool.for_each_index(pool.jobs(), [&](std::size_t) {
+    for (;;) {
+      const std::size_t i = next_claim++;
+      if (i >= paths.size()) return;
+      // Slot i belongs to its claimer until `ready` is set under the lock.
+      try {
+        slots[i].loaded = reader.read_file(paths[i]);
+      } catch (...) {
+        slots[i].error = std::current_exception();
+      }
+      // Declared before the lock, so the folded shards are freed after it
+      // is released instead of inside the critical section.
+      std::vector<LoadResult> folded;
+      const std::lock_guard<std::mutex> lock(fold_mutex);
+      slots[i].ready = true;
+      while (!failure && next_fold < slots.size() && slots[next_fold].ready) {
+        try {
+          fold(next_fold);
+        } catch (...) {
+          failure = std::current_exception();
+          next_claim = paths.size();  // stop further claims
+        }
+        folded.push_back(std::move(slots[next_fold++].loaded));
+      }
+    }
+  });
+  if (failure) std::rethrow_exception(failure);
 
   if (!have_base) {
     throw ProfileError(
@@ -1002,64 +966,8 @@ MergeResult merge_files_parallel(const std::vector<std::string>& paths,
             " input files");
   }
   check_quorum(summary, options);
-
-  // Fold. Per-thread totals and metric stores are independent columns:
-  // parallelize across thread index, folding sessions in order within
-  // each column (the same per-element addition order as the serial path).
-  SessionData& base = result.data;
-  std::size_t threads = base.totals.size();
-  for (const SessionData& s : sessions) {
-    threads = std::max(threads, s.totals.size());
-  }
-  {
-    ThreadTotals zero;
-    zero.per_domain.assign(base.domain_count, 0);
-    base.totals.resize(threads, zero);
-  }
-  while (base.stores.size() < threads) {
-    base.stores.emplace_back(base.domain_count);
-  }
-  support::parallel_for(
-      pool, threads, 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t tid = begin; tid < end; ++tid) {
-          for (const SessionData& s : sessions) {
-            if (tid < s.totals.size()) {
-              merge_totals(base.totals[tid], s.totals[tid],
-                           base.domain_count);
-            }
-            if (tid < s.stores.size()) {
-              base.stores[tid].merge(s.stores[tid]);
-            }
-          }
-        }
-      });
-  // The remaining sections are cheap appends/map-folds; keep them serial
-  // and in input order so even hash-map iteration history matches the
-  // serial path.
-  for (SessionData& s : sessions) {
-    base.address_centric.merge_from(s.address_centric);
-    base.first_touches.insert(base.first_touches.end(),
-                              s.first_touches.begin(), s.first_touches.end());
-    base.trace.insert(base.trace.end(), s.trace.begin(), s.trace.end());
-    base.pebs_ll_events += s.pebs_ll_events;
-  }
-
   record_skips(result);
   return result;
-}
-
-}  // namespace
-
-MergeResult merge_profile_files(const std::vector<std::string>& paths,
-                                const PipelineOptions& options) {
-  if (paths.empty()) {
-    throw ProfileError("merge", 0, "no input profiles");
-  }
-  const unsigned jobs = options.pool ? options.pool->jobs() : options.jobs;
-  if (jobs <= 1 || paths.size() == 1) {
-    return merge_files_serial(paths, options);
-  }
-  return merge_files_parallel(paths, options);
 }
 
 }  // namespace numaprof::core

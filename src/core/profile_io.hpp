@@ -165,8 +165,10 @@ struct MergeResult {
   MergeSummary summary;
 };
 
-/// Loads and merges per-thread measurement files (§7.2). In strict mode
-/// the first unreadable file throws a ProfileError naming the field/line;
+/// Loads and merges per-thread measurement files (§7.2): files parse on
+/// `options.jobs` participants and fold in input order, so the result is
+/// identical for every jobs value. In strict mode the first unreadable
+/// file (by position) throws a ProfileError naming the field/line;
 /// in lenient mode unreadable or structurally incompatible files are
 /// skipped, recorded in the summary, AND surfaced as kProfileFileSkipped
 /// degradation events in the merged SessionData so reports show them.

@@ -1317,16 +1317,7 @@ LintResult lint_paths(const std::vector<std::string>& paths,
     }
     parts[i] = lint_file_phase1(buffer.str(), name);
   };
-  const unsigned jobs =
-      options.pool != nullptr ? options.pool->jobs() : options.jobs;
-  if (jobs <= 1 || files.size() <= 1) {
-    for (std::size_t i = 0; i < files.size(); ++i) lint_one(i);
-  } else if (options.pool != nullptr) {
-    options.pool->for_each_index(files.size(), lint_one);
-  } else {
-    support::ThreadPool pool(jobs);
-    pool.for_each_index(files.size(), lint_one);
-  }
+  support::ThreadPool(options.jobs).for_each_index(files.size(), lint_one);
 
   LintResult out;
   std::vector<dataflow::FileSummary> summaries;

@@ -144,7 +144,7 @@ void parallel_for(ThreadPool* pool, std::size_t count, std::size_t grain,
     const std::size_t begin = c * grain;
     chunk(begin, std::min(count, begin + grain));
   };
-  if (pool == nullptr || pool->jobs() <= 1 || chunks <= 1) {
+  if (pool == nullptr) {
     for (std::size_t c = 0; c < chunks; ++c) run_chunk(c);
     return;
   }

@@ -1,14 +1,14 @@
-// Fixed-size work-stealing thread pool plus chunked parallel_for /
-// parallel_reduce, built for the offline analysis pipeline (§7.2): the
-// analyzer merges one measurement shard per thread, so the natural unit of
-// parallelism is "one task per shard" or "one chunk of metric rows".
+// Fixed-size work-stealing thread pool plus a chunked parallel_for, built
+// for the offline analysis pipeline (§7.2): the analyzer merges one
+// measurement shard per thread, so the natural unit of parallelism is
+// "one shard file" or "one chunk of metric rows".
 //
 // Determinism contract: the pool decides WHICH thread runs an index, never
 // the ORDER results are combined in. for_each_index runs each index exactly
 // once with no ordering guarantee, so bodies must only write state owned by
-// their index; parallel_reduce combines chunk accumulators serially in
-// ascending chunk order, so for a fixed grain the reduction is reproducible
-// run-to-run and independent of the worker count.
+// their index (or combine under their own lock in an order they fix, as the
+// shard merge does). A pool of one participant runs every batch inline, in
+// index order, on the calling thread — that is the whole jobs-1 path.
 #pragma once
 
 #include <atomic>
@@ -19,7 +19,6 @@
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace numaprof::support {
@@ -83,33 +82,11 @@ class ThreadPool {
 };
 
 /// Chunked parallel for: splits [0, count) into chunks of at most `grain`
-/// indices and runs chunk(begin, end) for each. Serial (in ascending chunk
-/// order) when `pool` is null, has one participant, or there is only one
-/// chunk; otherwise chunks run concurrently in unspecified order.
+/// indices and runs chunk(begin, end) for each through
+/// pool->for_each_index (serial, in ascending chunk order, when `pool` is
+/// null or for_each_index runs inline); otherwise chunks run concurrently
+/// in unspecified order.
 void parallel_for(ThreadPool* pool, std::size_t count, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& chunk);
-
-/// Chunked parallel reduce. Each chunk folds into its own accumulator
-/// (initialized from `identity`) via chunk(acc, begin, end); the chunk
-/// accumulators are then combined SERIALLY in ascending chunk order via
-/// combine(result, std::move(acc)). For a fixed grain the chunk boundaries
-/// — and therefore the combine order — do not depend on the pool size, so
-/// the result is identical for any worker count whenever the fold is
-/// deterministic per chunk.
-template <typename Acc, typename ChunkFn, typename CombineFn>
-Acc parallel_reduce(ThreadPool* pool, std::size_t count, std::size_t grain,
-                    Acc identity, ChunkFn&& chunk, CombineFn&& combine) {
-  if (count == 0) return identity;
-  if (grain == 0) grain = 1;
-  const std::size_t chunks = (count + grain - 1) / grain;
-  std::vector<Acc> partial(chunks, identity);
-  parallel_for(pool, count, grain,
-               [&](std::size_t begin, std::size_t end) {
-                 chunk(partial[begin / grain], begin, end);
-               });
-  Acc result = std::move(identity);
-  for (Acc& p : partial) combine(result, std::move(p));
-  return result;
-}
 
 }  // namespace numaprof::support

@@ -1,12 +1,13 @@
-// Golden-equivalence lock on the parallel analysis pipeline (ISSUE: the
-// --jobs N output must be byte-identical to the serial reference). For
-// each of the four paper case studies (§8.1-8.4) this test:
+// Golden-equivalence lock on the parallel analysis pipeline: the
+// --jobs N output must be byte-identical to the jobs-1 output. For each
+// of the four paper case studies (§8.1-8.4) this test:
 //
 //  1. renders the full viewer + advisor analysis with jobs=1 and jobs=4
 //     and requires the TEXT to be byte-identical;
 //  2. shards the session into per-thread measurement files, merges them
 //     back with jobs=1 and jobs=4, and requires the re-serialized PROFILE
-//     BYTES to be identical;
+//     BYTES to equal each other AND the unsharded session's bytes (an
+//     independent reference: no merge code produced it);
 //  3. re-renders the advisor golden text through jobs=4 Analyzers and
 //     compares it against the checked-in tests/golden/advisor_apps.txt —
 //     the same golden the serial advisor test locks, so no new golden
@@ -167,10 +168,10 @@ TEST(GoldenEquiv, ParallelAnalysisTextMatchesSerialForAllCaseStudies) {
 
 TEST(GoldenEquiv, ParallelShardMergeBytesMatchSerialForAllCaseStudies) {
   // Parameterized over the shard encoding: text and binary measurement
-  // files must merge to the same session, at every jobs value.
+  // files must merge back to the unsharded session, at every jobs value.
   for (const CaseStudy& app : case_studies()) {
     const core::SessionData data = app.run();
-    std::string text_merge_bytes;
+    const std::string unsharded = profile_bytes(data);
     for (const ProfileFormat format :
          {ProfileFormat::kText, ProfileFormat::kBinary}) {
       const bool binary = format == ProfileFormat::kBinary;
@@ -194,13 +195,10 @@ TEST(GoldenEquiv, ParallelShardMergeBytesMatchSerialForAllCaseStudies) {
       EXPECT_EQ(parallel.summary.files_merged, serial.summary.files_merged);
       EXPECT_EQ(profile_bytes(parallel.data), profile_bytes(serial.data))
           << app.name << ": merged profile bytes differ between jobs";
-      if (binary) {
-        EXPECT_EQ(profile_bytes(serial.data), text_merge_bytes)
-            << app.name << ": binary-shard merge diverged from text-shard "
-            << "merge";
-      } else {
-        text_merge_bytes = profile_bytes(serial.data);
-      }
+      EXPECT_EQ(profile_bytes(serial.data), unsharded)
+          << app.name << ": jobs=1 merge diverged from the unsharded session";
+      EXPECT_EQ(profile_bytes(parallel.data), unsharded)
+          << app.name << ": jobs=4 merge diverged from the unsharded session";
     }
   }
 }

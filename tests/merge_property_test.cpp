@@ -10,8 +10,9 @@
 //    metrics; commutativity and identity hold bitwise for ANY doubles.
 //  - equivalence: the parallel merge paths (MetricStore::merge_all, the
 //    Analyzer's row-parallel fold, merge_profile_files with jobs > 1)
-//    must produce BITWISE identical results to the serial reference path
-//    for jobs in {1, 2, 8}, even with arbitrary (non-integer) latencies.
+//    must produce BITWISE identical results to a plain in-order fold
+//    (MetricStore::merge) or to the same call at jobs 1, for jobs in
+//    {1, 2, 8}, even with arbitrary (non-integer) latencies.
 //
 // Also holds the regression test for the analyzer's domain-count guard: a
 // per-thread store sized for the wrong machine must raise a typed

@@ -6,8 +6,9 @@
 //
 // Everything is deterministic: adversarial inputs come from seeded
 // support::Rng streams, and every parallel result is compared bitwise
-// against the serial reference path — repeatedly, so rare interleavings
-// get more chances to go wrong under TSan.
+// against the same computation at jobs 1 (or MetricStore::merge's plain
+// fold) — repeatedly, so rare interleavings get more chances to go wrong
+// under TSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -193,28 +194,47 @@ TEST(PipelineStressPool, ParallelForCoversIndexSpaceInGrainChunks) {
   EXPECT_EQ(expect_begin, count);
 }
 
-TEST(PipelineStressPool, ParallelReduceIsBitwiseStableAcrossPoolSizes) {
-  support::Rng rng(0x57285501);
-  std::vector<double> values(10'000);
-  for (double& v : values) v = rng.next_double() * 997.0;
+TEST(PipelineStressPool, NestedCallRunsInlineExactlyOnce) {
+  // A body that re-enters its own (busy) pool must not deadlock: the inner
+  // for_each_index and merge_all fall back to an inline serial loop.
+  support::Rng rng(0x57285506);
+  std::vector<MetricStore> parts;
+  for (int p = 0; p < 5; ++p) {
+    MetricStore store(3);
+    for (int i = 0; i < 300; ++i) {
+      store.add(static_cast<NodeId>(rng.next_below(700)),
+                static_cast<std::uint32_t>(rng.next_below(store.width())),
+                rng.next_double() * 89.0);
+    }
+    parts.push_back(std::move(store));
+  }
+  std::vector<const MetricStore*> pointers;
+  MetricStore serial(3);
+  for (const MetricStore& p : parts) {
+    pointers.push_back(&p);
+    serial.merge(p);
+  }
 
-  const auto reduce_with = [&](support::ThreadPool* pool) {
-    return support::parallel_reduce(
-        pool, values.size(), 64, 0.0,
-        [&](double& acc, std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) acc += values[i];
-        },
-        [](double& result, double partial) { result += partial; });
-  };
-
-  const double serial = reduce_with(nullptr);
-  for (const unsigned jobs : {1u, 2u, 8u}) {
-    support::ThreadPool pool(jobs);
-    for (int round = 0; round < 10; ++round) {
-      // Bitwise ==: chunk boundaries (and thus the combine order) depend
-      // only on the grain, never on the pool size or schedule.
-      ASSERT_EQ(reduce_with(&pool), serial)
-          << "jobs=" << jobs << " round " << round;
+  constexpr std::size_t kOuter = 16;
+  constexpr std::size_t kInner = 97;
+  support::ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::vector<MetricStore> nested(kOuter, MetricStore(3));
+  pool.for_each_index(kOuter, [&](std::size_t outer) {
+    pool.for_each_index(kInner, [&](std::size_t inner) {
+      hits[outer * kInner + inner].fetch_add(1);
+    });
+    nested[outer].merge_all(pointers, &pool);
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "inner index " << i;
+  }
+  for (const MetricStore& merged : nested) {
+    ASSERT_EQ(merged.node_capacity(), serial.node_capacity());
+    for (NodeId node = 0; node < serial.node_capacity(); ++node) {
+      for (std::uint32_t m = 0; m < serial.width(); ++m) {
+        ASSERT_EQ(merged.get(node, m), serial.get(node, m));
+      }
     }
   }
 }
@@ -279,6 +299,57 @@ TEST(PipelineStressMerge, LenientParallelMergeSkipsDamageLikeSerial) {
   }
 }
 
+TEST(PipelineStressMerge, StrictParallelMergeNamesFirstDamagedPosition) {
+  SessionData original = adversarial_session(0x57285507);
+  // Thread 1 gets a dense store over a thousand extra nodes, so its
+  // shard parses several times longer than any other.
+  support::Rng rng(0x57285508);
+  const NodeId variable = original.variables[0].variable_node;
+  MetricStore& heavy = original.stores[1];
+  for (std::uint64_t bin = 0; bin < 1000; ++bin) {
+    const NodeId node = original.cct.child(variable, NodeKind::kBin, bin);
+    for (std::uint32_t m = 0; m < heavy.width(); ++m) {
+      heavy.add(node, m, rng.next_double() * 977.0);
+    }
+  }
+  const std::string dir = fresh_dir("numaprof_stress_strict");
+  const std::vector<std::string> paths =
+      ProfileWriter().write_thread_shards(original, dir);
+  ASSERT_EQ(paths.size(), 8u);
+  // Shard 1 loses only its tail, so it fails LATE in its long parse;
+  // shard 5 is empty, so it fails at once. A merge that surfaced the
+  // first failure to FINISH would usually name shard 5; the
+  // position-order rule always names shard 1.
+  const auto truncate = [](const std::string& path, double keep) {
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    in.close();
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(
+                                static_cast<double>(bytes.size()) * keep));
+  };
+  truncate(paths[1], 0.95);
+  truncate(paths[5], 0.0);
+
+  for (const unsigned jobs : {1u, 4u, 8u}) {
+    for (int round = 0; round < 8; ++round) {
+      PipelineOptions options;
+      options.jobs = jobs;
+      try {
+        merge_profile_files(paths, options);
+        FAIL() << "strict merge must throw; jobs=" << jobs;
+      } catch (const ProfileError& e) {
+        const std::string message = e.what();
+        EXPECT_NE(message.find(paths[1]), std::string::npos)
+            << "jobs=" << jobs << " round " << round << ": " << message;
+        EXPECT_EQ(message.find(paths[5]), std::string::npos)
+            << "jobs=" << jobs << " round " << round << ": " << message;
+      }
+    }
+  }
+}
+
 // --- parallel analyzer under repetition ------------------------------
 
 TEST(PipelineStressAnalyzer, RepeatedParallelAnalysisMatchesSerialText) {
@@ -287,29 +358,6 @@ TEST(PipelineStressAnalyzer, RepeatedParallelAnalysisMatchesSerialText) {
   ASSERT_FALSE(serial.empty());
   for (int round = 0; round < 6; ++round) {
     ASSERT_EQ(render_analysis(data, 8), serial) << "round " << round;
-  }
-}
-
-TEST(PipelineStressAnalyzer, SharedPoolServesConcurrentMerges) {
-  // One pool reused across many Analyzer constructions: concurrent reuse
-  // falls back to inline serial merging (the pool is busy), which must
-  // still be bitwise identical.
-  const SessionData data = adversarial_session(0x57285505);
-  support::ThreadPool pool(4);
-  const Analyzer serial(data);
-  for (int round = 0; round < 10; ++round) {
-    PipelineOptions pooled_options;
-    pooled_options.pool = &pool;
-    const Analyzer pooled(data, pooled_options);
-    const MetricStore& a = pooled.merged();
-    const MetricStore& b = serial.merged();
-    ASSERT_EQ(a.width(), b.width());
-    const std::size_t rows = std::max(a.node_capacity(), b.node_capacity());
-    for (NodeId node = 0; node < rows; ++node) {
-      for (std::uint32_t m = 0; m < a.width(); ++m) {
-        ASSERT_EQ(a.get(node, m), b.get(node, m));
-      }
-    }
   }
 }
 
