@@ -1,10 +1,12 @@
 // CLI: profile_convert — transcode profiles between the two encodings.
 //
 // Reads any profile (text or binary, autodetected from magic bytes) and
-// rewrites it in the requested encoding. Both encodings are lossless and
-// byte-deterministic, so text -> binary -> text reproduces the original
-// file byte for byte; the round-trip test in tests/binary_format_test.cpp
-// holds this CLI to that exact promise.
+// rewrites it in the requested encoding. Both encodings are
+// byte-deterministic and binary holds every value text does, so text ->
+// binary -> text reproduces the original file byte for byte; the
+// round-trip test in tests/binary_format_test.cpp holds this CLI to that
+// exact promise. The other direction rounds: text keeps six significant
+// digits of each double, so binary -> text -> binary can change values.
 //
 // Usage:
 //   profile_convert [flags] <in-file> <out-file>

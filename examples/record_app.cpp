@@ -11,8 +11,9 @@
 //   --trace                   record the per-sample trace
 //   --format FMT              profile encoding for the out-file, shards,
 //                             and the daemon stream: text (default, the
-//                             lossless interchange format) or binary (the
-//                             mmap-able columnar format, docs/format.md)
+//                             human-readable interchange format) or binary
+//                             (the exact, mmap-able columnar format,
+//                             docs/format.md)
 //   --shards DIR              also write per-thread measurement files
 //                             (hpcrun style) for analyze_profile --merge
 //   --telemetry-interval N    stream a live measurement-health status line

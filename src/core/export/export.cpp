@@ -1,10 +1,10 @@
 #include "core/export/export.hpp"
 
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 
 #include "support/error.hpp"
+#include "support/file.hpp"
 
 namespace numaprof::core {
 
@@ -90,13 +90,8 @@ std::vector<std::string> write_exports(const Analyzer& analyzer,
        export_artifacts(analyzer, kind, options)) {
     const std::string path =
         (fs::path(directory) / artifact.filename).string();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(artifact.bytes.data(),
-              static_cast<std::streamsize>(artifact.bytes.size()));
-    if (!out) {
-      throw Error(ErrorKind::kExport, path, "", 0,
-                  "cannot write export artifact '" + path + "'");
-    }
+    support::write_file(path, artifact.bytes, ErrorKind::kExport,
+                        "export artifact");
     written.push_back(path);
   }
   return written;

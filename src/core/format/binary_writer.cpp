@@ -1,28 +1,28 @@
 // The byte-deterministic columnar writer (docs/format.md). Sections are
 // built as standalone payloads first — so each CRC covers exactly its
 // payload bytes — then laid out at 8-aligned offsets behind the header
-// and section table. Record orders are canonical: firsttouch records are
-// sorted the way the text writer sorts them, address-centric entries use
-// AddressCentric::sorted_entries(), metric rows ascend by node id.
-#include <algorithm>
-#include <tuple>
-
+// and section table. Record orders are the WritePlan's canonical ones
+// (shared with the text writer); metric rows ascend by node id. The
+// frames, CCT and variables payloads and their CRCs are built once per
+// call and laid out into every profile of it.
 #include "core/format/codec.hpp"
 #include "core/format/format.hpp"
+#include "core/format/writer.hpp"
 #include "support/hash.hpp"
 
 namespace numaprof::core::format {
 
 namespace {
 
-std::string meta_section(const SessionData& data) {
+std::string meta_section(const ProfileView& view) {
+  const SessionData& data = view.data();
   std::string out;
   put_u32(out, data.domain_count);
   put_u32(out, data.core_count);
   put_u32(out, static_cast<std::uint32_t>(data.mechanism));
   put_u32(out, static_cast<std::uint32_t>(data.requested_mechanism));
   put_u64(out, data.sampling_period);
-  put_u64(out, data.pebs_ll_events);
+  put_u64(out, view.pebs_ll_events());
   put_u32(out, static_cast<std::uint32_t>(data.machine_name.size()));
   put_u32(out, static_cast<std::uint32_t>(data.fault_context.size()));
   out.append(data.machine_name);
@@ -88,14 +88,18 @@ std::string variables_section(const SessionData& data) {
   return out;
 }
 
-std::string threads_section(const SessionData& data) {
+std::string threads_section(const ProfileView& view) {
   std::string out;
-  const std::size_t threads = data.totals.size();
-  put_u64(out, threads);
-  put_u32(out, data.domain_count);
+  std::vector<const ThreadTotals*> totals;
+  for (std::size_t tid = 0; tid < view.thread_count(); ++tid) {
+    totals.push_back(&view.totals(tid));
+  }
+  const std::uint32_t domains = view.data().domain_count;
+  put_u64(out, totals.size());
+  put_u32(out, domains);
   put_u32(out, 0);  // reserved; keeps the u64 columns 8-aligned
   const auto column = [&](auto member) {
-    for (const ThreadTotals& t : data.totals) put_u64(out, t.*member);
+    for (const ThreadTotals* t : totals) put_u64(out, t->*member);
   };
   column(&ThreadTotals::samples);
   column(&ThreadTotals::memory_samples);
@@ -105,29 +109,27 @@ std::string threads_section(const SessionData& data) {
   column(&ThreadTotals::remote_l3_miss_samples);
   column(&ThreadTotals::instructions);
   column(&ThreadTotals::memory_instructions);
-  for (const ThreadTotals& t : data.totals) put_f64(out, t.remote_latency);
-  for (const ThreadTotals& t : data.totals) put_f64(out, t.total_latency);
+  for (const ThreadTotals* t : totals) put_f64(out, t->remote_latency);
+  for (const ThreadTotals* t : totals) put_f64(out, t->total_latency);
   // Per-domain sampled access counts, thread-major; short vectors (from
   // lenient text loads) pad with zero so the matrix is always dense.
-  for (const ThreadTotals& t : data.totals) {
-    for (std::uint32_t d = 0; d < data.domain_count; ++d) {
-      put_u64(out, d < t.per_domain.size() ? t.per_domain[d] : 0);
+  for (const ThreadTotals* t : totals) {
+    for (std::uint32_t d = 0; d < domains; ++d) {
+      put_u64(out, d < t->per_domain.size() ? t->per_domain[d] : 0);
     }
   }
   return out;
 }
 
-std::string metrics_section(const SessionData& data) {
+std::string metrics_section(const ProfileView& view) {
   std::string out;
-  const MetricStore empty(data.domain_count);
-  const std::uint32_t width = empty.width();
-  const std::size_t threads = data.totals.size();
+  const std::uint32_t width = MetricStore(view.data().domain_count).width();
+  const std::size_t threads = view.thread_count();
   put_u64(out, threads);
   put_u32(out, width);
   put_u32(out, 0);  // reserved; keeps per-thread blocks 8-aligned
   for (std::size_t tid = 0; tid < threads; ++tid) {
-    const MetricStore& store =
-        tid < data.stores.size() ? data.stores[tid] : empty;
+    const MetricStore& store = view.store(tid);
     const auto nodes = store.nodes();
     put_u64(out, nodes.size());
     for (const NodeId node : nodes) put_u32(out, node);
@@ -142,9 +144,9 @@ std::string metrics_section(const SessionData& data) {
   return out;
 }
 
-std::string addrcentric_section(const SessionData& data) {
+std::string addrcentric_section(const ProfileView& view) {
   std::string out;
-  const auto entries = data.address_centric.sorted_entries();
+  const std::span<const AddrEntry> entries = view.addrcentric();
   put_u64(out, entries.size());
   for (const auto& [key, s] : entries) put_u64(out, s.lo);
   for (const auto& [key, s] : entries) put_u64(out, s.hi);
@@ -157,17 +159,9 @@ std::string addrcentric_section(const SessionData& data) {
   return out;
 }
 
-std::string firsttouch_section(const SessionData& data) {
+std::string firsttouch_section(const ProfileView& view) {
   std::string out;
-  // Canonical record order, identical to the text writer: a live
-  // snapshot logs touches chronologically while shard merges concatenate
-  // per-thread; sorting makes both serialize to the same bytes.
-  std::vector<FirstTouchRecord> touches = data.first_touches;
-  std::sort(touches.begin(), touches.end(),
-            [](const FirstTouchRecord& a, const FirstTouchRecord& b) {
-              return std::tie(a.variable, a.page, a.tid, a.domain, a.node) <
-                     std::tie(b.variable, b.page, b.tid, b.domain, b.node);
-            });
+  const std::span<const FirstTouchRecord> touches = view.first_touches();
   put_u64(out, touches.size());
   for (const FirstTouchRecord& r : touches) put_u64(out, r.page);
   for (const FirstTouchRecord& r : touches) put_u32(out, r.variable);
@@ -177,69 +171,65 @@ std::string firsttouch_section(const SessionData& data) {
   return out;
 }
 
-std::string trace_section(const SessionData& data) {
+std::string trace_section(const ProfileView& view) {
   std::string out;
-  put_u64(out, data.trace.size());
-  for (const TraceEvent& e : data.trace) put_u64(out, e.time);
-  for (const TraceEvent& e : data.trace) put_u32(out, e.tid);
-  for (const TraceEvent& e : data.trace) put_u32(out, e.variable);
-  for (const TraceEvent& e : data.trace) put_u32(out, e.home_domain);
-  for (const TraceEvent& e : data.trace) put_u32(out, e.latency);
-  for (const TraceEvent& e : data.trace) put_u8(out, e.mismatch ? 1 : 0);
-  for (const TraceEvent& e : data.trace) put_u8(out, e.remote ? 1 : 0);
+  const std::span<const TraceEvent> trace = view.trace();
+  put_u64(out, trace.size());
+  for (const TraceEvent& e : trace) put_u64(out, e.time);
+  for (const TraceEvent& e : trace) put_u32(out, e.tid);
+  for (const TraceEvent& e : trace) put_u32(out, e.variable);
+  for (const TraceEvent& e : trace) put_u32(out, e.home_domain);
+  for (const TraceEvent& e : trace) put_u32(out, e.latency);
+  for (const TraceEvent& e : trace) put_u8(out, e.mismatch ? 1 : 0);
+  for (const TraceEvent& e : trace) put_u8(out, e.remote ? 1 : 0);
   return out;
 }
 
-std::string degradations_section(const SessionData& data) {
+std::string degradations_section(const ProfileView& view) {
   std::string out;
-  put_u64(out, data.degradations.size());
-  for (const DegradationEvent& e : data.degradations) put_u64(out, e.value);
-  for (const DegradationEvent& e : data.degradations) {
+  const std::span<const DegradationEvent> events = view.degradations();
+  put_u64(out, events.size());
+  for (const DegradationEvent& e : events) put_u64(out, e.value);
+  for (const DegradationEvent& e : events) {
     put_u32(out, static_cast<std::uint32_t>(e.detail.size()));
   }
-  for (const DegradationEvent& e : data.degradations) {
+  for (const DegradationEvent& e : events) {
     put_u8(out, static_cast<std::uint8_t>(e.kind));
   }
-  for (const DegradationEvent& e : data.degradations) {
+  for (const DegradationEvent& e : events) {
     put_u8(out, static_cast<std::uint8_t>(e.mechanism));
   }
-  for (const DegradationEvent& e : data.degradations) out.append(e.detail);
+  for (const DegradationEvent& e : events) out.append(e.detail);
   return out;
 }
 
-}  // namespace
+struct Section {
+  SectionId id;
+  std::string payload;
+  std::uint32_t crc;
+};
 
-void write_binary_profile(const SessionData& data, std::string& out) {
-  struct Section {
-    SectionId id;
-    std::string payload;
-  };
-  Section sections[] = {
-      {SectionId::kMeta, meta_section(data)},
-      {SectionId::kFrames, frames_section(data)},
-      {SectionId::kCct, cct_section(data)},
-      {SectionId::kVariables, variables_section(data)},
-      {SectionId::kThreads, threads_section(data)},
-      {SectionId::kMetrics, metrics_section(data)},
-      {SectionId::kAddrCentric, addrcentric_section(data)},
-      {SectionId::kFirstTouch, firsttouch_section(data)},
-      {SectionId::kTrace, trace_section(data)},
-      {SectionId::kDegradations, degradations_section(data)},
-  };
+Section section(SectionId id, std::string payload) {
+  const std::uint32_t crc = support::crc32(payload);
+  return Section{id, std::move(payload), crc};
+}
 
-  // Lay out payloads: each starts at the next 8-aligned offset behind
-  // the header + table.
+/// Writes one complete profile into the empty `out`: header, section
+/// table, then the payloads of `sections` (in SectionId order) at
+/// 8-aligned offsets.
+void lay_out(const Section* const (&sections)[kSectionCount],
+             std::string& out) {
   const std::size_t table_bytes = kSectionCount * kTableEntryBytes;
   std::size_t offset = kHeaderBytes + table_bytes;
   std::string table;
   table.reserve(table_bytes);
-  for (const Section& s : sections) {
+  for (const Section* s : sections) {
     offset = (offset + 7) & ~std::size_t(7);
-    put_u32(table, static_cast<std::uint32_t>(s.id));
-    put_u32(table, support::crc32(s.payload));
+    put_u32(table, static_cast<std::uint32_t>(s->id));
+    put_u32(table, s->crc);
     put_u64(table, offset);
-    put_u64(table, s.payload.size());
-    offset += s.payload.size();
+    put_u64(table, s->payload.size());
+    offset += s->payload.size();
   }
   const std::uint64_t file_size = offset;
 
@@ -253,16 +243,48 @@ void write_binary_profile(const SessionData& data, std::string& out) {
   put_u32(header, support::crc32(table));
   put_u32(header, support::crc32(header));
 
-  // Alignment is relative to the profile's own first byte (`out` may
-  // already hold unrelated content — this function appends).
-  const std::size_t start = out.size();
-  out.reserve(start + file_size);
+  out.reserve(file_size);
   out.append(header);
   out.append(table);
-  for (const Section& s : sections) {
-    while ((out.size() - start) % 8 != 0) out.push_back('\0');
-    out.append(s.payload);
+  for (const Section* s : sections) {
+    pad_to(out, 8);
+    out.append(s->payload);
   }
+}
+
+}  // namespace
+
+void encode_binary(const WritePlan& plan, const ProfileSink& sink) {
+  const SessionData& data = plan.data();
+  const Section frames = section(SectionId::kFrames, frames_section(data));
+  const Section cct = section(SectionId::kCct, cct_section(data));
+  const Section variables =
+      section(SectionId::kVariables, variables_section(data));
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const ProfileView view = plan.view(i);
+    const Section meta = section(SectionId::kMeta, meta_section(view));
+    const Section threads =
+        section(SectionId::kThreads, threads_section(view));
+    const Section metrics =
+        section(SectionId::kMetrics, metrics_section(view));
+    const Section addrcentric =
+        section(SectionId::kAddrCentric, addrcentric_section(view));
+    const Section firsttouch =
+        section(SectionId::kFirstTouch, firsttouch_section(view));
+    const Section trace = section(SectionId::kTrace, trace_section(view));
+    const Section degradations =
+        section(SectionId::kDegradations, degradations_section(view));
+    std::string profile;
+    lay_out({&meta, &frames, &cct, &variables, &threads, &metrics,
+             &addrcentric, &firsttouch, &trace, &degradations},
+            profile);
+    sink(std::move(profile));
+  }
+}
+
+void write_binary_profile(const SessionData& data, std::string& out) {
+  encode_binary(WritePlan::whole(data),
+                [&](std::string profile) { out += profile; });
 }
 
 }  // namespace numaprof::core::format

@@ -26,16 +26,21 @@ inline void put_u8(std::string& out, std::uint8_t v) {
   out.push_back(static_cast<char>(v));
 }
 
+// One append per value: the byte loop compiles to a single store.
 inline void put_u32(std::string& out, std::uint32_t v) {
+  char bytes[4];
   for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
+  out.append(bytes, sizeof(bytes));
 }
 
 inline void put_u64(std::string& out, std::uint64_t v) {
+  char bytes[8];
   for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
+  out.append(bytes, sizeof(bytes));
 }
 
 inline void put_f64(std::string& out, double v) {

@@ -13,8 +13,10 @@
 // bytes of their IEEE-754 bit pattern. The writer is byte-deterministic:
 // sections are emitted in id order with canonical record orders (the
 // text writer's sorted firsttouch / addrcentric orders), and padding is
-// always zero. The text format (docs/format.md) remains the
-// lossless interchange encoding; this one is the fast path.
+// always zero. The writer lives in binary_writer.cpp behind
+// core/format/writer.hpp. Binary is the exact encoding: every double
+// keeps its bit pattern, where the text format (docs/format.md), the
+// human-readable interchange encoding, rounds to six significant digits.
 //
 // File layout:
 //   0   8  magic 89 4E 50 42 46 0D 0A 1A ("\x89NPBF\r\n\x1a", PNG-style)

@@ -62,8 +62,8 @@ using core::merge_profile_files;
 
 // --- Profile I/O -----------------------------------------------------
 /// ProfileFormat [stable]: which encoding a writer emits — kText (the
-/// lossless interchange format) or kBinary (the mmap-able columnar
-/// format, docs/format.md). Declared in core/options.hpp because
+/// human-readable interchange format, doubles to six significant digits)
+/// or kBinary (the exact, mmap-able columnar format, docs/format.md). Declared in core/options.hpp because
 /// PipelineOptions carries it.
 /// ProfileReader [stable]: loads a Session from a stream, buffer, or
 /// file, autodetecting the encoding from magic bytes; binary files are

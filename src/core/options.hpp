@@ -10,9 +10,9 @@
 
 namespace numaprof {
 
-/// On-disk profile encodings. Text is the lossless interchange format
-/// (docs/format.md); binary is the mmap-able columnar format
-/// (docs/format.md). Readers autodetect from magic bytes, so the field
+/// On-disk profile encodings. Text is the human-readable interchange
+/// format, its doubles rounded to six significant digits; binary is the
+/// exact, mmap-able columnar format (both in docs/format.md). Readers autodetect from magic bytes, so the field
 /// only governs what writers EMIT.
 enum class ProfileFormat : std::uint8_t {
   kText,

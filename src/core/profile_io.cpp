@@ -8,9 +8,10 @@
 #include <mutex>
 #include <optional>
 #include <sstream>
-#include <tuple>
 
 #include "core/format/format.hpp"
+#include "core/format/writer.hpp"
+#include "support/file.hpp"
 #include "support/threadpool.hpp"
 
 namespace numaprof::core {
@@ -75,110 +76,6 @@ std::string unescape_field(std::string_view escaped) {
   }
   return out;
 }
-
-// --- text writer -----------------------------------------------------
-
-namespace {
-
-void save_profile_text(const SessionData& data, std::ostream& os) {
-  os << "numaprof-profile " << kProfileFormatVersion << "\n";
-  os << "machine " << data.domain_count << " " << data.core_count << " "
-     << escape_field(data.machine_name) << "\n";
-  os << "sampling " << static_cast<int>(data.mechanism) << " "
-     << data.sampling_period << " " << data.pebs_ll_events << "\n";
-  os << "requested " << static_cast<int>(data.requested_mechanism) << "\n";
-
-  os << "frames " << data.frames.size() << "\n";
-  for (const simrt::FrameInfo& f : data.frames) {
-    os << static_cast<int>(f.kind) << " " << f.line << " "
-       << escape_field(f.name) << " " << escape_field(f.file) << "\n";
-  }
-
-  os << "cct " << data.cct.size() << "\n";
-  // Node 0 is the root; emit children in id order so reconstruction by
-  // sequential child() calls reproduces identical ids.
-  for (NodeId id = 1; id < data.cct.size(); ++id) {
-    const CctNode& n = data.cct.node(id);
-    os << n.parent << " " << static_cast<int>(n.kind) << " " << n.key << "\n";
-  }
-
-  os << "variables " << data.variables.size() << "\n";
-  for (const Variable& v : data.variables) {
-    os << static_cast<int>(v.kind) << " " << v.start << " " << v.size << " "
-       << v.page_count << " " << v.variable_node << " " << v.alloc_tid << " "
-       << (v.live ? 1 : 0) << " " << escape_field(v.name) << "\n";
-  }
-
-  os << "threads " << data.totals.size() << "\n";
-  for (std::size_t tid = 0; tid < data.totals.size(); ++tid) {
-    const ThreadTotals& t = data.totals[tid];
-    os << t.samples << " " << t.memory_samples << " " << t.match << " "
-       << t.mismatch << " " << t.remote_latency << " " << t.total_latency
-       << " " << t.l3_miss_samples << " " << t.remote_l3_miss_samples << " "
-       << t.instructions << " " << t.memory_instructions;
-    for (const auto v : t.per_domain) os << " " << v;
-    os << "\n";
-
-    const MetricStore empty(data.domain_count);
-    const MetricStore& store =
-        tid < data.stores.size() ? data.stores[tid] : empty;
-    const auto nodes = store.nodes();
-    os << "metrics " << nodes.size() << " " << store.width() << "\n";
-    for (const NodeId node : nodes) {
-      os << node;
-      for (std::uint32_t m = 0; m < store.width(); ++m) {
-        os << " " << store.get(node, m);
-      }
-      os << "\n";
-    }
-  }
-
-  os << "addrcentric " << data.address_centric.entry_count() << "\n";
-  // Deterministic key order: the same entries always serialize to the same
-  // bytes, independent of the hash map's insertion history.
-  for (const auto& [key, s] : data.address_centric.sorted_entries()) {
-    os << key.context << " " << key.variable << " " << key.bin << " "
-       << key.tid << " " << s.lo << " " << s.hi << " " << s.count << " "
-       << s.latency << "\n";
-  }
-
-  os << "firsttouch " << data.first_touches.size() << "\n";
-  // Canonical record order: a live snapshot logs first touches in global
-  // chronological order, while shard merging concatenates each thread's
-  // records.  Sorting makes both serialize to the same bytes.
-  std::vector<FirstTouchRecord> touches = data.first_touches;
-  std::sort(touches.begin(), touches.end(),
-            [](const FirstTouchRecord& a, const FirstTouchRecord& b) {
-              return std::tie(a.variable, a.page, a.tid, a.domain, a.node) <
-                     std::tie(b.variable, b.page, b.tid, b.domain, b.node);
-            });
-  for (const FirstTouchRecord& r : touches) {
-    os << r.variable << " " << r.tid << " " << r.domain << " " << r.node
-       << " " << r.page << "\n";
-  }
-
-  os << "trace " << data.trace.size() << "\n";
-  for (const TraceEvent& e : data.trace) {
-    os << e.time << " " << e.tid << " " << e.variable << " "
-       << e.home_domain << " " << (e.mismatch ? 1 : 0) << " "
-       << (e.remote ? 1 : 0) << " " << e.latency << "\n";
-  }
-
-  os << "degradations " << data.degradations.size() << "\n";
-  for (const DegradationEvent& e : data.degradations) {
-    os << static_cast<int>(e.kind) << " " << static_cast<int>(e.mechanism)
-       << " " << e.value << " " << escape_field(e.detail) << "\n";
-  }
-  // Optional section: written only when a fault plan was active, so
-  // fault-free profiles (and their goldens) are byte-identical to before
-  // the section existed.
-  if (!data.fault_context.empty()) {
-    os << "faultplan " << escape_field(data.fault_context) << "\n";
-  }
-  os << "end\n";
-}
-
-}  // namespace
 
 // --- text reader -----------------------------------------------------
 
@@ -662,73 +559,43 @@ LoadResult ProfileReader::read_file(const std::string& path) const {
   return load_profile_text(is, options_);
 }
 
-void ProfileWriter::write(const SessionData& data, std::ostream& os) const {
-  if (format_ == ProfileFormat::kBinary) {
-    std::string out;
-    format::write_binary_profile(data, out);
-    os.write(out.data(), static_cast<std::streamsize>(out.size()));
+namespace {
+
+void encode(const format::WritePlan& plan, ProfileFormat profile_format,
+            const format::ProfileSink& sink) {
+  if (profile_format == ProfileFormat::kBinary) {
+    format::encode_binary(plan, sink);
   } else {
-    save_profile_text(data, os);
+    format::encode_text(plan, sink);
   }
 }
 
+}  // namespace
+
+void ProfileWriter::write(const SessionData& data, std::ostream& os) const {
+  const std::string out = bytes(data);
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
+}
+
 std::string ProfileWriter::bytes(const SessionData& data) const {
-  if (format_ == ProfileFormat::kBinary) {
-    std::string out;
-    format::write_binary_profile(data, out);
-    return out;
-  }
-  std::ostringstream os;
-  save_profile_text(data, os);
-  return std::move(os).str();
+  std::string out;
+  encode(format::WritePlan::whole(data), format_,
+         [&](std::string profile) { out = std::move(profile); });
+  return out;
 }
 
 void ProfileWriter::write_file(const SessionData& data,
                                const std::string& path) const {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("cannot open for write: " + path);
-  write(data, os);
+  support::write_file(path, bytes(data), ErrorKind::kProfile, "profile");
 }
 
 // --- per-thread shards and the analyzer merge ------------------------
 
 std::vector<std::string> ProfileWriter::thread_shards(
     const SessionData& data) const {
-  const std::size_t threads = std::max<std::size_t>(data.totals.size(), 1);
   std::vector<std::string> shards;
-  shards.reserve(threads);
-  for (std::size_t tid = 0; tid < threads; ++tid) {
-    SessionData shard = data;
-    // Blank out every other thread's measurements; the zeroed slots keep
-    // thread ids aligned so the merge is a plain element-wise sum.
-    while (shard.stores.size() < shard.totals.size()) {
-      shard.stores.emplace_back(shard.domain_count);
-    }
-    for (std::size_t t = 0; t < shard.totals.size(); ++t) {
-      if (t == tid) continue;
-      ThreadTotals zero;
-      zero.per_domain.assign(shard.domain_count, 0);
-      shard.totals[t] = std::move(zero);
-      shard.stores[t] = MetricStore(shard.domain_count);
-    }
-    AddressCentric filtered;
-    data.address_centric.for_each([&](const BinKey& key, const BinStats& s) {
-      if (key.tid == tid) filtered.insert(key, s);
-    });
-    shard.address_centric = std::move(filtered);
-    std::erase_if(shard.first_touches, [&](const FirstTouchRecord& r) {
-      return r.tid != tid;
-    });
-    std::erase_if(shard.trace,
-                  [&](const TraceEvent& e) { return e.tid != tid; });
-    if (tid != 0) {
-      // Run-level absolutes and collection history live in shard 0 only,
-      // so the merge neither double-counts nor duplicates them.
-      shard.pebs_ll_events = 0;
-      shard.degradations.clear();
-    }
-    shards.push_back(bytes(shard));
-  }
+  encode(format::WritePlan::thread_shards(data), format_,
+         [&](std::string shard) { shards.push_back(std::move(shard)); });
   return shards;
 }
 
@@ -736,18 +603,16 @@ std::vector<std::string> ProfileWriter::write_thread_shards(
     const SessionData& data, const std::string& directory) const {
   namespace fs = std::filesystem;
   fs::create_directories(directory);
-  const std::vector<std::string> shards = thread_shards(data);
+  // Each shard is written as soon as it is encoded, so only one is held.
   std::vector<std::string> paths;
-  paths.reserve(shards.size());
-  for (std::size_t tid = 0; tid < shards.size(); ++tid) {
-    const std::string path =
-        (fs::path(directory) / ("thread_" + std::to_string(tid) + ".prof"))
-            .string();
-    std::ofstream os(path, std::ios::binary);
-    if (!os) throw std::runtime_error("cannot open for write: " + path);
-    os << shards[tid];
-    paths.push_back(path);
-  }
+  encode(format::WritePlan::thread_shards(data), format_,
+         [&](std::string shard) {
+           const std::string name =
+               "thread_" + std::to_string(paths.size()) + ".prof";
+           paths.push_back((fs::path(directory) / name).string());
+           support::write_file(paths.back(), shard, ErrorKind::kProfile,
+                               "profile shard");
+         });
   return paths;
 }
 

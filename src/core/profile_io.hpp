@@ -1,10 +1,11 @@
 // Profile serialization: the on-disk handoff between the online profiler
 // (hpcrun writes per-thread measurement files) and the offline analyzer
-// (hpcprof reads and merges them), §7. A SessionData round-trips through
-// either of two encodings behind one pair of objects:
-//   ProfileWriter — emits the line-oriented text format (the lossless
-//                   interchange encoding, docs/format.md) or the
-//                   mmap-able columnar binary format (docs/format.md),
+// (hpcprof reads and merges them), §7. A SessionData is stored in one of
+// two encodings behind one pair of objects:
+//   ProfileWriter — emits the line-oriented text format (the human-
+//                   readable interchange encoding, docs/format.md; its
+//                   doubles keep six significant digits) or the mmap-able
+//                   columnar binary format (docs/format.md; exact),
 //                   selected by ProfileFormat;
 //   ProfileReader — autodetects the encoding from magic bytes, so every
 //                   consumer accepts either; binary files are loaded
@@ -124,6 +125,8 @@ class ProfileWriter {
   /// The complete serialized profile as one buffer.
   std::string bytes(const SessionData& data) const;
 
+  /// Throws a kProfile numaprof::Error when the file cannot be written
+  /// completely (support::write_file).
   void write_file(const SessionData& data, const std::string& path) const;
 
   /// Serializes one measurement shard per thread WITHOUT touching the
@@ -136,7 +139,7 @@ class ProfileWriter {
   /// Writes one measurement file per thread into `directory`
   /// (thread_<tid>.prof): exactly the thread_shards() payloads, so
   /// merge_profile_files() can reassemble the session by summation.
-  /// Returns the paths written.
+  /// Returns the paths written; throws like write_file().
   std::vector<std::string> write_thread_shards(
       const SessionData& data, const std::string& directory) const;
 

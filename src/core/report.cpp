@@ -1,9 +1,9 @@
 #include "core/report.hpp"
 
 #include <filesystem>
-#include <fstream>
 
 #include "core/trace.hpp"
+#include "support/file.hpp"
 
 namespace numaprof::core {
 
@@ -12,11 +12,8 @@ namespace {
 namespace fs = std::filesystem;
 
 void write_file(const fs::path& path, const std::string& contents) {
-  std::ofstream os(path);
-  if (!os) {
-    throw std::runtime_error("report: cannot write " + path.string());
-  }
-  os << contents;
+  support::write_file(path.string(), contents, ErrorKind::kProfile,
+                      "report file");
 }
 
 /// File-system-safe variable name.

@@ -11,9 +11,13 @@
 //  3. re-renders the advisor golden text through jobs=4 Analyzers and
 //     compares it against the checked-in tests/golden/advisor_apps.txt —
 //     the same golden the serial advisor test locks, so no new golden
-//     files are introduced and serial/parallel cannot drift apart.
+//     files are introduced and serial/parallel cannot drift apart;
+//  4. requires ProfileWriter::thread_shards to emit, in both encodings,
+//     the bytes of the copy-and-blank shard construction kept here as
+//     the reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -242,6 +246,120 @@ TEST(GoldenEquiv, ParallelAdvisorMatchesCheckedInGolden) {
   }
   EXPECT_EQ(rendered.str(), buffer.str())
       << "jobs=4 advisor output drifted from the serial golden";
+}
+
+/// The shard definition as numaprof first wrote it: copy the whole
+/// session once per thread, blank every other thread's measurements and
+/// records, and serialize the copy. ProfileWriter::thread_shards must
+/// produce exactly these bytes without the copies.
+std::vector<std::string> copy_and_blank_shards(const core::SessionData& data,
+                                               ProfileFormat format) {
+  const std::size_t threads = std::max<std::size_t>(data.totals.size(), 1);
+  std::vector<std::string> shards;
+  for (std::size_t tid = 0; tid < threads; ++tid) {
+    core::SessionData shard = data;
+    while (shard.stores.size() < shard.totals.size()) {
+      shard.stores.emplace_back(shard.domain_count);
+    }
+    for (std::size_t t = 0; t < shard.totals.size(); ++t) {
+      if (t == tid) continue;
+      core::ThreadTotals zero;
+      zero.per_domain.assign(shard.domain_count, 0);
+      shard.totals[t] = std::move(zero);
+      shard.stores[t] = core::MetricStore(shard.domain_count);
+    }
+    core::AddressCentric filtered;
+    data.address_centric.for_each(
+        [&](const core::BinKey& key, const core::BinStats& s) {
+          if (key.tid == tid) filtered.insert(key, s);
+        });
+    shard.address_centric = std::move(filtered);
+    std::erase_if(shard.first_touches,
+                  [&](const core::FirstTouchRecord& r) { return r.tid != tid; });
+    std::erase_if(shard.trace,
+                  [&](const core::TraceEvent& e) { return e.tid != tid; });
+    if (tid != 0) {
+      shard.pebs_ll_events = 0;
+      shard.degradations.clear();
+    }
+    shards.push_back(core::ProfileWriter(format).bytes(shard));
+  }
+  return shards;
+}
+
+/// A recorded session plus collection history: degradations, a fault
+/// plan and a PEBS-LL event count, as a degraded run would carry them.
+core::SessionData degraded_session() {
+  core::SessionData data = case_studies().front().run();
+  data.pebs_ll_events = 123456789;
+  data.fault_context = "drop=0.5 seed=7";
+  data.degradations.push_back(core::DegradationEvent{
+      .kind = core::DegradationKind::kMechanismFallback,
+      .mechanism = pmu::Mechanism::kSoftIbs,
+      .value = 0,
+      .detail = "ibs unavailable"});
+  data.degradations.push_back(core::DegradationEvent{
+      .kind = core::DegradationKind::kSampleFaults,
+      .mechanism = pmu::Mechanism::kIbs,
+      .value = 42,
+      .detail = "dropped samples"});
+  return data;
+}
+
+/// A session with program structure and address-centric records but no
+/// thread totals: it still shards into one profile.
+core::SessionData threadless_session() {
+  core::SessionData data = case_studies().front().run();
+  data.totals.clear();
+  data.stores.clear();
+  return data;
+}
+
+TEST(ProfileShards, MatchCopyAndBlankReference) {
+  std::vector<std::pair<std::string, core::SessionData>> sessions;
+  for (const CaseStudy& app : case_studies()) {
+    sessions.emplace_back(app.name, app.run());
+  }
+  {
+    simrt::Machine m(numasim::amd_magny_cours());
+    core::ProfilerConfig config = profiler_config();
+    config.record_trace = true;
+    core::Profiler p(m, config);
+    apps::run_minilulesh(m, {.threads = 8,
+                             .pages_per_thread = 8,
+                             .timesteps = 2,
+                             .variant = apps::Variant::kBaseline});
+    sessions.emplace_back("traced", p.snapshot());
+    ASSERT_FALSE(sessions.back().second.trace.empty());
+  }
+  sessions.emplace_back("degraded", degraded_session());
+  sessions.emplace_back("threadless", threadless_session());
+  {
+    // Fewer stores than threads, and records of threads past the last
+    // shard (which no shard carries).
+    core::SessionData ragged = case_studies().front().run();
+    ASSERT_GT(ragged.totals.size(), 8u);
+    ragged.totals.resize(8);
+    ragged.stores.erase(ragged.stores.begin() + 4, ragged.stores.end());
+    sessions.emplace_back("ragged", std::move(ragged));
+  }
+
+  for (const auto& [name, data] : sessions) {
+    for (const ProfileFormat format :
+         {ProfileFormat::kText, ProfileFormat::kBinary}) {
+      SCOPED_TRACE(name + (format == ProfileFormat::kBinary ? "/binary"
+                                                            : "/text"));
+      const std::vector<std::string> shards =
+          core::ProfileWriter(format).thread_shards(data);
+      const std::vector<std::string> reference =
+          copy_and_blank_shards(data, format);
+      ASSERT_EQ(shards.size(), reference.size());
+      for (std::size_t tid = 0; tid < shards.size(); ++tid) {
+        EXPECT_TRUE(shards[tid] == reference[tid])
+            << "shard " << tid << " differs from the reference";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <filesystem>
+#include <functional>
+#include <limits>
 #include <sstream>
 
 #include "core/analyzer.hpp"
@@ -296,6 +300,102 @@ TEST(ProfileIo, AcceptsVersion2StreamsWithoutHealthSections) {
   EXPECT_EQ(data.mechanism, pmu::Mechanism::kSoftIbs);
   EXPECT_EQ(data.requested_mechanism, pmu::Mechanism::kSoftIbs);
   EXPECT_TRUE(data.degradations.empty());
+}
+
+TEST(ProfileIo, TextNumbersMatchStreamFormatting) {
+  // The reference is what a default-formatted std::ostream writes: "%.6g"
+  // for doubles, plain decimal for integers.
+  const std::vector<double> doubles = {
+      0.0,      -0.0, 1e-05, 0.1, 100000.0, 1234567.0, 1e300,
+      std::numeric_limits<double>::denorm_min()};
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  SessionData data;
+  data.domain_count = 1;
+  const NodeId node = data.cct.child(kRootNode, NodeKind::kFrame, kMax);
+  for (std::size_t i = 0; i < doubles.size(); ++i) {
+    ThreadTotals t;
+    t.samples = kMax;
+    t.remote_latency = doubles[i];
+    t.total_latency = doubles[i];
+    t.per_domain = {kMax};
+    data.totals.push_back(t);
+    MetricStore store(data.domain_count);
+    const std::vector<double> row(store.width(), doubles[i]);
+    store.set_row(node, row);
+    data.stores.push_back(std::move(store));
+    data.address_centric.insert(
+        BinKey{.tid = static_cast<simrt::ThreadId>(i)},
+        BinStats{.lo = kMax, .hi = kMax, .count = kMax, .latency = doubles[i]});
+  }
+
+  std::ostringstream expected;
+  expected << "cct 2\n"
+           << kRootNode << " " << static_cast<int>(NodeKind::kFrame) << " "
+           << kMax << "\n";
+  expected << "variables 0\nthreads " << data.totals.size() << "\n";
+  for (std::size_t i = 0; i < data.totals.size(); ++i) {
+    const ThreadTotals& t = data.totals[i];
+    expected << t.samples << " " << t.memory_samples << " " << t.match << " "
+             << t.mismatch << " " << t.remote_latency << " "
+             << t.total_latency << " " << t.l3_miss_samples << " "
+             << t.remote_l3_miss_samples << " " << t.instructions << " "
+             << t.memory_instructions << " " << t.per_domain[0] << "\n";
+    const MetricStore& store = data.stores[i];
+    expected << "metrics 1 " << store.width() << "\n" << node;
+    for (std::uint32_t m = 0; m < store.width(); ++m) {
+      expected << " " << store.get(node, m);
+    }
+    expected << "\n";
+  }
+  expected << "addrcentric " << doubles.size() << "\n";
+  for (const auto& [key, s] : data.address_centric.sorted_entries()) {
+    expected << key.context << " " << key.variable << " " << key.bin << " "
+             << key.tid << " " << s.lo << " " << s.hi << " " << s.count << " "
+             << s.latency << "\n";
+  }
+
+  const std::string text = ProfileWriter().bytes(data);
+  EXPECT_NE(text.find(expected.str()), std::string::npos)
+      << "writer:\n" << text << "\nstream reference:\n" << expected.str();
+  // Six significant digits: a sum past 999999 is written rounded.
+  EXPECT_NE(text.find(" 1.23457e+06 "), std::string::npos);
+  EXPECT_NE(text.find(" 18446744073709551615 "), std::string::npos);
+}
+
+TEST(ProfileIo, WriteToFullDeviceThrows) {
+  namespace fs = std::filesystem;
+  const fs::path full = "/dev/full";
+  if (!fs::exists(full)) GTEST_SKIP() << "no /dev/full on this system";
+  const SessionData data = small_session();
+  const auto expect_write_error = [](const std::function<void()>& write,
+                                     const std::string& path) {
+    try {
+      write();
+      ADD_FAILURE() << "writing " << path << " did not throw";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kProfile);
+      EXPECT_EQ(e.file(), path);
+      EXPECT_EQ(std::string(e.what()).rfind("cannot write ", 0), 0u)
+          << e.what();
+    }
+  };
+  for (const ProfileFormat format :
+       {ProfileFormat::kText, ProfileFormat::kBinary}) {
+    SCOPED_TRACE(format == ProfileFormat::kBinary ? "binary" : "text");
+    const ProfileWriter writer(format);
+    expect_write_error([&] { writer.write_file(data, full.string()); },
+                       full.string());
+
+    // A shard file that is the full device: the shard write fails too.
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "numaprof_full_shards";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    fs::create_symlink(full, dir / "thread_1.prof");
+    expect_write_error(
+        [&] { writer.write_thread_shards(data, dir.string()); },
+        (dir / "thread_1.prof").string());
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "core/profiler.hpp"
 #include "core/report.hpp"
 #include "numasim/topology.hpp"
+#include "support/error.hpp"
 
 namespace numaprof::core {
 namespace {
@@ -103,6 +104,25 @@ TEST(Report, UnwritableDirectoryThrows) {
   const Analyzer analyzer(data);
   EXPECT_THROW(write_report(analyzer, "/proc/definitely/not/writable"),
                std::exception);
+}
+
+TEST(Report, WriteToFullDeviceThrows) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this system";
+  const SessionData data = make_session(false);
+  const Analyzer analyzer(data);
+  const fs::path dir = fs::path(::testing::TempDir()) / "numaprof_report_full";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  fs::create_symlink("/dev/full", dir / "report.txt");
+  try {
+    write_report(analyzer, dir.string());
+    ADD_FAILURE() << "a report written to a full device did not throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kProfile);
+    EXPECT_EQ(e.file(), (dir / "report.txt").string());
+    EXPECT_NE(std::string(e.what()).find("cannot write report file"),
+              std::string::npos);
+  }
 }
 
 TEST(Report, VariableNamesSanitizedForFilesystem) {
