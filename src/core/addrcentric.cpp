@@ -27,10 +27,8 @@ void AddressCentric::record(std::span<const simrt::FrameId> stack,
                             simos::VAddr addr, double latency) {
   const std::uint32_t bin = bin_of(variable, addr);
   const auto touch = [&](simrt::FrameId context) {
-    entries_[BinKey{.context = context,
-                    .variable = variable.id,
-                    .bin = bin,
-                    .tid = tid}]
+    entry(BinKey{
+        .context = context, .variable = variable.id, .bin = bin, .tid = tid})
         .update(addr, latency);
   };
   touch(kWholeProgram);
@@ -47,11 +45,11 @@ std::vector<BinStats> AddressCentric::bins(const Variable& variable,
                                            simrt::FrameId context,
                                            simrt::ThreadId tid) const {
   std::vector<BinStats> result(bins_for(variable));
-  for (std::uint32_t b = 0; b < result.size(); ++b) {
-    const auto it = entries_.find(BinKey{
-        .context = context, .variable = variable.id, .bin = b, .tid = tid});
-    if (it != entries_.end()) result[b] = it->second;
-  }
+  for_each_of(variable.id, [&](const BinKey& key, const BinStats& stats) {
+    if (key.context == context && key.tid == tid && key.bin < result.size()) {
+      result[key.bin] = stats;
+    }
+  });
   return result;
 }
 
@@ -61,10 +59,11 @@ std::vector<ThreadRange> AddressCentric::thread_ranges(
   // Gather per-thread bin stats for this (variable, context).
   std::map<simrt::ThreadId, std::vector<std::pair<std::uint32_t, BinStats>>>
       per_thread;
-  for (const auto& [key, stats] : entries_) {
-    if (key.variable != variable.id || key.context != context) continue;
-    per_thread[key.tid].emplace_back(key.bin, stats);
-  }
+  for_each_of(variable.id, [&](const BinKey& key, const BinStats& stats) {
+    if (key.context == context) {
+      per_thread[key.tid].emplace_back(key.bin, stats);
+    }
+  });
 
   const double extent = static_cast<double>(variable.extent_bytes());
   std::vector<ThreadRange> result;
@@ -110,11 +109,11 @@ std::optional<BinStats> AddressCentric::merged_range(
     const Variable& variable, simrt::FrameId context) const {
   BinStats merged;
   bool any = false;
-  for (const auto& [key, stats] : entries_) {
-    if (key.variable != variable.id || key.context != context) continue;
+  for_each_of(variable.id, [&](const BinKey& key, const BinStats& stats) {
+    if (key.context != context) return;
     merged.merge(stats);
     any = true;
-  }
+  });
   if (!any) return std::nullopt;
   return merged;
 }
@@ -122,21 +121,18 @@ std::optional<BinStats> AddressCentric::merged_range(
 double AddressCentric::context_latency(const Variable& variable,
                                        simrt::FrameId context) const {
   double total = 0.0;
-  for (const auto& [key, stats] : entries_) {
-    if (key.variable == variable.id && key.context == context) {
-      total += stats.latency;
-    }
-  }
+  for_each_of(variable.id, [&](const BinKey& key, const BinStats& stats) {
+    if (key.context == context) total += stats.latency;
+  });
   return total;
 }
 
 std::vector<std::pair<simrt::FrameId, double>> AddressCentric::contexts_of(
     const Variable& variable) const {
   std::map<simrt::FrameId, double> latencies;
-  for (const auto& [key, stats] : entries_) {
-    if (key.variable != variable.id || key.context == kWholeProgram) continue;
-    latencies[key.context] += stats.latency;
-  }
+  for_each_of(variable.id, [&](const BinKey& key, const BinStats& stats) {
+    if (key.context != kWholeProgram) latencies[key.context] += stats.latency;
+  });
   std::vector<std::pair<simrt::FrameId, double>> result(latencies.begin(),
                                                         latencies.end());
   std::sort(result.begin(), result.end(),
@@ -164,12 +160,18 @@ std::vector<std::pair<BinKey, BinStats>> AddressCentric::sorted_entries()
 }
 
 void AddressCentric::insert(const BinKey& key, const BinStats& stats) {
-  entries_[key].merge(stats);
+  entry(key).merge(stats);
 }
 
 void AddressCentric::merge_from(const AddressCentric& other) {
   entries_.reserve(entries_.size() + other.entries_.size());
-  for (const auto& [key, stats] : other.entries_) entries_[key].merge(stats);
+  for (const auto& [key, stats] : other.entries_) entry(key).merge(stats);
+}
+
+BinStats& AddressCentric::entry(const BinKey& key) {
+  const auto [it, inserted] = entries_.try_emplace(key);
+  if (inserted) keys_of_[key.variable].push_back(key);
+  return it->second;
 }
 
 }  // namespace numaprof::core

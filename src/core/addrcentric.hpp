@@ -126,6 +126,16 @@ class AddressCentric {
   std::vector<std::pair<simrt::FrameId, double>> contexts_of(
       const Variable& variable) const;
 
+  /// Calls fn(key, stats) for every entry of `variable` (any context, bin
+  /// and thread), in first-insertion order. Every (variable, context)
+  /// query walks this per-variable index instead of the whole table.
+  template <typename Fn>
+  void for_each_of(VariableId variable, Fn&& fn) const {
+    const auto keys = keys_of_.find(variable);
+    if (keys == keys_of_.end()) return;
+    for (const BinKey& key : keys->second) fn(key, entries_.find(key)->second);
+  }
+
   /// Iterates every (key, stats) entry (serialization support).
   void for_each(
       const std::function<void(const BinKey&, const BinStats&)>& fn) const;
@@ -147,8 +157,13 @@ class AddressCentric {
   std::size_t entry_count() const noexcept { return entries_.size(); }
 
  private:
+  /// The entry for `key`, created and indexed on first use.
+  BinStats& entry(const BinKey& key);
+
   std::uint32_t default_bins_;
   std::unordered_map<BinKey, BinStats, BinKeyHash> entries_;
+  /// Each variable's keys, appended when entry() first creates one.
+  std::unordered_map<VariableId, std::vector<BinKey>> keys_of_;
 };
 
 }  // namespace numaprof::core

@@ -150,8 +150,9 @@ double Advisor::variable_context_weight(VariableId variable,
   const SessionData& d = analyzer_->data();
   double latency = 0.0;
   double count = 0.0;
-  d.address_centric.for_each([&](const BinKey& key, const BinStats& stats) {
-    if (key.variable != variable || key.context != context) return;
+  d.address_centric.for_each_of(variable, [&](const BinKey& key,
+                                              const BinStats& stats) {
+    if (key.context != context) return;
     latency += stats.latency;
     count += static_cast<double>(stats.count);
   });
@@ -183,8 +184,9 @@ std::pair<simrt::FrameId, double> Advisor::guiding_context(
   if (total <= 0.0) return {kWholeProgram, 1.0};
 
   std::map<simrt::FrameId, double> weights;
-  d.address_centric.for_each([&](const BinKey& key, const BinStats& stats) {
-    if (key.variable != variable || key.context == kWholeProgram) return;
+  d.address_centric.for_each_of(variable, [&](const BinKey& key,
+                                              const BinStats& stats) {
+    if (key.context == kWholeProgram) return;
     weights[key.context] += stats.latency > 0.0
                                 ? stats.latency
                                 : static_cast<double>(stats.count);

@@ -17,6 +17,11 @@
 // path), staged through a support::Arena otherwise — and feed the bulk
 // Cct::assign_columns / MetricStore::set_row entry points, so loading
 // never builds the CCT node-by-node.
+//
+// Inside a merge (StructureLink), the frames, CCT and variables sections
+// are compared with the reference shard's table entries and payloads;
+// when all three match, they are not decoded again and node ids validate
+// against the reference's CCT size.
 #include <array>
 #include <optional>
 #include <utility>
@@ -42,8 +47,9 @@ struct SectionRef {
 
 class BinaryLoader {
  public:
-  BinaryLoader(std::string_view bytes, const LoadOptions& options)
-      : bytes_(bytes), options_(options) {}
+  BinaryLoader(std::string_view bytes, const LoadOptions& options,
+               StructureLink* link)
+      : bytes_(bytes), options_(options), link_(link) {}
 
   LoadResult run() {
     parse_header();
@@ -55,7 +61,62 @@ class BinaryLoader {
   }
 
  private:
+  static constexpr SectionId kStructure[] = {
+      SectionId::kFrames, SectionId::kCct, SectionId::kVariables};
+
   SessionData& data() noexcept { return result_.data; }
+
+  /// The CCT size node ids validate against: the reference's when the
+  /// structure is shared.
+  std::size_t cct_size() const noexcept {
+    return link_ && link_->shared ? link_->reference->cct_nodes
+                                  : result_.data.cct.size();
+  }
+
+  /// Appends each structure section's table entry and payload (the
+  /// SharedStructure encoding); false when one is absent or out of bounds.
+  bool structure_bytes(std::string& out) const {
+    for (const SectionId id : kStructure) {
+      const SectionRef& ref = refs_[static_cast<std::uint32_t>(id)];
+      if (!ref.present || ref.offset > limit_ ||
+          ref.length > limit_ - ref.offset) {
+        return false;
+      }
+      put_u32(out, ref.crc);
+      put_u64(out, ref.offset);
+      put_u64(out, ref.length);
+      out.append(bytes_.substr(static_cast<std::size_t>(ref.offset),
+                               static_cast<std::size_t>(ref.length)));
+    }
+    return true;
+  }
+
+  /// Hands the decoded structure to the link's publish callback.
+  void publish_structure() {
+    std::string bytes;
+    if (!link_ || !link_->publish || !result_.diagnostics.empty() ||
+        !structure_bytes(bytes)) {
+      return;
+    }
+    link_->publish(SharedStructure{.format = ProfileFormat::kBinary,
+                                   .bytes = std::move(bytes),
+                                   .frames = data().frames.size(),
+                                   .cct_nodes = data().cct.size(),
+                                   .variables = data().variables.size()});
+  }
+
+  /// True (and the link marked shared) when the structure sections equal
+  /// the reference's byte for byte; they would decode exactly as its did.
+  bool share_structure() {
+    if (!link_ || !link_->reference ||
+        link_->reference->format != ProfileFormat::kBinary) {
+      return false;
+    }
+    std::string bytes;
+    link_->shared =
+        structure_bytes(bytes) && bytes == link_->reference->bytes;
+    return link_->shared;
+  }
 
   void diagnose(std::size_t offset, std::string field, std::string message) {
     result_.diagnostics.push_back(
@@ -222,9 +283,12 @@ class BinaryLoader {
     // against earlier ones (metric node ids against the CCT, metric
     // width against the machine's domain count).
     decode(SectionId::kMeta, [&](Cursor& c) { decode_meta(c); });
-    decode(SectionId::kFrames, [&](Cursor& c) { decode_frames(c); });
-    decode(SectionId::kCct, [&](Cursor& c) { decode_cct(c); });
-    decode(SectionId::kVariables, [&](Cursor& c) { decode_variables(c); });
+    if (!share_structure()) {
+      decode(SectionId::kFrames, [&](Cursor& c) { decode_frames(c); });
+      decode(SectionId::kCct, [&](Cursor& c) { decode_cct(c); });
+      decode(SectionId::kVariables, [&](Cursor& c) { decode_variables(c); });
+      publish_structure();
+    }
     decode(SectionId::kThreads, [&](Cursor& c) { decode_threads(c); });
     decode(SectionId::kMetrics, [&](Cursor& c) { decode_metrics(c); });
     decode(SectionId::kAddrCentric,
@@ -417,7 +481,7 @@ class BinaryLoader {
       const auto values = c.column<double>(rows * width, "values", arena_);
       MetricStore store(data().domain_count);
       for (std::size_t n = 0; n < rows; ++n) {
-        if (nodes[n] >= data().cct.size()) {
+        if (nodes[n] >= cct_size()) {
           c.fail("node", "node out of range");
         }
         if (n > 0 && nodes[n] <= nodes[n - 1]) {
@@ -469,7 +533,7 @@ class BinaryLoader {
     std::vector<FirstTouchRecord> touches;
     touches.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      if (nodes[i] >= data().cct.size()) {
+      if (nodes[i] >= cct_size()) {
         c.fail("node", "first-touch node out of range");
       }
       touches.push_back(FirstTouchRecord{.variable = variables[i],
@@ -553,6 +617,7 @@ class BinaryLoader {
 
   std::string_view bytes_;
   LoadOptions options_;
+  StructureLink* link_;
   LoadResult result_;
   support::Arena arena_;
   std::uint32_t section_count_ = 0;
@@ -563,8 +628,9 @@ class BinaryLoader {
 }  // namespace
 
 LoadResult load_binary_profile(std::string_view bytes,
-                               const LoadOptions& options) {
-  return BinaryLoader(bytes, options).run();
+                               const LoadOptions& options,
+                               StructureLink* link) {
+  return BinaryLoader(bytes, options, link).run();
 }
 
 }  // namespace numaprof::core::format

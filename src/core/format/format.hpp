@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -70,6 +71,36 @@ bool looks_binary(std::string_view prefix) noexcept;
 /// Byte-deterministic: equal sessions produce equal bytes.
 void write_binary_profile(const SessionData& data, std::string& out);
 
+/// The program structure one merge shares across its shards
+/// (docs/analyzer.md): the frames, CCT and variables of the merge's
+/// reference shard as the bytes a later shard must repeat exactly, plus
+/// the counts those bytes decode to. Text: the contiguous frames ...
+/// variables block. Binary: each of the three sections' table entry (crc,
+/// offset, length) followed by its payload.
+struct SharedStructure {
+  ProfileFormat format = ProfileFormat::kText;
+  std::string bytes;
+  std::size_t frames = 0;
+  std::size_t cct_nodes = 0;
+  std::size_t variables = 0;
+};
+
+/// One load's part in a merge's structure sharing. Loads outside a merge
+/// pass none and decode their structure as always.
+struct StructureLink {
+  /// Called as soon as this file's structure has decoded with no
+  /// diagnostics so far (text: frames, cct and variables as one contiguous
+  /// block before any other structure section), while the rest of the
+  /// file is still loading.
+  std::function<void(SharedStructure)> publish;
+  /// When this file's structure bytes equal the reference's, the loader
+  /// skips decoding them and validates node ids against its counts.
+  const SharedStructure* reference = nullptr;
+  /// Set by the loader: the structure was taken from `reference`, so the
+  /// loaded data carries no frames, CCT nodes or variables of its own.
+  bool shared = false;
+};
+
 /// Parses a complete in-memory (or memory-mapped) binary profile.
 /// Strict mode throws ProfileError whose field is "<section>/<field>"
 /// and whose line slot carries the BYTE OFFSET of the damage; lenient
@@ -77,7 +108,8 @@ void write_binary_profile(const SessionData& data, std::string& out);
 /// that checksums and validates, and returns consistent partial data
 /// (truncate-to-valid-section recovery, matching the text loader).
 LoadResult load_binary_profile(std::string_view bytes,
-                               const LoadOptions& options);
+                               const LoadOptions& options,
+                               StructureLink* link = nullptr);
 
 /// A read-only memory-mapped file (falls back to reading the file into a
 /// private buffer when mmap is unavailable). The view stays valid for

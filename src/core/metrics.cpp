@@ -67,6 +67,20 @@ void MetricStore::merge(const MetricStore& other) {
   }
 }
 
+void MetricStore::merge(MetricStore&& other) {
+  if (other.values_.size() > values_.size()) {
+    values_.resize(other.values_.size());
+  }
+  for (NodeId id = 0; id < other.values_.size(); ++id) {
+    std::vector<double>& row = values_[id];
+    if (row.empty() && other.values_[id].size() == width_) {
+      row.swap(other.values_[id]);
+      for (double& v : row) v += 0.0;  // as 0.0 + v: -0.0 becomes 0.0
+    }
+  }
+  merge(other);  // the rows both stores have
+}
+
 void MetricStore::merge_all(const std::vector<const MetricStore*>& parts,
                             support::ThreadPool* pool) {
   std::size_t rows = values_.size();

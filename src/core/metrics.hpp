@@ -89,6 +89,9 @@ class MetricStore {
 
   /// Accumulates `other` into this store (the sum half of the §7.2 merge).
   void merge(const MetricStore& other);
+  /// The same sums, adopting `other`'s rows where this store has none
+  /// (each adopted value gets the `+ 0.0` the sum would have given it).
+  void merge(MetricStore&& other);
 
   /// Folds every store in `parts` into this one, parallelized across node
   /// ROWS: each row's metric values are summed over `parts` in vector

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -86,15 +87,14 @@ namespace {
 /// reserve() calls against what the stream could actually contain).
 class Reader {
  public:
-  explicit Reader(std::istream& is) : is_(is) {
-    const std::streampos pos = is.tellg();
-    if (pos != std::streampos(-1)) {
+  explicit Reader(std::istream& is) : is_(is), origin_(is.tellg()) {
+    if (origin_ != std::streampos(-1)) {
       is.seekg(0, std::ios::end);
       const std::streampos end = is.tellg();
       is.clear();
-      is.seekg(pos);
-      if (end != std::streampos(-1) && end >= pos) {
-        total_bytes_ = static_cast<std::uint64_t>(end - pos);
+      is.seekg(origin_);
+      if (end != std::streampos(-1) && end >= origin_) {
+        total_bytes_ = static_cast<std::uint64_t>(end - origin_);
       }
     }
     is_.clear();
@@ -105,6 +105,7 @@ class Reader {
     std::string line;
     while (std::getline(is_, line)) {
       ++line_;
+      line_start_ = consumed_;
       consumed_ += line.size() + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.find_first_not_of(" \t") == std::string::npos) continue;
@@ -116,6 +117,42 @@ class Reader {
   }
 
   std::size_t line() const noexcept { return line_; }
+  /// Stream offsets of the current line's first byte and of the next
+  /// unread byte.
+  std::uint64_t line_start() const noexcept { return line_start_; }
+  std::uint64_t consumed() const noexcept { return consumed_; }
+
+  /// The bytes at [from, to), read from a seekable stream (which is left
+  /// positioned at `to`); empty when it cannot seek or ends early.
+  std::string bytes_read(std::uint64_t from, std::uint64_t to) {
+    std::string out;
+    if (!total_bytes_ || from > to || to > *total_bytes_) return out;
+    is_.clear();
+    is_.seekg(origin_ + static_cast<std::streamoff>(from));
+    out.resize(static_cast<std::size_t>(to - from));
+    is_.read(out.data(), static_cast<std::streamsize>(out.size()));
+    if (static_cast<std::size_t>(is_.gcount()) != out.size()) out.clear();
+    return out;
+  }
+
+  /// When the stream holds exactly `expected` from the current line's
+  /// start, moves past it (counting its lines) and returns true; else
+  /// leaves the position unchanged.
+  bool skip_if_at_line(std::string_view expected) {
+    is_.clear();
+    const std::streampos resume = is_.tellg();
+    if (bytes_read(line_start_, line_start_ + expected.size()) != expected) {
+      is_.clear();
+      is_.seekg(resume);
+      return false;
+    }
+    // The current line is already counted.
+    line_ += static_cast<std::size_t>(
+                 std::count(expected.begin(), expected.end(), '\n')) -
+             1;
+    consumed_ = line_start_ + expected.size();
+    return true;
+  }
 
   template <typename T>
   T value(const char* field) {
@@ -151,7 +188,9 @@ class Reader {
 
  private:
   std::istream& is_;
+  std::streampos origin_;
   std::size_t line_ = 0;
+  std::uint64_t line_start_ = 0;
   std::uint64_t consumed_ = 0;
   std::optional<std::uint64_t> total_bytes_;
   std::istringstream tokens_;
@@ -178,10 +217,16 @@ std::size_t read_count(Reader& r, const char* field,
   return static_cast<std::size_t>(raw);
 }
 
+/// Thrown when a shard whose structure block was taken from the
+/// reference goes on to define more structure: that shard must be decoded
+/// in full instead.
+struct StructureConflict {};
+
 class Loader {
  public:
-  Loader(std::istream& is, const LoadOptions& options)
-      : r_(is), options_(options) {}
+  Loader(std::istream& is, const LoadOptions& options,
+         format::StructureLink* link)
+      : r_(is), options_(options), link_(link) {}
 
   LoadResult run() {
     parse_header();
@@ -204,8 +249,13 @@ class Loader {
         }
         continue;
       }
+      if (link_ && share_structure(tag)) {
+        skipping = false;
+        continue;
+      }
       try {
         parse_section(tag);
+        if (tag == "variables") publish_structure();
         skipping = false;
       } catch (const ProfileError& e) {
         if (!options_.lenient) throw;
@@ -226,6 +276,58 @@ class Loader {
 
  private:
   SessionData& data() noexcept { return result_.data; }
+
+  /// The CCT size node ids validate against: the reference's when the
+  /// structure is shared.
+  std::size_t cct_size() const noexcept {
+    return link_ && link_->shared ? link_->reference->cct_nodes
+                                  : result_.data.cct.size();
+  }
+
+  /// Hands the frames ... variables block, just parsed, to the link's
+  /// publish callback when it is one block with no diagnostics so far.
+  void publish_structure() {
+    if (!link_ || !link_->publish || block_tags_ != 3 ||
+        !result_.diagnostics.empty()) {
+      return;
+    }
+    std::string bytes = r_.bytes_read(block_start_, r_.consumed());
+    if (bytes.empty()) return;
+    link_->publish(format::SharedStructure{
+        .format = ProfileFormat::kText,
+        .bytes = std::move(bytes),
+        .frames = data().frames.size(),
+        .cct_nodes = data().cct.size(),
+        .variables = data().variables.size()});
+  }
+
+  /// Structure sharing (merges only), called at every section tag. Tracks
+  /// whether frames, cct and variables form one contiguous block that
+  /// starts before any other structure section and is followed by none.
+  /// At that block's first line it skips the block when the bytes equal
+  /// the reference's, and returns true.
+  bool share_structure(const std::string& tag) {
+    static constexpr std::string_view kBlock[] = {"frames", "cct",
+                                                  "variables"};
+    const bool structure =
+        std::find(std::begin(kBlock), std::end(kBlock), tag) !=
+        std::end(kBlock);
+    if (structure && link_->shared) throw StructureConflict{};
+    if (block_tags_ < 3 && tag == kBlock[block_tags_]) {
+      if (block_tags_++ > 0) return false;
+      block_start_ = r_.line_start();
+      const format::SharedStructure* reference = link_->reference;
+      if (reference && reference->format == ProfileFormat::kText &&
+          r_.skip_if_at_line(reference->bytes)) {
+        link_->shared = true;
+        block_tags_ = 3;
+        return true;
+      }
+    } else if (structure || (block_tags_ > 0 && block_tags_ < 3)) {
+      block_tags_ = kNoBlock;
+    }
+    return false;
+  }
 
   void diagnose(std::size_t line, std::string field, std::string message) {
     result_.diagnostics.push_back(
@@ -391,7 +493,7 @@ class Loader {
           r_.fail_at("metric node", "truncated metrics block");
         }
         const auto node = r_.value<NodeId>("metric node");
-        if (node >= data().cct.size()) {
+        if (node >= cct_size()) {
           r_.fail_at("metric node", "node out of range");
         }
         for (std::uint32_t m = 0; m < width; ++m) {
@@ -438,7 +540,7 @@ class Loader {
       rec.tid = r_.value<simrt::ThreadId>("ft tid");
       rec.domain = r_.value<std::uint32_t>("ft domain");
       rec.node = r_.value<NodeId>("ft node");
-      if (rec.node >= data().cct.size()) {
+      if (rec.node >= cct_size()) {
         r_.fail_at("ft node", "first-touch node out of range");
       }
       rec.page = r_.value<std::uint64_t>("ft page");
@@ -502,14 +604,22 @@ class Loader {
     }
   }
 
+  static constexpr int kNoBlock = 4;
+
   Reader r_;
   LoadOptions options_;
+  format::StructureLink* link_;
   LoadResult result_;
   bool saw_requested_ = false;
+  // Structure sharing: how many of frames, cct, variables have been seen
+  // as one block (kNoBlock once they are anything else), and its start.
+  int block_tags_ = 0;
+  std::uint64_t block_start_ = 0;
 };
 
-LoadResult load_profile_text(std::istream& is, const LoadOptions& options) {
-  return Loader(is, options).run();
+LoadResult load_profile_text(std::istream& is, const LoadOptions& options,
+                             format::StructureLink* link = nullptr) {
+  return Loader(is, options, link).run();
 }
 
 }  // namespace
@@ -542,21 +652,32 @@ LoadResult ProfileReader::read(std::istream& is) const {
   return load_profile_text(is, options_);
 }
 
-LoadResult ProfileReader::read_file(const std::string& path) const {
+namespace {
+
+LoadResult read_profile_file(const std::string& path,
+                             const LoadOptions& options,
+                             format::StructureLink* link) {
   {
     std::ifstream sniff(path, std::ios::binary);
     if (!sniff) throw std::runtime_error("cannot open for read: " + path);
     char prefix[sizeof(format::kBinaryMagic)] = {};
     sniff.read(prefix, sizeof(prefix));
     const auto got = static_cast<std::size_t>(sniff.gcount());
-    if (detect(std::string_view(prefix, got)) == ProfileFormat::kBinary) {
+    if (ProfileReader::detect(std::string_view(prefix, got)) ==
+        ProfileFormat::kBinary) {
       const format::MappedFile map(path);
-      return format::load_binary_profile(map.bytes(), options_);
+      return format::load_binary_profile(map.bytes(), options, link);
     }
   }
   std::ifstream is(path, std::ios::binary);
   if (!is) throw std::runtime_error("cannot open for read: " + path);
-  return load_profile_text(is, options_);
+  return load_profile_text(is, options, link);
+}
+
+}  // namespace
+
+LoadResult ProfileReader::read_file(const std::string& path) const {
+  return read_profile_file(path, options_, nullptr);
 }
 
 namespace {
@@ -618,9 +739,11 @@ std::vector<std::string> ProfileWriter::write_thread_shards(
 
 namespace {
 
-/// Non-empty reason when `other` cannot be merged into `base`.
-std::string incompatibility(const SessionData& base,
-                            const SessionData& other) {
+/// Non-empty reason when `other` cannot be merged into `base`. A shard
+/// whose structure was taken from the merge's reference (the base) has
+/// the base's frame, CCT and variable counts by construction.
+std::string incompatibility(const SessionData& base, const SessionData& other,
+                            bool shared_structure) {
   const auto mismatch = [](const char* what, auto a, auto b) {
     return std::string(what) + " mismatch (" + std::to_string(a) + " vs " +
            std::to_string(b) + ")";
@@ -628,15 +751,17 @@ std::string incompatibility(const SessionData& base,
   if (other.domain_count != base.domain_count) {
     return mismatch("domain count", base.domain_count, other.domain_count);
   }
-  if (other.frames.size() != base.frames.size()) {
-    return mismatch("frame count", base.frames.size(), other.frames.size());
-  }
-  if (other.cct.size() != base.cct.size()) {
-    return mismatch("cct size", base.cct.size(), other.cct.size());
-  }
-  if (other.variables.size() != base.variables.size()) {
-    return mismatch("variable count", base.variables.size(),
-                    other.variables.size());
+  if (!shared_structure) {
+    if (other.frames.size() != base.frames.size()) {
+      return mismatch("frame count", base.frames.size(), other.frames.size());
+    }
+    if (other.cct.size() != base.cct.size()) {
+      return mismatch("cct size", base.cct.size(), other.cct.size());
+    }
+    if (other.variables.size() != base.variables.size()) {
+      return mismatch("variable count", base.variables.size(),
+                      other.variables.size());
+    }
   }
   if (other.mechanism != base.mechanism) {
     return "mechanism mismatch (" + std::string(to_string(base.mechanism)) +
@@ -680,7 +805,7 @@ void merge_session(SessionData& base, SessionData&& other) {
   }
   for (std::size_t tid = 0;
        tid < other.stores.size() && tid < base.stores.size(); ++tid) {
-    base.stores[tid].merge(other.stores[tid]);
+    base.stores[tid].merge(std::move(other.stores[tid]));
   }
   base.address_centric.merge_from(other.address_centric);
   base.first_touches.insert(base.first_touches.end(),
@@ -730,6 +855,16 @@ void record_skips(MergeResult& result) {
 /// match a serial in-order loop — which is exactly what jobs 1 runs. A
 /// parsed shard lives only until every shard before it has parsed, so
 /// with shards of similar cost about `jobs` of them are alive at once.
+///
+/// Shards of one run repeat the program structure (frames, CCT,
+/// variables) byte for byte, so it is decoded once per call. Shard 0's
+/// loader publishes its structure bytes as soon as they decode; the other
+/// shards wait for that, and one whose structure bytes equal them skips
+/// decoding them. Equal bytes decode to exactly shard 0's structure, so
+/// the result, the summary and every error are the same as a full
+/// decode's. Shard 0 is the reference only if it then loads with no
+/// diagnostics and defines no more structure; otherwise the shards that
+/// skipped are decoded again in full when folded.
 MergeResult merge_profile_files(const std::vector<std::string>& paths,
                                 const PipelineOptions& options) {
   if (paths.empty()) {
@@ -742,6 +877,7 @@ MergeResult merge_profile_files(const std::vector<std::string>& paths,
 
   struct LoadSlot {
     LoadResult loaded;
+    bool shared = false;  // structure taken from the reference
     std::exception_ptr error;
     bool ready = false;  // guarded by fold_mutex
   };
@@ -752,10 +888,45 @@ MergeResult merge_profile_files(const std::vector<std::string>& paths,
   bool have_base = false;      // guarded by fold_mutex
   std::exception_ptr failure;  // guarded by fold_mutex
 
+  // Shard 0's published structure; `settled` once it is published or
+  // shard 0 has loaded without one. Never changes after that.
+  std::optional<format::SharedStructure> published;
+  std::mutex publish_mutex;
+  std::condition_variable publish_cv;
+  bool settled = false;  // guarded by publish_mutex
+  const auto settle = [&](std::optional<format::SharedStructure> structure) {
+    const std::lock_guard<std::mutex> lock(publish_mutex);
+    if (settled) return;
+    published = std::move(structure);
+    settled = true;
+    publish_cv.notify_all();
+  };
+  // Written by shard 0's claimer before slot 0 is ready; read by folds.
+  bool reference_valid = false;
+
+  // Parses path i into its slot. A shard that defines more structure
+  // after sharing the reference's is parsed again in full.
+  const auto load = [&](std::size_t i, format::StructureLink link) {
+    LoadSlot& slot = slots[i];
+    slot.shared = false;
+    slot.error = nullptr;
+    try {
+      try {
+        slot.loaded = read_profile_file(paths[i], reader.options(), &link);
+        slot.shared = link.shared;
+      } catch (const StructureConflict&) {
+        slot.loaded = read_profile_file(paths[i], reader.options(), nullptr);
+      }
+    } catch (...) {
+      slot.error = std::current_exception();
+    }
+  };
+
   // Screens and folds slot i; throws in strict mode on the first failure.
   const auto fold = [&](std::size_t i) {
     const std::string& path = paths[i];
     LoadSlot& slot = slots[i];
+    if (slot.shared && !reference_valid) load(i, {});
     if (slot.error) {
       try {
         std::rethrow_exception(slot.error);
@@ -782,7 +953,8 @@ MergeResult merge_profile_files(const std::vector<std::string>& paths,
       ++summary.files_merged;
       return;
     }
-    const std::string reason = incompatibility(result.data, slot.loaded.data);
+    const std::string reason =
+        incompatibility(result.data, slot.loaded.data, slot.shared);
     if (!reason.empty()) {
       if (!options.lenient) {
         throw ProfileError("merge", 0, path + ": " + reason);
@@ -794,6 +966,24 @@ MergeResult merge_profile_files(const std::vector<std::string>& paths,
     ++summary.files_merged;
   };
 
+  // Marks slot i ready and folds every consecutive ready slot.
+  const auto finish = [&](std::size_t i) {
+    // Declared before the lock, so the folded shards are freed after it
+    // is released instead of inside the critical section.
+    std::vector<LoadResult> folded;
+    const std::lock_guard<std::mutex> lock(fold_mutex);
+    slots[i].ready = true;
+    while (!failure && next_fold < slots.size() && slots[next_fold].ready) {
+      try {
+        fold(next_fold);
+      } catch (...) {
+        failure = std::current_exception();
+        next_claim = paths.size();  // stop further claims
+      }
+      folded.push_back(std::move(slots[next_fold++].loaded));
+    }
+  };
+
   support::ThreadPool pool(
       static_cast<unsigned>(std::min<std::size_t>(options.jobs, paths.size())));
   pool.for_each_index(pool.jobs(), [&](std::size_t) {
@@ -801,25 +991,24 @@ MergeResult merge_profile_files(const std::vector<std::string>& paths,
       const std::size_t i = next_claim++;
       if (i >= paths.size()) return;
       // Slot i belongs to its claimer until `ready` is set under the lock.
-      try {
-        slots[i].loaded = reader.read_file(paths[i]);
-      } catch (...) {
-        slots[i].error = std::current_exception();
+      if (i == 0) {
+        load(0, {.publish = settle});
+        settle(std::nullopt);
+        const LoadSlot& slot = slots[0];
+        const SessionData& data = slot.loaded.data;
+        reference_valid = published && !slot.error &&
+                          slot.loaded.diagnostics.empty() &&
+                          data.frames.size() == published->frames &&
+                          data.cct.size() == published->cct_nodes &&
+                          data.variables.size() == published->variables;
+      } else {
+        std::unique_lock<std::mutex> lock(publish_mutex);
+        publish_cv.wait(lock, [&] { return settled; });
+        lock.unlock();
+        load(i, {.publish = nullptr,
+                 .reference = published ? &*published : nullptr});
       }
-      // Declared before the lock, so the folded shards are freed after it
-      // is released instead of inside the critical section.
-      std::vector<LoadResult> folded;
-      const std::lock_guard<std::mutex> lock(fold_mutex);
-      slots[i].ready = true;
-      while (!failure && next_fold < slots.size() && slots[next_fold].ready) {
-        try {
-          fold(next_fold);
-        } catch (...) {
-          failure = std::current_exception();
-          next_claim = paths.size();  // stop further claims
-        }
-        folded.push_back(std::move(slots[next_fold++].loaded));
-      }
+      finish(i);
     }
   });
   if (failure) std::rethrow_exception(failure);

@@ -170,7 +170,10 @@ struct MergeResult {
 
 /// Loads and merges per-thread measurement files (§7.2): files parse on
 /// `options.jobs` participants and fold in input order, so the result is
-/// identical for every jobs value. In strict mode the first unreadable
+/// identical for every jobs value. The frames, CCT and variables every
+/// shard repeats are decoded once, from the first file; later files whose
+/// structure bytes equal its skip them (docs/analyzer.md), with the same
+/// results and errors as a full decode. In strict mode the first unreadable
 /// file (by position) throws a ProfileError naming the field/line;
 /// in lenient mode unreadable or structurally incompatible files are
 /// skipped, recorded in the summary, AND surfaced as kProfileFileSkipped

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <tuple>
+#include <vector>
+
 #include "core/addrcentric.hpp"
+#include "support/rng.hpp"
 
 namespace numaprof::core {
 namespace {
@@ -162,6 +169,230 @@ TEST(AddressCentric, InsertAndForEachRoundTrip) {
   });
   EXPECT_EQ(seen, 1);
   EXPECT_EQ(ac.entry_count(), 1u);
+}
+
+// --- the per-variable index against a whole-table reference ------------
+
+/// Every query answered by scanning the whole table (for_each), the way
+/// the queries worked before the per-variable index.
+struct FullScan {
+  const AddressCentric& ac;
+
+  std::vector<std::pair<BinKey, BinStats>> of(const Variable& v,
+                                              simrt::FrameId context) const {
+    std::vector<std::pair<BinKey, BinStats>> out;
+    ac.for_each([&](const BinKey& key, const BinStats& stats) {
+      if (key.variable == v.id && key.context == context) {
+        out.emplace_back(key, stats);
+      }
+    });
+    return out;
+  }
+
+  std::vector<ThreadRange> thread_ranges(const Variable& v,
+                                         simrt::FrameId context,
+                                         double hot_fraction) const {
+    std::map<simrt::ThreadId, std::vector<std::pair<std::uint32_t, BinStats>>>
+        per_thread;
+    for (const auto& [key, stats] : of(v, context)) {
+      per_thread[key.tid].emplace_back(key.bin, stats);
+    }
+    const double extent = static_cast<double>(v.extent_bytes());
+    std::vector<ThreadRange> result;
+    for (auto& [tid, bins] : per_thread) {
+      std::sort(bins.begin(), bins.end(), [](const auto& a, const auto& b) {
+        return std::tie(b.second.count, a.first) <
+               std::tie(a.second.count, b.first);
+      });
+      std::uint64_t total = 0;
+      for (const auto& bin : bins) total += bin.second.count;
+      ThreadRange range{.tid = tid};
+      BinStats merged;
+      std::uint64_t covered = 0;
+      for (const auto& bin : bins) {
+        merged.merge(bin.second);
+        covered += bin.second.count;
+        if (static_cast<double>(covered) >=
+            hot_fraction * static_cast<double>(total)) {
+          break;
+        }
+      }
+      range.count = total;
+      range.latency = merged.latency;
+      if (extent > 0 && merged.count > 0 && merged.hi >= v.start) {
+        range.lo = std::clamp(
+            static_cast<double>(merged.lo - v.start) / extent, 0.0, 1.0);
+        range.hi = std::clamp(
+            static_cast<double>(merged.hi - v.start) / extent, 0.0, 1.0);
+      }
+      result.push_back(range);
+    }
+    return result;
+  }
+
+  std::vector<BinStats> bins(const Variable& v, simrt::FrameId context,
+                             simrt::ThreadId tid) const {
+    std::vector<BinStats> result(ac.bins_for(v));
+    for (const auto& [key, stats] : of(v, context)) {
+      if (key.tid == tid && key.bin < result.size()) result[key.bin] = stats;
+    }
+    return result;
+  }
+
+  std::optional<BinStats> merged_range(const Variable& v,
+                                       simrt::FrameId context) const {
+    const auto entries = of(v, context);
+    if (entries.empty()) return std::nullopt;
+    BinStats merged;
+    for (const auto& entry : entries) merged.merge(entry.second);
+    return merged;
+  }
+
+  double context_latency(const Variable& v, simrt::FrameId context) const {
+    double total = 0.0;
+    for (const auto& entry : of(v, context)) total += entry.second.latency;
+    return total;
+  }
+
+  std::vector<std::pair<simrt::FrameId, double>> contexts_of(
+      const Variable& v) const {
+    std::map<simrt::FrameId, double> latencies;
+    ac.for_each([&](const BinKey& key, const BinStats& stats) {
+      if (key.variable == v.id && key.context != kWholeProgram) {
+        latencies[key.context] += stats.latency;
+      }
+    });
+    std::vector<std::pair<simrt::FrameId, double>> result(latencies.begin(),
+                                                          latencies.end());
+    std::sort(result.begin(), result.end(),
+              [](const auto& a, const auto& b) { return a.second > b.second; });
+    return result;
+  }
+};
+
+bool same(const BinStats& a, const BinStats& b) {
+  return a.lo == b.lo && a.hi == b.hi && a.count == b.count &&
+         a.latency == b.latency;
+}
+
+void expect_queries_match_full_scan(const AddressCentric& ac,
+                                    const std::vector<Variable>& vars) {
+  const FullScan scan{ac};
+  const simrt::FrameId contexts[] = {kWholeProgram, 0, 1, 2, 3, 4};
+  for (const Variable& v : vars) {
+    for (const simrt::FrameId context : contexts) {
+      for (const double hot : {0.5, 0.9, 1.0}) {
+        const auto got = ac.thread_ranges(v, context, hot);
+        const auto want = scan.thread_ranges(v, context, hot);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].tid, want[i].tid);
+          EXPECT_EQ(got[i].lo, want[i].lo);
+          EXPECT_EQ(got[i].hi, want[i].hi);
+          EXPECT_EQ(got[i].count, want[i].count);
+          EXPECT_EQ(got[i].latency, want[i].latency);
+        }
+      }
+      for (simrt::ThreadId tid = 0; tid < 4; ++tid) {
+        const auto got = ac.bins(v, context, tid);
+        const auto want = scan.bins(v, context, tid);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t b = 0; b < got.size(); ++b) {
+          EXPECT_TRUE(same(got[b], want[b])) << "bin " << b;
+        }
+      }
+      const auto merged = ac.merged_range(v, context);
+      const auto want_merged = scan.merged_range(v, context);
+      ASSERT_EQ(merged.has_value(), want_merged.has_value());
+      if (merged) {
+        EXPECT_TRUE(same(*merged, *want_merged));
+      }
+      EXPECT_EQ(ac.context_latency(v, context),
+                scan.context_latency(v, context));
+    }
+    EXPECT_EQ(ac.contexts_of(v), scan.contexts_of(v));
+
+    std::vector<std::pair<BinKey, BinStats>> indexed;
+    ac.for_each_of(v.id, [&](const BinKey& key, const BinStats& stats) {
+      indexed.emplace_back(key, stats);
+    });
+    std::vector<std::pair<BinKey, BinStats>> scanned;
+    for (const simrt::FrameId context : contexts) {
+      for (const auto& entry : scan.of(v, context)) scanned.push_back(entry);
+    }
+    const auto by_key = [](const auto& a, const auto& b) {
+      return std::tie(a.first.context, a.first.bin, a.first.tid) <
+             std::tie(b.first.context, b.first.bin, b.first.tid);
+    };
+    std::sort(indexed.begin(), indexed.end(), by_key);
+    std::sort(scanned.begin(), scanned.end(), by_key);
+    ASSERT_EQ(indexed.size(), scanned.size());
+    for (std::size_t i = 0; i < indexed.size(); ++i) {
+      EXPECT_EQ(indexed[i].first, scanned[i].first);
+      EXPECT_TRUE(same(indexed[i].second, scanned[i].second));
+    }
+  }
+}
+
+TEST(AddressCentric, IndexedQueriesMatchFullScan) {
+  // Latencies are integer-valued (cycles), so sums are exact in any order.
+  support::Rng rng(0xadd7e55);
+  std::vector<Variable> vars;
+  for (VariableId id = 0; id < 4; ++id) {
+    vars.push_back(make_var(id, id == 0 ? 3 : 8 + 4 * id,
+                            0x100000 + 0x1000000ull * id));
+  }
+  const auto access = [&](AddressCentric& ac) {
+    const Variable& v = vars[rng.next_below(vars.size())];
+    simrt::FrameId stack[3];
+    const std::size_t depth = rng.next_below(4);
+    for (std::size_t i = 0; i < depth; ++i) {
+      stack[i] = static_cast<simrt::FrameId>(rng.next_below(5));
+    }
+    ac.record(std::span<const simrt::FrameId>(stack, depth), v,
+              static_cast<simrt::ThreadId>(rng.next_below(4)),
+              v.start + rng.next_below(v.extent_bytes()),
+              static_cast<double>(rng.next_below(500)));
+  };
+  const auto raw = [&](AddressCentric& ac) {
+    BinStats stats;
+    const simos::VAddr lo = 0x100000 + rng.next_below(1 << 26);
+    stats.lo = lo;
+    stats.hi = lo + rng.next_below(1 << 14);
+    stats.count = 1 + rng.next_below(50);
+    stats.latency = static_cast<double>(rng.next_below(10000));
+    ac.insert(BinKey{.context = rng.next_bool(0.3)
+                                    ? kWholeProgram
+                                    : static_cast<simrt::FrameId>(
+                                          rng.next_below(5)),
+                     .variable = static_cast<VariableId>(
+                         rng.next_below(vars.size() + 1)),
+                     .bin = static_cast<std::uint32_t>(rng.next_below(6)),
+                     .tid = static_cast<simrt::ThreadId>(rng.next_below(4))},
+              stats);
+  };
+  for (int trial = 0; trial < 20; ++trial) {
+    AddressCentric a(5);
+    AddressCentric b(5);
+    for (int step = 0; step < 60; ++step) {
+      switch (rng.next_below(6)) {
+        case 0: access(a); break;
+        case 1: access(b); break;
+        case 2: raw(a); break;
+        case 3: raw(b); break;
+        case 4: a.merge_from(b); break;
+        case 5: {
+          // Copies carry their own index: keep mutating both sides.
+          AddressCentric copy = a;
+          access(copy);
+          b = copy;
+          break;
+        }
+      }
+    }
+    expect_queries_match_full_scan(a, vars);
+    expect_queries_match_full_scan(b, vars);
+  }
 }
 
 TEST(BinStats, UpdateAndMerge) {
