@@ -8,7 +8,7 @@
 // minilulesh case study. Four stages per corpus:
 //   save       ProfileWriter::bytes, text vs binary
 //   load/mem   ProfileReader::read over an in-memory string
-//   load/file  ProfileReader::read_file — streamed text vs mmapped binary,
+//   load/file  ProfileReader::read_file — both encodings memory-mapped,
 //              with the first (cold) iteration reported separately from
 //              the min-of-N warm ones
 //   validity   the Analyzer report rendered from every loaded copy must be
@@ -298,7 +298,7 @@ int main(int argc, char** argv) {
                                : "DIVERGED",
               analyzer_report(loaded.data) == reference);
 
-      // load from file: streamed text vs mmapped binary, cold then warm.
+      // load from file (memory-mapped, either encoding), cold then warm.
       base.source = "file";
       core::LoadResult from_file;
       run_timed(records, base, 5, [&] {

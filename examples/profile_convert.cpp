@@ -19,10 +19,11 @@
 //                diagnostics, damaged sections are dropped, and the
 //                surviving data is converted
 //   --quiet      suppress the conversion summary line
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
-#include <vector>
+#include <string_view>
+#include <utility>
 
 #include "core/numaprof.hpp"
 #include "support/cliflags.hpp"
@@ -59,29 +60,20 @@ int run(const support::CliParser& cli) {
   const std::string& in_path = cli.positional()[0];
   const std::string& out_path = cli.positional()[1];
 
-  // Sniff the input's encoding first so the default output direction
-  // (the opposite encoding) is known before the full load.
-  ProfileFormat in_format = ProfileFormat::kText;
-  {
-    std::ifstream sniff(in_path, std::ios::binary);
-    if (!sniff) {
-      throw Error(ErrorKind::kProfile, in_path, "file", 0,
-                  "cannot open for read: " + in_path);
-    }
-    char prefix[8] = {};
-    sniff.read(prefix, sizeof(prefix));
-    in_format = ProfileReader::detect(
-        std::string_view(prefix, static_cast<std::size_t>(sniff.gcount())));
-  }
-  const ProfileFormat out_format = cli.choice(
-      "--to",
-      {{"text", ProfileFormat::kText}, {"binary", ProfileFormat::kBinary}},
-      in_format == ProfileFormat::kBinary ? ProfileFormat::kText
-                                          : ProfileFormat::kBinary);
+  // Usage errors come before any I/O; the input is opened once, and the
+  // default output encoding is the opposite of the one it was read as.
+  static constexpr std::pair<std::string_view, ProfileFormat> kFormats[] = {
+      {"text", ProfileFormat::kText}, {"binary", ProfileFormat::kBinary}};
+  const std::optional<ProfileFormat> to =
+      cli.choice<ProfileFormat>("--to", kFormats);
 
   LoadOptions load;
   load.lenient = cli.has("--lenient");
   const LoadResult loaded = ProfileReader(load).read_file(in_path);
+  const ProfileFormat in_format = loaded.format;
+  const ProfileFormat out_format =
+      to.value_or(in_format == ProfileFormat::kBinary ? ProfileFormat::kText
+                                                      : ProfileFormat::kBinary);
   for (const Diagnostic& d : loaded.diagnostics) {
     std::cerr << "profile_convert: diagnostic: " << d.field << " (line "
               << d.line << "): " << d.message << "\n";

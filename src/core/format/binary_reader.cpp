@@ -9,8 +9,8 @@
 // Lenient mode recovers section-by-section: a damaged section becomes a
 // Diagnostic and is dropped wholesale (decoders build into temporaries
 // and commit only on success), everything that checksums and validates
-// is kept, and the same finalize() invariants as the text loader repair
-// the survivors into consistent partial data.
+// is kept, and the load skeleton's finalize() (load.hpp) repairs the
+// survivors into consistent partial data.
 //
 // Decoded columns are handed to the session as spans — straight into the
 // mapped bytes when host endianness and alignment allow (the zero-copy
@@ -28,6 +28,7 @@
 
 #include "core/format/codec.hpp"
 #include "core/format/format.hpp"
+#include "core/format/load.hpp"
 #include "support/hash.hpp"
 
 namespace numaprof::core::format {
@@ -45,33 +46,22 @@ struct SectionRef {
   bool present = false;
 };
 
-class BinaryLoader {
+class BinaryLoader : LoadState {
  public:
   BinaryLoader(std::string_view bytes, const LoadOptions& options,
                StructureLink* link)
-      : bytes_(bytes), options_(options), link_(link) {}
+      : LoadState(options, link), bytes_(bytes) {}
 
   LoadResult run() {
     parse_header();
     parse_table();
     decode_sections();
-    finalize();
-    result_.complete = result_.diagnostics.empty();
-    return std::move(result_);
+    return finish(/*reached_end=*/true);
   }
 
  private:
   static constexpr SectionId kStructure[] = {
       SectionId::kFrames, SectionId::kCct, SectionId::kVariables};
-
-  SessionData& data() noexcept { return result_.data; }
-
-  /// The CCT size node ids validate against: the reference's when the
-  /// structure is shared.
-  std::size_t cct_size() const noexcept {
-    return link_ && link_->shared ? link_->reference->cct_nodes
-                                  : result_.data.cct.size();
-  }
 
   /// Appends each structure section's table entry and payload (the
   /// SharedStructure encoding); false when one is absent or out of bounds.
@@ -94,15 +84,9 @@ class BinaryLoader {
   /// Hands the decoded structure to the link's publish callback.
   void publish_structure() {
     std::string bytes;
-    if (!link_ || !link_->publish || !result_.diagnostics.empty() ||
-        !structure_bytes(bytes)) {
-      return;
+    if (may_publish() && structure_bytes(bytes)) {
+      publish(ProfileFormat::kBinary, std::move(bytes));
     }
-    link_->publish(SharedStructure{.format = ProfileFormat::kBinary,
-                                   .bytes = std::move(bytes),
-                                   .frames = data().frames.size(),
-                                   .cct_nodes = data().cct.size(),
-                                   .variables = data().variables.size()});
   }
 
   /// True (and the link marked shared) when the structure sections equal
@@ -116,11 +100,6 @@ class BinaryLoader {
     link_->shared =
         structure_bytes(bytes) && bytes == link_->reference->bytes;
     return link_->shared;
-  }
-
-  void diagnose(std::size_t offset, std::string field, std::string message) {
-    result_.diagnostics.push_back(
-        Diagnostic{offset, std::move(field), std::move(message)});
   }
 
   [[noreturn]] static void fail(std::string_view field, std::size_t offset,
@@ -161,15 +140,10 @@ class BinaryLoader {
       fail("header/file_size", 16, "file size smaller than header + table");
     }
     if (bytes_.size() < file_size) {
-      if (!options_.lenient) {
-        fail("header/file_size", 16,
+      damage(16, "header/file_size",
              "truncated: header claims " + std::to_string(file_size) +
-                 " bytes, stream has " + std::to_string(bytes_.size()));
-      }
-      diagnose(16, "header/file_size",
-               "truncated: header claims " + std::to_string(file_size) +
-                   " bytes, stream has " + std::to_string(bytes_.size()) +
-                   "; recovering sections that fit");
+                 " bytes, stream has " + std::to_string(bytes_.size()),
+             "; recovering sections that fit");
       limit_ = bytes_.size();
     } else {
       // Trailing bytes beyond file_size are ignored, like text content
@@ -197,24 +171,15 @@ class BinaryLoader {
       const std::uint64_t length = get_u64(table, at + 16);
       const std::size_t entry_offset = table_at + at;
       if (id == 0 || id > kSectionCount) {
-        if (!options_.lenient) {
-          fail("table/id", entry_offset,
-               "unknown section id " + std::to_string(id));
-        }
-        diagnose(entry_offset, "table/id",
-                 "unknown section id " + std::to_string(id) + " skipped");
+        damage(entry_offset, "table/id",
+               "unknown section id " + std::to_string(id), " skipped");
         continue;
       }
       SectionRef& ref = refs_[id];
       if (ref.present) {
-        if (!options_.lenient) {
-          fail("table/id", entry_offset,
-               "duplicate section " + std::string(to_string(SectionId(id))));
-        }
-        diagnose(entry_offset, "table/id",
-                 "duplicate section " +
-                     std::string(to_string(SectionId(id))) +
-                     " ignored (first wins)");
+        damage(entry_offset, "table/id",
+               "duplicate section " + std::string(to_string(SectionId(id))),
+               " ignored (first wins)");
         continue;
       }
       ref.crc = crc;
@@ -230,31 +195,19 @@ class BinaryLoader {
     const std::string name(to_string(id));
     SectionRef& ref = refs_[static_cast<std::uint32_t>(id)];
     if (!ref.present) {
-      if (!options_.lenient) {
-        fail(name + "/missing", 0, "section not present in the table");
-      }
-      diagnose(0, name + "/missing", "section not present in the table");
+      damage(0, name + "/missing", "section not present in the table");
       return std::nullopt;
     }
+    const auto offset = static_cast<std::size_t>(ref.offset);
     if (ref.offset > limit_ || ref.length > limit_ - ref.offset) {
-      if (!options_.lenient) {
-        fail(name + "/bounds", static_cast<std::size_t>(ref.offset),
-             "section extends past the available bytes");
-      }
-      diagnose(static_cast<std::size_t>(ref.offset), name + "/bounds",
-               "section extends past the available bytes; dropped");
+      damage(offset, name + "/bounds",
+             "section extends past the available bytes", "; dropped");
       return std::nullopt;
     }
     const std::string_view payload =
-        bytes_.substr(static_cast<std::size_t>(ref.offset),
-                      static_cast<std::size_t>(ref.length));
+        bytes_.substr(offset, static_cast<std::size_t>(ref.length));
     if (support::crc32(payload) != ref.crc) {
-      if (!options_.lenient) {
-        fail(name + "/crc", static_cast<std::size_t>(ref.offset),
-             "section checksum mismatch");
-      }
-      diagnose(static_cast<std::size_t>(ref.offset), name + "/crc",
-               "section checksum mismatch; dropped");
+      damage(offset, name + "/crc", "section checksum mismatch", "; dropped");
       return std::nullopt;
     }
     return payload;
@@ -270,12 +223,7 @@ class BinaryLoader {
                   static_cast<std::size_t>(
                       refs_[static_cast<std::uint32_t>(id)].offset),
                   to_string(id));
-    try {
-      fn(cursor);
-    } catch (const ProfileError& e) {
-      if (!options_.lenient) throw;
-      diagnose(e.line(), e.field(), e.what());
-    }
+    recover([&] { fn(cursor); });
   }
 
   void decode_sections() {
@@ -598,27 +546,7 @@ class BinaryLoader {
     data().degradations = std::move(events);
   }
 
-  /// Lenient loads can lose whole sections; restore the invariants the
-  /// analyzer relies on (totals and stores the same length, per-domain
-  /// vectors sized to the machine) — the text loader's finalize().
-  void finalize() {
-    while (data().stores.size() < data().totals.size()) {
-      data().stores.emplace_back(data().domain_count);
-    }
-    while (data().totals.size() < data().stores.size()) {
-      ThreadTotals t;
-      t.per_domain.assign(data().domain_count, 0);
-      data().totals.push_back(std::move(t));
-    }
-    for (ThreadTotals& t : data().totals) {
-      t.per_domain.resize(data().domain_count, 0);
-    }
-  }
-
   std::string_view bytes_;
-  LoadOptions options_;
-  StructureLink* link_;
-  LoadResult result_;
   support::Arena arena_;
   std::uint32_t section_count_ = 0;
   std::size_t limit_ = 0;

@@ -282,9 +282,4 @@ void encode_binary(const WritePlan& plan, const ProfileSink& sink) {
   }
 }
 
-void write_binary_profile(const SessionData& data, std::string& out) {
-  encode_binary(WritePlan::whole(data),
-                [&](std::string profile) { out += profile; });
-}
-
 }  // namespace numaprof::core::format

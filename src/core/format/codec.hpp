@@ -1,5 +1,7 @@
 // Little-endian byte codec shared by the binary profile writer and
-// loader (internal to src/core/format — not part of the public surface).
+// loader (internal to src/core/format — not part of the public surface),
+// built on the integer codec the ingest transport also uses
+// (support/bytes.hpp).
 //
 // The writer side is append-only and byte-deterministic; the reader side
 // is a bounds-checked cursor that throws ProfileError on any overrun, so
@@ -19,28 +21,17 @@
 
 #include "core/profile_io.hpp"
 #include "support/arena.hpp"
+#include "support/bytes.hpp"
 
 namespace numaprof::core::format {
 
+using support::get_u32;
+using support::get_u64;
+using support::put_u32;
+using support::put_u64;
+
 inline void put_u8(std::string& out, std::uint8_t v) {
   out.push_back(static_cast<char>(v));
-}
-
-// One append per value: the byte loop compiles to a single store.
-inline void put_u32(std::string& out, std::uint32_t v) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) {
-    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-  out.append(bytes, sizeof(bytes));
-}
-
-inline void put_u64(std::string& out, std::uint64_t v) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-  out.append(bytes, sizeof(bytes));
 }
 
 inline void put_f64(std::string& out, double v) {
@@ -50,22 +41,6 @@ inline void put_f64(std::string& out, double v) {
 /// Pads `out` with zero bytes until its size is a multiple of `align`.
 inline void pad_to(std::string& out, std::size_t align) {
   while (out.size() % align != 0) out.push_back('\0');
-}
-
-inline std::uint32_t get_u32(std::string_view bytes, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(bytes[at + i]);
-  }
-  return v;
-}
-
-inline std::uint64_t get_u64(std::string_view bytes, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(bytes[at + i]);
-  }
-  return v;
 }
 
 /// Bounds-checked forward cursor over one section's payload. `base` is

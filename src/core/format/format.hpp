@@ -67,10 +67,6 @@ std::string_view to_string(SectionId id) noexcept;
 /// True when `prefix` begins with the full 8-byte binary magic.
 bool looks_binary(std::string_view prefix) noexcept;
 
-/// Serializes `data` as one complete binary profile, appended to `out`.
-/// Byte-deterministic: equal sessions produce equal bytes.
-void write_binary_profile(const SessionData& data, std::string& out);
-
 /// The program structure one merge shares across its shards
 /// (docs/analyzer.md): the frames, CCT and variables of the merge's
 /// reference shard as the bytes a later shard must repeat exactly, plus
@@ -101,22 +97,33 @@ struct StructureLink {
   bool shared = false;
 };
 
-/// Parses a complete in-memory (or memory-mapped) binary profile.
-/// Strict mode throws ProfileError whose field is "<section>/<field>"
-/// and whose line slot carries the BYTE OFFSET of the damage; lenient
-/// mode records a Diagnostic per damaged section, keeps every section
-/// that checksums and validates, and returns consistent partial data
-/// (truncate-to-valid-section recovery, matching the text loader).
+/// Thrown by a load inside a merge when a file whose structure was taken
+/// from the reference goes on to define more structure: that file must
+/// be loaded again without the link.
+struct StructureConflict {};
+
+/// The two loaders (text_reader.cpp, binary_reader.cpp; their shared
+/// skeleton is load.hpp). Each parses one complete profile held in
+/// `bytes`. Strict mode throws ProfileError: text names the field and its
+/// line; binary's field is "<section>/<field>" and its line slot carries
+/// the BYTE OFFSET of the damage. Lenient mode records a Diagnostic per
+/// damaged section, keeps every section that parses and validates (binary:
+/// and checksums), and returns consistent partial data.
+LoadResult load_text_profile(std::string_view bytes,
+                             const LoadOptions& options,
+                             StructureLink* link = nullptr);
 LoadResult load_binary_profile(std::string_view bytes,
                                const LoadOptions& options,
                                StructureLink* link = nullptr);
 
-/// A read-only memory-mapped file (falls back to reading the file into a
-/// private buffer when mmap is unavailable). The view stays valid for
-/// the object's lifetime.
+/// A file's bytes, read through one open: memory-mapped when it is a
+/// regular file, read into a private buffer otherwise (a pipe, a FIFO, a
+/// device, or a platform without mmap). The view stays valid for the
+/// object's lifetime.
 class MappedFile {
  public:
-  /// Throws std::runtime_error when the file cannot be opened or read.
+  /// Throws a kProfile numaprof::Error when the file cannot be opened or
+  /// read.
   explicit MappedFile(const std::string& path);
   ~MappedFile();
 

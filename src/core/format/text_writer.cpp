@@ -10,7 +10,35 @@
 #include "core/format/writer.hpp"
 #include "core/profile_io.hpp"
 
-namespace numaprof::core::format {
+namespace numaprof::core {
+
+namespace {
+
+bool needs_escape(char c) noexcept {
+  return c == '%' || c == ' ' || c == '\t' || c == '\n' || c == '\r' ||
+         static_cast<unsigned char>(c) < 0x20;
+}
+
+}  // namespace
+
+std::string escape_field(std::string_view raw) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(raw.size());
+  for (const char c : raw) {
+    if (needs_escape(c)) {
+      out.push_back('%');
+      out.push_back(kHex[(static_cast<unsigned char>(c) >> 4) & 0xf]);
+      out.push_back(kHex[static_cast<unsigned char>(c) & 0xf]);
+    } else {
+      out.push_back(c);
+    }
+  }
+  if (out.empty()) out = "%00";  // empty fields must still tokenize
+  return out;
+}
+
+namespace format {
 
 namespace {
 
@@ -154,4 +182,6 @@ void encode_text(const WritePlan& plan, const ProfileSink& sink) {
   }
 }
 
-}  // namespace numaprof::core::format
+}  // namespace format
+
+}  // namespace numaprof::core

@@ -5,7 +5,7 @@
 #include <condition_variable>
 #include <exception>
 #include <filesystem>
-#include <fstream>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -17,614 +17,29 @@
 
 namespace numaprof::core {
 
-namespace {
-
-constexpr char kHex[] = "0123456789abcdef";
-
-/// A record line in the format is at least this wide; reserve() for a
-/// claimed count is clamped to what the remaining bytes could possibly
-/// hold, so a corrupt header cannot trigger a huge allocation.
-constexpr std::uint64_t kMinBytesPerRecord = 4;
-
-bool needs_escape(char c) noexcept {
-  return c == '%' || c == ' ' || c == '\t' || c == '\n' || c == '\r' ||
-         static_cast<unsigned char>(c) < 0x20;
-}
-
-}  // namespace
-
 ProfileError::ProfileError(std::string field, std::size_t line,
                            const std::string& message)
     : Error(ErrorKind::kProfile, /*file=*/{}, field, line,
             "profile parse error: " + field + " (line " +
                 std::to_string(line) + "): " + message) {}
 
-std::string escape_field(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    if (needs_escape(c)) {
-      out.push_back('%');
-      out.push_back(kHex[(static_cast<unsigned char>(c) >> 4) & 0xf]);
-      out.push_back(kHex[static_cast<unsigned char>(c) & 0xf]);
-    } else {
-      out.push_back(c);
-    }
-  }
-  if (out.empty()) out = "%00";  // empty fields must still tokenize
-  return out;
-}
-
-std::string unescape_field(std::string_view escaped) {
-  std::string out;
-  out.reserve(escaped.size());
-  for (std::size_t i = 0; i < escaped.size(); ++i) {
-    if (escaped[i] == '%') {
-      if (i + 2 >= escaped.size()) {
-        throw ProfileError("string", 0, "truncated escape");
-      }
-      const auto digit = [](char c) -> int {
-        if (c >= '0' && c <= '9') return c - '0';
-        if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-        throw ProfileError("string", 0, "bad escape digit");
-      };
-      const int value = digit(escaped[i + 1]) * 16 + digit(escaped[i + 2]);
-      if (value != 0) out.push_back(static_cast<char>(value));
-      i += 2;
-    } else {
-      out.push_back(escaped[i]);
-    }
-  }
-  return out;
-}
-
-// --- text reader -----------------------------------------------------
+// --- ProfileReader / ProfileWriter -----------------------------------
 
 namespace {
 
-/// Line-oriented tokenizer over the profile stream. Tracks the 1-based
-/// line number (for ProfileError context) and the bytes consumed (to bound
-/// reserve() calls against what the stream could actually contain).
-class Reader {
- public:
-  explicit Reader(std::istream& is) : is_(is), origin_(is.tellg()) {
-    if (origin_ != std::streampos(-1)) {
-      is.seekg(0, std::ios::end);
-      const std::streampos end = is.tellg();
-      is.clear();
-      is.seekg(origin_);
-      if (end != std::streampos(-1) && end >= origin_) {
-        total_bytes_ = static_cast<std::uint64_t>(end - origin_);
-      }
-    }
-    is_.clear();
-  }
-
-  /// Advances to the next non-blank line; false at EOF.
-  bool next_line() {
-    std::string line;
-    while (std::getline(is_, line)) {
-      ++line_;
-      line_start_ = consumed_;
-      consumed_ += line.size() + 1;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.find_first_not_of(" \t") == std::string::npos) continue;
-      tokens_.clear();
-      tokens_.str(line);
-      return true;
-    }
-    return false;
-  }
-
-  std::size_t line() const noexcept { return line_; }
-  /// Stream offsets of the current line's first byte and of the next
-  /// unread byte.
-  std::uint64_t line_start() const noexcept { return line_start_; }
-  std::uint64_t consumed() const noexcept { return consumed_; }
-
-  /// The bytes at [from, to), read from a seekable stream (which is left
-  /// positioned at `to`); empty when it cannot seek or ends early.
-  std::string bytes_read(std::uint64_t from, std::uint64_t to) {
-    std::string out;
-    if (!total_bytes_ || from > to || to > *total_bytes_) return out;
-    is_.clear();
-    is_.seekg(origin_ + static_cast<std::streamoff>(from));
-    out.resize(static_cast<std::size_t>(to - from));
-    is_.read(out.data(), static_cast<std::streamsize>(out.size()));
-    if (static_cast<std::size_t>(is_.gcount()) != out.size()) out.clear();
-    return out;
-  }
-
-  /// When the stream holds exactly `expected` from the current line's
-  /// start, moves past it (counting its lines) and returns true; else
-  /// leaves the position unchanged.
-  bool skip_if_at_line(std::string_view expected) {
-    is_.clear();
-    const std::streampos resume = is_.tellg();
-    if (bytes_read(line_start_, line_start_ + expected.size()) != expected) {
-      is_.clear();
-      is_.seekg(resume);
-      return false;
-    }
-    // The current line is already counted.
-    line_ += static_cast<std::size_t>(
-                 std::count(expected.begin(), expected.end(), '\n')) -
-             1;
-    consumed_ = line_start_ + expected.size();
-    return true;
-  }
-
-  template <typename T>
-  T value(const char* field) {
-    T v{};
-    if (!(tokens_ >> v)) fail_at(field, "bad or missing value");
-    return v;
-  }
-
-  std::string token(const char* field) { return value<std::string>(field); }
-
-  std::string unescaped(const char* field) {
-    const std::string raw = token(field);
-    try {
-      return unescape_field(raw);
-    } catch (const ProfileError& e) {
-      fail_at(field, e.what());
-    }
-  }
-
-  /// Upper bound on how many records could still follow, for reserve().
-  std::size_t reserve_bound(std::size_t count) const {
-    if (!total_bytes_) return std::min<std::size_t>(count, 4096);
-    const std::uint64_t remaining =
-        *total_bytes_ > consumed_ ? *total_bytes_ - consumed_ : 0;
-    return static_cast<std::size_t>(std::min<std::uint64_t>(
-        count, remaining / kMinBytesPerRecord + 1));
-  }
-
-  [[noreturn]] void fail_at(const char* field,
-                            const std::string& message) const {
-    throw ProfileError(field, line_, message);
-  }
-
- private:
-  std::istream& is_;
-  std::streampos origin_;
-  std::size_t line_ = 0;
-  std::uint64_t line_start_ = 0;
-  std::uint64_t consumed_ = 0;
-  std::optional<std::uint64_t> total_bytes_;
-  std::istringstream tokens_;
-};
-
-template <typename E>
-E read_enum(Reader& r, const char* field, int enumerators) {
-  const long long raw = r.value<long long>(field);
-  if (raw < 0 || raw >= enumerators) {
-    r.fail_at(field, "enum value " + std::to_string(raw) +
-                         " out of range [0, " +
-                         std::to_string(enumerators - 1) + "]");
-  }
-  return static_cast<E>(raw);
-}
-
-std::size_t read_count(Reader& r, const char* field,
-                       const LoadOptions& options) {
-  const auto raw = r.value<std::uint64_t>(field);
-  if (raw > options.max_count) {
-    r.fail_at(field, "count " + std::to_string(raw) + " exceeds limit " +
-                         std::to_string(options.max_count));
-  }
-  return static_cast<std::size_t>(raw);
-}
-
-/// Thrown when a shard whose structure block was taken from the
-/// reference goes on to define more structure: that shard must be decoded
-/// in full instead.
-struct StructureConflict {};
-
-class Loader {
- public:
-  Loader(std::istream& is, const LoadOptions& options,
-         format::StructureLink* link)
-      : r_(is), options_(options), link_(link) {}
-
-  LoadResult run() {
-    parse_header();
-    bool saw_end = false;
-    bool skipping = false;
-    while (r_.next_line()) {
-      const std::string tag = r_.token("section tag");
-      if (tag == "end") {
-        saw_end = true;
-        break;
-      }
-      if (!is_section(tag)) {
-        if (!options_.lenient) {
-          r_.fail_at("section tag", "unknown section '" + tag + "'");
-        }
-        if (!skipping) {
-          diagnose(r_.line(), "section tag",
-                   "unrecognized content skipped starting at '" + tag + "'");
-          skipping = true;
-        }
-        continue;
-      }
-      if (link_ && share_structure(tag)) {
-        skipping = false;
-        continue;
-      }
-      try {
-        parse_section(tag);
-        if (tag == "variables") publish_structure();
-        skipping = false;
-      } catch (const ProfileError& e) {
-        if (!options_.lenient) throw;
-        diagnose(e.line(), e.field(), e.what());
-        skipping = true;
-      }
-    }
-    if (!saw_end) {
-      if (!options_.lenient) {
-        r_.fail_at("end", "truncated profile: missing end marker");
-      }
-      diagnose(r_.line(), "end", "truncated profile: missing end marker");
-    }
-    finalize();
-    result_.complete = saw_end && result_.diagnostics.empty();
-    return std::move(result_);
-  }
-
- private:
-  SessionData& data() noexcept { return result_.data; }
-
-  /// The CCT size node ids validate against: the reference's when the
-  /// structure is shared.
-  std::size_t cct_size() const noexcept {
-    return link_ && link_->shared ? link_->reference->cct_nodes
-                                  : result_.data.cct.size();
-  }
-
-  /// Hands the frames ... variables block, just parsed, to the link's
-  /// publish callback when it is one block with no diagnostics so far.
-  void publish_structure() {
-    if (!link_ || !link_->publish || block_tags_ != 3 ||
-        !result_.diagnostics.empty()) {
-      return;
-    }
-    std::string bytes = r_.bytes_read(block_start_, r_.consumed());
-    if (bytes.empty()) return;
-    link_->publish(format::SharedStructure{
-        .format = ProfileFormat::kText,
-        .bytes = std::move(bytes),
-        .frames = data().frames.size(),
-        .cct_nodes = data().cct.size(),
-        .variables = data().variables.size()});
-  }
-
-  /// Structure sharing (merges only), called at every section tag. Tracks
-  /// whether frames, cct and variables form one contiguous block that
-  /// starts before any other structure section and is followed by none.
-  /// At that block's first line it skips the block when the bytes equal
-  /// the reference's, and returns true.
-  bool share_structure(const std::string& tag) {
-    static constexpr std::string_view kBlock[] = {"frames", "cct",
-                                                  "variables"};
-    const bool structure =
-        std::find(std::begin(kBlock), std::end(kBlock), tag) !=
-        std::end(kBlock);
-    if (structure && link_->shared) throw StructureConflict{};
-    if (block_tags_ < 3 && tag == kBlock[block_tags_]) {
-      if (block_tags_++ > 0) return false;
-      block_start_ = r_.line_start();
-      const format::SharedStructure* reference = link_->reference;
-      if (reference && reference->format == ProfileFormat::kText &&
-          r_.skip_if_at_line(reference->bytes)) {
-        link_->shared = true;
-        block_tags_ = 3;
-        return true;
-      }
-    } else if (structure || (block_tags_ > 0 && block_tags_ < 3)) {
-      block_tags_ = kNoBlock;
-    }
-    return false;
-  }
-
-  void diagnose(std::size_t line, std::string field, std::string message) {
-    result_.diagnostics.push_back(
-        Diagnostic{line, std::move(field), std::move(message)});
-  }
-
-  static bool is_section(const std::string& tag) {
-    static const char* kTags[] = {"machine",    "sampling",  "requested",
-                                  "frames",     "cct",       "variables",
-                                  "threads",    "addrcentric",
-                                  "firsttouch", "trace",     "degradations",
-                                  "faultplan"};
-    return std::find_if(std::begin(kTags), std::end(kTags),
-                        [&](const char* t) { return tag == t; }) !=
-           std::end(kTags);
-  }
-
-  void parse_header() {
-    if (!r_.next_line()) r_.fail_at("magic", "empty stream");
-    if (r_.token("magic") != "numaprof-profile") {
-      r_.fail_at("magic", "not a numaprof profile");
-    }
-    const int version = r_.value<int>("version");
-    if (version < kMinProfileFormatVersion ||
-        version > kProfileFormatVersion) {
-      r_.fail_at("version",
-                 "unsupported format version " + std::to_string(version));
-    }
-  }
-
-  void parse_section(const std::string& tag) {
-    if (tag == "machine") parse_machine();
-    else if (tag == "sampling") parse_sampling();
-    else if (tag == "requested") parse_requested();
-    else if (tag == "frames") parse_frames();
-    else if (tag == "cct") parse_cct();
-    else if (tag == "variables") parse_variables();
-    else if (tag == "threads") parse_threads();
-    else if (tag == "addrcentric") parse_addrcentric();
-    else if (tag == "firsttouch") parse_firsttouch();
-    else if (tag == "trace") parse_trace();
-    else if (tag == "degradations") parse_degradations();
-    else if (tag == "faultplan") parse_faultplan();
-  }
-
-  void parse_machine() {
-    if (!data().totals.empty() || !data().stores.empty()) {
-      // Per-thread stores are sized by domain_count; redefining the
-      // machine after thread data would silently misalign every metric.
-      r_.fail_at("machine", "machine section after thread data");
-    }
-    data().domain_count = r_.value<std::uint32_t>("domain_count");
-    if (data().domain_count == 0 ||
-        data().domain_count > options_.max_count) {
-      r_.fail_at("domain_count", "domain count out of range");
-    }
-    data().core_count = r_.value<std::uint32_t>("core_count");
-    data().machine_name = r_.unescaped("machine_name");
-  }
-
-  void parse_sampling() {
-    data().mechanism =
-        read_enum<pmu::Mechanism>(r_, "mechanism", pmu::kMechanismCount);
-    if (!saw_requested_) data().requested_mechanism = data().mechanism;
-    data().sampling_period = r_.value<std::uint64_t>("period");
-    data().pebs_ll_events = r_.value<std::uint64_t>("pebs_ll_events");
-  }
-
-  void parse_requested() {
-    data().requested_mechanism = read_enum<pmu::Mechanism>(
-        r_, "requested mechanism", pmu::kMechanismCount);
-    saw_requested_ = true;
-  }
-
-  void parse_frames() {
-    const std::size_t count = read_count(r_, "frame count", options_);
-    data().frames.reserve(r_.reserve_bound(count));
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!r_.next_line()) r_.fail_at("frame", "truncated frames section");
-      simrt::FrameInfo f;
-      f.kind =
-          read_enum<simrt::FrameKind>(r_, "frame kind", simrt::kFrameKindCount);
-      f.line = r_.value<std::uint32_t>("frame line");
-      f.name = r_.unescaped("frame name");
-      f.file = r_.unescaped("frame file");
-      data().frames.push_back(std::move(f));
-    }
-  }
-
-  void parse_cct() {
-    const std::size_t count = read_count(r_, "cct size", options_);
-    for (std::size_t id = 1; id < count; ++id) {
-      if (!r_.next_line()) r_.fail_at("cct node", "truncated cct section");
-      const auto parent = r_.value<NodeId>("cct parent");
-      if (parent >= data().cct.size()) {
-        r_.fail_at("cct parent", "parent id out of range");
-      }
-      const auto kind = read_enum<NodeKind>(r_, "cct kind", kNodeKindCount);
-      const auto key = r_.value<std::uint64_t>("cct key");
-      const NodeId created = data().cct.child(parent, kind, key);
-      if (created != id) r_.fail_at("cct node", "node ids out of order");
-    }
-  }
-
-  void parse_variables() {
-    const std::size_t count = read_count(r_, "variable count", options_);
-    data().variables.reserve(r_.reserve_bound(count));
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!r_.next_line()) {
-        r_.fail_at("variable", "truncated variables section");
-      }
-      Variable v;
-      v.id = static_cast<VariableId>(data().variables.size());
-      v.kind = read_enum<VariableKind>(r_, "var kind", kVariableKindCount);
-      v.start = r_.value<simos::VAddr>("var start");
-      v.size = r_.value<std::uint64_t>("var size");
-      v.page_count = r_.value<std::uint64_t>("var pages");
-      v.variable_node = r_.value<NodeId>("var node");
-      if (v.variable_node >= data().cct.size()) {
-        r_.fail_at("var node", "variable node out of range");
-      }
-      v.alloc_tid = r_.value<simrt::ThreadId>("var tid");
-      v.live = r_.value<int>("var live") != 0;
-      v.name = r_.unescaped("var name");
-      data().variables.push_back(std::move(v));
-    }
-  }
-
-  void parse_threads() {
-    const std::size_t count = read_count(r_, "thread count", options_);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!r_.next_line()) {
-        r_.fail_at("thread totals", "truncated threads section");
-      }
-      ThreadTotals t;
-      t.samples = r_.value<std::uint64_t>("samples");
-      t.memory_samples = r_.value<std::uint64_t>("memory samples");
-      t.match = r_.value<std::uint64_t>("match");
-      t.mismatch = r_.value<std::uint64_t>("mismatch");
-      t.remote_latency = r_.value<double>("remote latency");
-      t.total_latency = r_.value<double>("total latency");
-      t.l3_miss_samples = r_.value<std::uint64_t>("l3 misses");
-      t.remote_l3_miss_samples = r_.value<std::uint64_t>("remote l3");
-      t.instructions = r_.value<std::uint64_t>("instructions");
-      t.memory_instructions = r_.value<std::uint64_t>("mem instructions");
-      t.per_domain.resize(data().domain_count);
-      for (auto& v : t.per_domain) v = r_.value<std::uint64_t>("domain");
-
-      if (!r_.next_line() || r_.token("metrics tag") != "metrics") {
-        r_.fail_at("metrics tag", "expected 'metrics' after thread totals");
-      }
-      const std::size_t metric_nodes =
-          read_count(r_, "metric nodes", options_);
-      const auto width = r_.value<std::uint32_t>("metric width");
-      MetricStore store(data().domain_count);
-      if (width != store.width()) {
-        r_.fail_at("metric width", "width " + std::to_string(width) +
-                                       " does not match machine (" +
-                                       std::to_string(store.width()) + ")");
-      }
-      for (std::size_t n = 0; n < metric_nodes; ++n) {
-        if (!r_.next_line()) {
-          r_.fail_at("metric node", "truncated metrics block");
-        }
-        const auto node = r_.value<NodeId>("metric node");
-        if (node >= cct_size()) {
-          r_.fail_at("metric node", "node out of range");
-        }
-        for (std::uint32_t m = 0; m < width; ++m) {
-          const auto value = r_.value<double>("metric value");
-          if (value != 0.0) store.add(node, m, value);
-        }
-      }
-      // Commit totals and store together so the two stay aligned even if
-      // a later thread record is damaged.
-      data().totals.push_back(std::move(t));
-      data().stores.push_back(std::move(store));
-    }
-  }
-
-  void parse_addrcentric() {
-    const std::size_t count = read_count(r_, "addr entries", options_);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!r_.next_line()) {
-        r_.fail_at("addr entry", "truncated addrcentric section");
-      }
-      BinKey key;
-      key.context = r_.value<simrt::FrameId>("ctx");
-      key.variable = r_.value<VariableId>("var");
-      key.bin = r_.value<std::uint32_t>("bin");
-      key.tid = r_.value<simrt::ThreadId>("tid");
-      BinStats stats;
-      stats.lo = r_.value<simos::VAddr>("lo");
-      stats.hi = r_.value<simos::VAddr>("hi");
-      stats.count = r_.value<std::uint64_t>("count");
-      stats.latency = r_.value<double>("latency");
-      data().address_centric.insert(key, stats);
-    }
-  }
-
-  void parse_firsttouch() {
-    const std::size_t count = read_count(r_, "firsttouch count", options_);
-    data().first_touches.reserve(r_.reserve_bound(count));
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!r_.next_line()) {
-        r_.fail_at("firsttouch", "truncated firsttouch section");
-      }
-      FirstTouchRecord rec;
-      rec.variable = r_.value<VariableId>("ft var");
-      rec.tid = r_.value<simrt::ThreadId>("ft tid");
-      rec.domain = r_.value<std::uint32_t>("ft domain");
-      rec.node = r_.value<NodeId>("ft node");
-      if (rec.node >= cct_size()) {
-        r_.fail_at("ft node", "first-touch node out of range");
-      }
-      rec.page = r_.value<std::uint64_t>("ft page");
-      data().first_touches.push_back(rec);
-    }
-  }
-
-  void parse_trace() {
-    const std::size_t count = read_count(r_, "trace count", options_);
-    data().trace.reserve(r_.reserve_bound(count));
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!r_.next_line()) r_.fail_at("trace event", "truncated trace");
-      TraceEvent e;
-      e.time = r_.value<numasim::Cycles>("trace time");
-      e.tid = r_.value<simrt::ThreadId>("trace tid");
-      e.variable = r_.value<VariableId>("trace var");
-      e.home_domain = r_.value<std::uint32_t>("trace home");
-      e.mismatch = r_.value<int>("trace mismatch") != 0;
-      e.remote = r_.value<int>("trace remote") != 0;
-      e.latency = r_.value<std::uint32_t>("trace latency");
-      data().trace.push_back(e);
-    }
-  }
-
-  void parse_degradations() {
-    const std::size_t count = read_count(r_, "degradation count", options_);
-    data().degradations.reserve(r_.reserve_bound(count));
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!r_.next_line()) {
-        r_.fail_at("degradation", "truncated degradations section");
-      }
-      DegradationEvent e;
-      e.kind = read_enum<DegradationKind>(r_, "degradation kind",
-                                          kDegradationKindCount);
-      e.mechanism = read_enum<pmu::Mechanism>(r_, "degradation mechanism",
-                                              pmu::kMechanismCount);
-      e.value = r_.value<std::uint64_t>("degradation value");
-      e.detail = r_.unescaped("degradation detail");
-      data().degradations.push_back(std::move(e));
-    }
-  }
-
-  void parse_faultplan() {
-    data().fault_context = r_.unescaped("fault context");
-  }
-
-  /// Lenient loads can lose whole sections; restore the invariants the
-  /// analyzer relies on (totals and stores the same length, per-domain
-  /// vectors sized to the machine).
-  void finalize() {
-    while (data().stores.size() < data().totals.size()) {
-      data().stores.emplace_back(data().domain_count);
-    }
-    while (data().totals.size() < data().stores.size()) {
-      ThreadTotals t;
-      t.per_domain.assign(data().domain_count, 0);
-      data().totals.push_back(std::move(t));
-    }
-    for (ThreadTotals& t : data().totals) {
-      t.per_domain.resize(data().domain_count, 0);
-    }
-  }
-
-  static constexpr int kNoBlock = 4;
-
-  Reader r_;
-  LoadOptions options_;
-  format::StructureLink* link_;
-  LoadResult result_;
-  bool saw_requested_ = false;
-  // Structure sharing: how many of frames, cct, variables have been seen
-  // as one block (kNoBlock once they are anything else), and its start.
-  int block_tags_ = 0;
-  std::uint64_t block_start_ = 0;
-};
-
-LoadResult load_profile_text(std::istream& is, const LoadOptions& options,
-                             format::StructureLink* link = nullptr) {
-  return Loader(is, options, link).run();
+/// The one dispatch every profile read goes through: `bytes` is the
+/// whole profile, loaded by the loader of the encoding it begins with.
+LoadResult load_profile(std::string_view bytes, const LoadOptions& options,
+                        format::StructureLink* link) {
+  const ProfileFormat encoding = ProfileReader::detect(bytes);
+  LoadResult result = encoding == ProfileFormat::kBinary
+                          ? format::load_binary_profile(bytes, options, link)
+                          : format::load_text_profile(bytes, options, link);
+  result.format = encoding;
+  return result;
 }
 
 }  // namespace
-
-// --- ProfileReader / ProfileWriter -----------------------------------
 
 ProfileFormat ProfileReader::detect(std::string_view prefix) noexcept {
   return format::looks_binary(prefix) ? ProfileFormat::kBinary
@@ -632,52 +47,18 @@ ProfileFormat ProfileReader::detect(std::string_view prefix) noexcept {
 }
 
 LoadResult ProfileReader::read(std::string_view bytes) const {
-  if (detect(bytes) == ProfileFormat::kBinary) {
-    return format::load_binary_profile(bytes, options_);
-  }
-  std::istringstream is{std::string(bytes)};
-  return load_profile_text(is, options_);
+  return load_profile(bytes, options_, nullptr);
 }
 
 LoadResult ProfileReader::read(std::istream& is) const {
-  // One peeked byte decides: no text profile can start with the binary
-  // magic's first byte (0x89 is not printable ASCII).
-  const int first = is.peek();
-  if (first == static_cast<int>(format::kBinaryMagic[0])) {
-    std::ostringstream buffered;
-    buffered << is.rdbuf();
-    const std::string bytes = std::move(buffered).str();
-    return format::load_binary_profile(bytes, options_);
-  }
-  return load_profile_text(is, options_);
+  std::ostringstream buffered;
+  buffered << is.rdbuf();
+  return read(std::move(buffered).str());
 }
-
-namespace {
-
-LoadResult read_profile_file(const std::string& path,
-                             const LoadOptions& options,
-                             format::StructureLink* link) {
-  {
-    std::ifstream sniff(path, std::ios::binary);
-    if (!sniff) throw std::runtime_error("cannot open for read: " + path);
-    char prefix[sizeof(format::kBinaryMagic)] = {};
-    sniff.read(prefix, sizeof(prefix));
-    const auto got = static_cast<std::size_t>(sniff.gcount());
-    if (ProfileReader::detect(std::string_view(prefix, got)) ==
-        ProfileFormat::kBinary) {
-      const format::MappedFile map(path);
-      return format::load_binary_profile(map.bytes(), options, link);
-    }
-  }
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("cannot open for read: " + path);
-  return load_profile_text(is, options, link);
-}
-
-}  // namespace
 
 LoadResult ProfileReader::read_file(const std::string& path) const {
-  return read_profile_file(path, options_, nullptr);
+  const format::MappedFile file(path);
+  return read(file.bytes());
 }
 
 namespace {
@@ -876,6 +257,7 @@ MergeResult merge_profile_files(const std::vector<std::string>& paths,
   const ProfileReader reader(options);
 
   struct LoadSlot {
+    std::unique_ptr<format::MappedFile> file;  // opened once, kept to fold
     LoadResult loaded;
     bool shared = false;  // structure taken from the reference
     std::exception_ptr error;
@@ -904,18 +286,23 @@ MergeResult merge_profile_files(const std::vector<std::string>& paths,
   // Written by shard 0's claimer before slot 0 is ready; read by folds.
   bool reference_valid = false;
 
-  // Parses path i into its slot. A shard that defines more structure
-  // after sharing the reference's is parsed again in full.
-  const auto load = [&](std::size_t i, format::StructureLink link) {
+  // Parses path i into its slot, opening the file on the first call. A
+  // shard that defines more structure after sharing the reference's is
+  // parsed again in full.
+  const auto parse = [&](std::size_t i, format::StructureLink link) {
     LoadSlot& slot = slots[i];
     slot.shared = false;
     slot.error = nullptr;
     try {
+      if (!slot.file) {
+        slot.file = std::make_unique<format::MappedFile>(paths[i]);
+      }
+      const std::string_view bytes = slot.file->bytes();
       try {
-        slot.loaded = read_profile_file(paths[i], reader.options(), &link);
+        slot.loaded = load_profile(bytes, reader.options(), &link);
         slot.shared = link.shared;
-      } catch (const StructureConflict&) {
-        slot.loaded = read_profile_file(paths[i], reader.options(), nullptr);
+      } catch (const format::StructureConflict&) {
+        slot.loaded = load_profile(bytes, reader.options(), nullptr);
       }
     } catch (...) {
       slot.error = std::current_exception();
@@ -926,7 +313,7 @@ MergeResult merge_profile_files(const std::vector<std::string>& paths,
   const auto fold = [&](std::size_t i) {
     const std::string& path = paths[i];
     LoadSlot& slot = slots[i];
-    if (slot.shared && !reference_valid) load(i, {});
+    if (slot.shared && !reference_valid) parse(i, {});
     if (slot.error) {
       try {
         std::rethrow_exception(slot.error);
@@ -968,9 +355,9 @@ MergeResult merge_profile_files(const std::vector<std::string>& paths,
 
   // Marks slot i ready and folds every consecutive ready slot.
   const auto finish = [&](std::size_t i) {
-    // Declared before the lock, so the folded shards are freed after it
-    // is released instead of inside the critical section.
-    std::vector<LoadResult> folded;
+    // Declared before the lock, so the folded shards and their files are
+    // freed after it is released instead of inside the critical section.
+    std::vector<LoadSlot> folded;
     const std::lock_guard<std::mutex> lock(fold_mutex);
     slots[i].ready = true;
     while (!failure && next_fold < slots.size() && slots[next_fold].ready) {
@@ -980,7 +367,7 @@ MergeResult merge_profile_files(const std::vector<std::string>& paths,
         failure = std::current_exception();
         next_claim = paths.size();  // stop further claims
       }
-      folded.push_back(std::move(slots[next_fold++].loaded));
+      folded.push_back(std::move(slots[next_fold++]));
     }
   };
 
@@ -992,7 +379,7 @@ MergeResult merge_profile_files(const std::vector<std::string>& paths,
       if (i >= paths.size()) return;
       // Slot i belongs to its claimer until `ready` is set under the lock.
       if (i == 0) {
-        load(0, {.publish = settle});
+        parse(0, {.publish = settle});
         settle(std::nullopt);
         const LoadSlot& slot = slots[0];
         const SessionData& data = slot.loaded.data;
@@ -1005,8 +392,8 @@ MergeResult merge_profile_files(const std::vector<std::string>& paths,
         std::unique_lock<std::mutex> lock(publish_mutex);
         publish_cv.wait(lock, [&] { return settled; });
         lock.unlock();
-        load(i, {.publish = nullptr,
-                 .reference = published ? &*published : nullptr});
+        parse(i, {.publish = nullptr,
+                  .reference = published ? &*published : nullptr});
       }
       finish(i);
     }

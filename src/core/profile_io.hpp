@@ -8,8 +8,9 @@
 //                   columnar binary format (docs/format.md; exact),
 //                   selected by ProfileFormat;
 //   ProfileReader — autodetects the encoding from magic bytes, so every
-//                   consumer accepts either; binary files are loaded
-//                   through a zero-copy memory map.
+//                   consumer accepts either; every input is opened once
+//                   and decoded from one byte view (a file is memory-
+//                   mapped, or read once when it is a pipe).
 //
 // Both loaders treat their input as UNTRUSTED: every enum is range-
 // checked, every count is bounded before memory is reserved, and every
@@ -71,16 +72,20 @@ struct Diagnostic {
 struct LoadResult {
   SessionData data;
   std::vector<Diagnostic> diagnostics;
-  /// True when the stream parsed to its "end" marker with no diagnostics.
+  /// True when the input parsed to its end with no diagnostics.
   bool complete = true;
+  /// The encoding the input was read as.
+  ProfileFormat format = ProfileFormat::kText;
 };
 
 /// Reads profiles in either encoding, autodetecting from magic bytes: a
 /// stream/file/buffer beginning with the binary magic (docs/format.md)
-/// loads through the columnar binary loader (memory-mapped when given a
-/// path), anything else through the text loader. Construct from a
-/// LoadOptions for explicit strict/lenient policy, or from the pipeline's
-/// PipelineOptions (which carries the same knobs).
+/// loads through the columnar binary loader, anything else through the
+/// text loader. Every read ends in read(std::string_view): a file is
+/// opened once and memory-mapped (or read once, when it is not a regular
+/// file), a stream is buffered. Construct from a LoadOptions for explicit
+/// strict/lenient policy, or from the pipeline's PipelineOptions (which
+/// carries the same knobs).
 class ProfileReader {
  public:
   ProfileReader() = default;
@@ -93,14 +98,16 @@ class ProfileReader {
   /// the text loader produces the precise error for non-profiles.
   static ProfileFormat detect(std::string_view prefix) noexcept;
 
-  /// Loads from a stream (text streams parse incrementally; binary
-  /// streams are buffered first). Strict mode throws ProfileError.
+  /// Loads from a stream, read to its end first. Strict mode throws
+  /// ProfileError.
   LoadResult read(std::istream& is) const;
 
   /// Loads from an in-memory profile; binary input is parsed zero-copy.
   LoadResult read(std::string_view bytes) const;
 
-  /// Loads from a file; binary files are memory-mapped.
+  /// Loads from a file, pipe or FIFO, opened once. Throws a kProfile
+  /// numaprof::Error "cannot open for read: PATH" when it cannot be
+  /// opened.
   LoadResult read_file(const std::string& path) const;
 
   const LoadOptions& options() const noexcept { return options_; }

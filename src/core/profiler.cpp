@@ -20,35 +20,30 @@ Profiler::Profiler(simrt::Machine& machine, ProfilerConfig config)
 
   support::FaultPlan& plan =
       config_.faults ? *config_.faults : support::global_fault_plan();
-  if (config_.enable_fallback) {
-    pmu::MechanismFallback fb =
-        pmu::make_sampler_with_fallback(config_.event, plan);
-    sampler_ = std::move(fb.sampler);
-    for (const pmu::Mechanism m : fb.unavailable) {
-      degradations_.push_back(DegradationEvent{
-          .kind = DegradationKind::kMechanismUnavailable,
-          .mechanism = m,
-          .value = 0,
-          .detail = std::string(pmu::to_string(m)) +
-                    " failed its availability probe"});
-      publish_telemetry_event(support::TelemetryEventKind::kMechanismUnavailable,
-                              static_cast<std::uint64_t>(m),
-                              degradations_.back().detail);
-    }
-    if (fb.degraded()) {
-      degradations_.push_back(DegradationEvent{
-          .kind = DegradationKind::kMechanismFallback,
-          .mechanism = fb.used,
-          .value = 0,
-          .detail = "requested " + std::string(pmu::to_string(fb.requested)) +
-                    ", collecting with " + std::string(pmu::to_string(fb.used))});
-      publish_telemetry_event(support::TelemetryEventKind::kMechanismFallback,
-                              static_cast<std::uint64_t>(fb.used),
-                              degradations_.back().detail);
-    }
-  } else {
-    sampler_ = pmu::make_sampler(config_.event);
-    if (plan.enabled()) sampler_->set_fault_plan(&plan);
+  pmu::MechanismFallback fb =
+      pmu::make_sampler_with_fallback(config_.event, plan);
+  sampler_ = std::move(fb.sampler);
+  for (const pmu::Mechanism m : fb.unavailable) {
+    degradations_.push_back(DegradationEvent{
+        .kind = DegradationKind::kMechanismUnavailable,
+        .mechanism = m,
+        .value = 0,
+        .detail = std::string(pmu::to_string(m)) +
+                  " failed its availability probe"});
+    publish_telemetry_event(support::TelemetryEventKind::kMechanismUnavailable,
+                            static_cast<std::uint64_t>(m),
+                            degradations_.back().detail);
+  }
+  if (fb.degraded()) {
+    degradations_.push_back(DegradationEvent{
+        .kind = DegradationKind::kMechanismFallback,
+        .mechanism = fb.used,
+        .value = 0,
+        .detail = "requested " + std::string(pmu::to_string(fb.requested)) +
+                  ", collecting with " + std::string(pmu::to_string(fb.used))});
+    publish_telemetry_event(support::TelemetryEventKind::kMechanismFallback,
+                            static_cast<std::uint64_t>(fb.used),
+                            degradations_.back().detail);
   }
 
   sampler_->set_sink([this](const pmu::Sample& s) { on_sample(s); });

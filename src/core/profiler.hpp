@@ -43,10 +43,6 @@ struct ProfilerConfig {
   /// simply stops at the cap, which keeps memory bounded like hpcrun's
   /// trace buffers).
   std::size_t trace_capacity = 1 << 20;
-  /// Probe mechanism availability and degrade along the fallback chain
-  /// instead of failing outright; every substitution is recorded as a
-  /// DegradationEvent. A no-op unless the fault plan injects init failures.
-  bool enable_fallback = true;
   /// Attach the sampling watchdog (period retuning on starvation/runaway
   /// overhead). Off by default: retunes change sample counts, which would
   /// perturb runs that expect an exact configured period.

@@ -1,5 +1,6 @@
 #include "ingest/frame.hpp"
 
+#include "support/bytes.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
 
@@ -7,34 +8,10 @@ namespace numaprof::ingest {
 
 namespace {
 
-void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-std::uint32_t get_u32(std::string_view bytes, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(bytes[at + i]);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(std::string_view bytes, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(bytes[at + i]);
-  }
-  return v;
-}
+using support::get_u32;
+using support::get_u64;
+using support::put_u32;
+using support::put_u64;
 
 /// Offset of the next magic at or after `from`, or npos.
 std::size_t find_magic(std::string_view buffer, std::size_t from) {
@@ -49,13 +26,6 @@ std::size_t resync_consumed(std::string_view buffer) {
 }
 
 }  // namespace
-
-std::uint32_t crc32(std::string_view bytes, std::uint32_t seed) {
-  // The table-driven IEEE implementation moved to support/hash.hpp so the
-  // binary profile format (core/format) shares it without linking ingest;
-  // this wrapper keeps the ingest surface and its callers unchanged.
-  return support::crc32(bytes, seed);
-}
 
 std::string_view to_string(FrameType t) noexcept {
   switch (t) {
@@ -98,7 +68,7 @@ std::string encode_frame(const Frame& frame) {
   put_u64(out, frame.sequence);
   put_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
   out += frame.payload;
-  put_u32(out, crc32(out));
+  put_u32(out, support::crc32(out));
   return out;
 }
 
@@ -140,7 +110,7 @@ DecodeResult decode_frame(std::string_view buffer) {
     return result;
   }
   const std::uint32_t want =
-      crc32(buffer.substr(0, kFrameHeaderBytes + payload_len));
+      support::crc32(buffer.substr(0, kFrameHeaderBytes + payload_len));
   const std::uint32_t got = get_u32(buffer, kFrameHeaderBytes + payload_len);
   if (want != got) {
     result.status = DecodeStatus::kBadCrc;

@@ -34,10 +34,6 @@ inline constexpr std::size_t kFrameTrailerBytes = 4;
 /// gigabytes is rejected before any buffering happens.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 24;
 
-/// CRC32 (IEEE 802.3, the zlib polynomial), table-driven. `seed` chains
-/// incremental computations; pass the previous return value.
-std::uint32_t crc32(std::string_view bytes, std::uint32_t seed = 0);
-
 enum class FrameType : std::uint8_t {
   kHello,      // client -> server: session open; payload "shards=N"
   kShard,      // client -> server: one serialized per-thread shard

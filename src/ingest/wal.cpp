@@ -3,40 +3,18 @@
 #include <cstdlib>
 #include <filesystem>
 
-#include "ingest/frame.hpp"
+#include "support/bytes.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 
 namespace numaprof::ingest {
 
 namespace {
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-std::uint32_t get_u32(std::string_view bytes, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(bytes[at + i]);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(std::string_view bytes, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(bytes[at + i]);
-  }
-  return v;
-}
+using support::get_u32;
+using support::get_u64;
+using support::put_u32;
+using support::put_u64;
 
 }  // namespace
 
@@ -57,7 +35,7 @@ std::string encode_wal_record(const WalRecord& record,
   put_u64(out, record.sequence);
   put_u32(out, static_cast<std::uint32_t>(record.payload.size()));
   out += record.payload;
-  put_u32(out, crc32(out));
+  put_u32(out, support::crc32(out));
   return out;
 }
 
@@ -157,7 +135,7 @@ WalReplay scan_wal(const std::string& path) {
       break;
     }
     const std::uint32_t want =
-        crc32(rest.substr(0, kWalHeaderBytes + payload_len));
+        support::crc32(rest.substr(0, kWalHeaderBytes + payload_len));
     if (want != get_u32(rest, kWalHeaderBytes + payload_len)) {
       stop("record checksum mismatch");
       break;

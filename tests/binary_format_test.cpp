@@ -273,10 +273,10 @@ TEST(BinaryFormat, RoundTripIsLosslessForAllMatrixKernels) {
 TEST(BinaryFormat, WriterIsByteDeterministic) {
   const core::SessionData data = full_session();
   EXPECT_EQ(binary_bytes(data), binary_bytes(data));
-  // Appending to a non-empty buffer lays the profile out relative to its
-  // own first byte (offsets inside the profile are unchanged).
+  // Appended to a non-empty buffer, the profile keeps its own layout
+  // (offsets inside it are relative to its first byte).
   std::string prefixed = "spool-header";
-  format::write_binary_profile(data, prefixed);
+  prefixed += core::ProfileWriter(ProfileFormat::kBinary).bytes(data);
   EXPECT_EQ(prefixed.substr(std::strlen("spool-header")),
             binary_bytes(data));
 }
