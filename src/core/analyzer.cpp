@@ -184,9 +184,9 @@ std::optional<double> Analyzer::region_lpi(NodeId node) const {
   if (!pmu::capabilities_of(data_->mechanism).reports_latency) {
     return std::nullopt;
   }
-  const double samples = inclusive(data_->cct, merged_, node, kSamples);
+  const double samples = inclusive(data_->cct, merged_, kSamples).at(node);
   if (samples <= 0.0) return std::nullopt;
-  return inclusive(data_->cct, merged_, node, kRemoteLatency) / samples;
+  return inclusive(data_->cct, merged_, kRemoteLatency)[node] / samples;
 }
 
 std::optional<NodeId> Analyzer::find_region(std::string_view frame_name) const {

@@ -1,71 +1,45 @@
 #include "core/cct.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace numaprof::core {
 
-Cct::Cct() {
-  nodes_.push_back(CctNode{.parent = kRootNode,
-                           .kind = NodeKind::kRoot,
-                           .key = 0,
-                           .depth = 0});
-  edges_.emplace_back();
-}
-
 NodeId Cct::child(NodeId parent, NodeKind kind, std::uint64_t key) {
-  ensure_edges();
-  auto& index = edges_.at(parent);
-  const std::uint64_t ck = child_key(kind, key);
-  const auto it = index.find(ck);
-  if (it != index.end()) return it->second;
-
-  const NodeId id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(CctNode{.parent = parent,
-                           .kind = kind,
-                           .key = key,
-                           .depth = nodes_[parent].depth + 1});
-  edges_.emplace_back();
-  edges_[parent].emplace(ck, id);
+  const auto id = static_cast<NodeId>(nodes_.size());
+  if (parent >= id) throw std::out_of_range("Cct::child: no such parent");
+  const auto [it, added] = index_.try_emplace(Edge{key, parent, kind}, id);
+  if (!added) return it->second;
+  const std::uint32_t depth = nodes_[parent].depth + 1;
+  nodes_.push_back(
+      CctNode{.parent = parent, .kind = kind, .key = key, .depth = depth});
+  CctNode& p = nodes_[parent];
+  (p.first_child == kRootNode ? p.first_child
+                              : nodes_[p.last_child].next_sibling) = id;
+  p.last_child = id;
   return id;
 }
 
-void Cct::assign_columns(std::span<const NodeId> parents,
-                         std::span<const std::uint8_t> kinds,
-                         std::span<const std::uint64_t> keys) {
-  const std::size_t count = parents.size();
-  nodes_.clear();
-  nodes_.reserve(count + 1);
-  nodes_.push_back(CctNode{.parent = kRootNode,
-                           .kind = NodeKind::kRoot,
-                           .key = 0,
-                           .depth = 0});
-  for (std::size_t i = 0; i < count; ++i) {
-    nodes_.push_back(CctNode{.parent = parents[i],
-                             .kind = static_cast<NodeKind>(kinds[i]),
-                             .key = keys[i],
-                             .depth = nodes_[parents[i]].depth + 1});
+std::optional<NodeId> Cct::assign_columns(
+    std::span<const NodeId> parents, std::span<const std::uint8_t> kinds,
+    std::span<const std::uint64_t> keys) {
+  *this = Cct();
+  nodes_.reserve(parents.size() + 1);
+  index_.reserve(parents.size());
+  for (std::size_t i = 0; i < parents.size(); ++i) {
+    const auto id = static_cast<NodeId>(i + 1);
+    if (child(parents[i], static_cast<NodeKind>(kinds[i]), keys[i]) != id) {
+      *this = Cct();
+      return id;
+    }
   }
-  edges_.clear();
-  edges_valid_ = false;
-}
-
-void Cct::ensure_edges() const {
-  if (edges_valid_) return;
-  edges_.clear();
-  edges_.resize(nodes_.size());
-  for (NodeId id = 1; id < nodes_.size(); ++id) {
-    const CctNode& n = nodes_[id];
-    edges_[n.parent].emplace(child_key(n.kind, n.key), id);
-  }
-  edges_valid_ = true;
+  return std::nullopt;
 }
 
 std::optional<NodeId> Cct::find_child(NodeId parent, NodeKind kind,
                                       std::uint64_t key) const {
-  ensure_edges();
-  const auto& index = edges_.at(parent);
-  const auto it = index.find(child_key(kind, key));
-  if (it == index.end()) return std::nullopt;
+  const auto it = index_.find(Edge{key, parent, kind});
+  if (it == index_.end()) return std::nullopt;
   return it->second;
 }
 
@@ -88,26 +62,20 @@ std::vector<NodeId> Cct::path_to(NodeId id) const {
 }
 
 void Cct::visit(NodeId id, const std::function<void(NodeId)>& fn) const {
-  ensure_edges();
-  fn(id);
-  for (const auto& [key, chid] : edges_.at(id)) visit(chid, fn);
-}
-
-std::vector<NodeId> Cct::children(NodeId id) const {
-  ensure_edges();
-  std::vector<NodeId> result;
-  result.reserve(edges_.at(id).size());
-  for (const auto& [key, chid] : edges_.at(id)) result.push_back(chid);
-  std::sort(result.begin(), result.end());
-  return result;
-}
-
-bool Cct::is_ancestor(NodeId ancestor, NodeId id) const {
-  NodeId cursor = id;
+  // Descend to the first child; at a leaf, climb to the nearest node
+  // below `id` that has a next sibling and move there.
+  NodeId at = id;
   while (true) {
-    if (cursor == ancestor) return true;
-    if (cursor == kRootNode) return false;
-    cursor = nodes_[cursor].parent;
+    fn(at);
+    if (nodes_.at(at).first_child != kRootNode) {
+      at = nodes_[at].first_child;
+      continue;
+    }
+    while (at != id && nodes_[at].next_sibling == kRootNode) {
+      at = nodes_[at].parent;
+    }
+    if (at == id) return;
+    at = nodes_[at].next_sibling;
   }
 }
 

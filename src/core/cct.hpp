@@ -8,9 +8,12 @@
 // data-centric attribution off allocation paths.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <optional>
+#include <ranges>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -41,26 +44,33 @@ struct CctNode {
   NodeKind kind = NodeKind::kRoot;
   std::uint64_t key = 0;  // FrameId / VariableId / bin index, per kind
   std::uint32_t depth = 0;
+  // The children in creation order, as sibling links kept by Cct;
+  // kRootNode ends a list (the root is nobody's child or sibling).
+  NodeId first_child = kRootNode;
+  NodeId last_child = kRootNode;
+  NodeId next_sibling = kRootNode;
 };
 
+/// Children are kept in creation order. A child is always created after
+/// its parent, so a child's id is larger than its parent's, and siblings
+/// come in id order. Every walk follows that order. All const members
+/// are safe to call from several threads at once.
 class Cct {
  public:
-  Cct();
-
   /// Finds or creates the child of `parent` with (kind, key).
   NodeId child(NodeId parent, NodeKind kind, std::uint64_t key);
 
   /// Bulk-loads the whole tree from parallel columns describing nodes
   /// 1..N (node 0 is the implied root): element i gives node i+1. This is
-  /// the binary loader's path: one reserve, no per-node hash-map churn —
-  /// the child index materializes lazily on first lookup, and it never
-  /// materializes at all for trees that are only merged, not walked.
-  /// Every parent must be < its node id (the columns are topologically
-  /// ordered, as the writer emits them); kinds must be valid NodeKind
-  /// values. Depth is recomputed here. Replaces any existing contents.
-  void assign_columns(std::span<const NodeId> parents,
-                      std::span<const std::uint8_t> kinds,
-                      std::span<const std::uint64_t> keys);
+  /// the binary loader's path: one reserve, then the same child index
+  /// child() builds. Every parent must be < its node id (the columns are
+  /// topologically ordered, as the writer emits them); kinds must be
+  /// valid NodeKind values. Replaces any existing contents. Returns the
+  /// first node that repeats a sibling's (kind, key), leaving the tree
+  /// root-only, or nullopt.
+  std::optional<NodeId> assign_columns(std::span<const NodeId> parents,
+                                       std::span<const std::uint8_t> kinds,
+                                       std::span<const std::uint64_t> keys);
 
   /// Lookup without creation (for read-only consumers like the viewer).
   std::optional<NodeId> find_child(NodeId parent, NodeKind kind,
@@ -76,33 +86,54 @@ class Cct {
   /// Root-to-node path of ids (includes `id`, excludes the root).
   std::vector<NodeId> path_to(NodeId id) const;
 
-  /// Depth-first visit of the subtree at `id` (pre-order, includes `id`).
+  /// Pre-order visit of the subtree at `id` (includes `id`), children in
+  /// creation order. Follows the links, so it uses no stack at any depth.
   void visit(NodeId id, const std::function<void(NodeId)>& fn) const;
 
-  /// All direct children of `id`.
-  std::vector<NodeId> children(NodeId id) const;
+  /// Forward iterator over one node's children.
+  struct ChildIterator {
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = NodeId;
+    using difference_type = std::ptrdiff_t;
+    const Cct* cct;
+    NodeId at;  // kRootNode past the last child
+    NodeId operator*() const { return at; }
+    ChildIterator& operator++() {
+      at = cct->nodes_[at].next_sibling;
+      return *this;
+    }
+    ChildIterator operator++(int) {
+      ChildIterator before = *this;
+      ++*this;
+      return before;
+    }
+    bool operator==(const ChildIterator& o) const { return at == o.at; }
+  };
 
-  /// True when `ancestor` is on the root path of `id` (or equal).
-  bool is_ancestor(NodeId ancestor, NodeId id) const;
-
- private:
-  static std::uint64_t child_key(NodeKind kind, std::uint64_t key) noexcept {
-    return (static_cast<std::uint64_t>(kind) << 56) | (key & 0x00ff'ffff'ffff'ffffULL);
+  /// The direct children of `id` in creation order, as a view.
+  std::ranges::subrange<ChildIterator> children(NodeId id) const {
+    return {ChildIterator{this, nodes_.at(id).first_child},
+            ChildIterator{this, kRootNode}};
   }
 
-  /// Materializes edges_ from nodes_ when a bulk load left it stale.
-  /// Inserting nodes 1..N in id order replays the exact per-parent
-  /// insertion history of incremental child() construction, so hash-map
-  /// iteration order (and thus visit order) is identical whether a tree
-  /// was built node-by-node or bulk-loaded. NOT thread-safe: the first
-  /// read-side lookup after a bulk load mutates the cached index.
-  void ensure_edges() const;
+ private:
+  struct Edge {
+    std::uint64_t key;
+    NodeId parent;
+    NodeKind kind;
+    bool operator==(const Edge&) const = default;
+  };
+  struct EdgeHash {
+    std::size_t operator()(const Edge& e) const noexcept {
+      const auto kind = static_cast<std::uint64_t>(e.kind);
+      return (e.key * 0x9e37'79b9'7f4a'7c15ULL) ^
+             (std::uint64_t{e.parent} << 3 | kind);
+    }
+  };
 
-  std::vector<CctNode> nodes_;
-  // Per-parent child index; node ids are dense so a vector of maps works.
-  // Lazily rebuilt (see ensure_edges) after assign_columns.
-  mutable std::vector<std::unordered_map<std::uint64_t, NodeId>> edges_;
-  mutable bool edges_valid_ = true;
+  std::vector<CctNode> nodes_ = {CctNode{}};  // node 0 is the root
+  // The one child index: (parent, kind, key) -> child.
+  std::unordered_map<Edge, NodeId, EdgeHash> index_;
 };
 
 }  // namespace numaprof::core

@@ -1,11 +1,11 @@
 // Collapsed-stack / speedscope flamegraph exporters.
 //
-// Both walk the CCT's [ACCESS] subtree depth-first via Cct::children()
-// (sorted by node id — Cct::visit() iterates a hash map and must not be
-// used here) and weight each context by the selected NUMA cost. A context
-// appears once per CCT node with a non-zero weight; weights are EXCLUSIVE
-// per node, so flamegraph tools reconstruct inclusive totals by summing
-// subtrees, exactly like they do for time-based profiles.
+// Both walk the CCT's [ACCESS] subtree with Cct::visit() (pre-order,
+// children in creation order) and weight each context by the selected
+// NUMA cost. A context appears once per CCT node with a non-zero weight;
+// weights are EXCLUSIVE per node, so flamegraph tools reconstruct
+// inclusive totals by summing subtrees, exactly like they do for
+// time-based profiles.
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -62,30 +62,18 @@ std::vector<WeightedStack> collect_stacks(const Analyzer& analyzer,
   const auto access = data.cct.find_child(kRootNode, NodeKind::kAccess, 0);
   if (!access) return stacks;
 
-  std::vector<std::string> labels = {data.node_label(*access)};
-  // Explicit DFS keeping the label stack in sync with the node path.
-  struct Frame {
-    NodeId node;
-    std::vector<NodeId> children;
-    std::size_t next = 0;
-  };
-  std::vector<Frame> walk;
-  walk.push_back({*access, data.cct.children(*access), 0});
-  while (!walk.empty()) {
-    Frame& top = walk.back();
-    if (top.next == 0 && top.node != *access) {
-      const std::uint64_t w = node_weight(analyzer.merged(), top.node, weight);
-      if (w > 0) stacks.push_back({labels, w});
-    }
-    if (top.next < top.children.size()) {
-      const NodeId child = top.children[top.next++];
-      labels.push_back(collapsed_escape(data.node_label(child)));
-      walk.push_back({child, data.cct.children(child), 0});
-      continue;
-    }
-    if (top.node != *access) labels.pop_back();
-    walk.pop_back();
-  }
+  // labels[l] is the label of the current node's ancestor l levels below
+  // [ACCESS] (a root child, depth 1); in pre-order a node's depth says
+  // how many of the previous node's labels to keep.
+  std::vector<std::string> labels;
+  data.cct.visit(*access, [&](NodeId id) {
+    const std::size_t level = data.cct.node(id).depth - 1;
+    labels.resize(level);
+    labels.push_back(collapsed_escape(data.node_label(id)));
+    if (level == 0) return;  // [ACCESS] itself is no context
+    const std::uint64_t w = node_weight(analyzer.merged(), id, weight);
+    if (w > 0) stacks.push_back({labels, w});
+  });
   return stacks;
 }
 

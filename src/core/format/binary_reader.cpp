@@ -323,7 +323,10 @@ class BinaryLoader : LoadState {
                            " out of range");
       }
     }
-    data().cct.assign_columns(parents, kinds, keys);
+    if (const auto repeat = data().cct.assign_columns(parents, kinds, keys)) {
+      c.fail("key", "node " + std::to_string(*repeat) +
+                        " repeats a sibling's kind and key");
+    }
   }
 
   void decode_variables(Cursor& c) {

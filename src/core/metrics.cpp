@@ -106,18 +106,22 @@ void MetricStore::merge_all(const std::vector<const MetricStore*>& parts,
       });
 }
 
-double inclusive(const Cct& cct, const MetricStore& store, NodeId node,
-                 std::uint32_t metric) {
-  // Bin nodes REFINE their parent variable's attribution (each sample is
-  // recorded at both the variable node and its bin, §5.2), so descending
-  // into them would double-count. They still answer for themselves when
-  // the query starts at a bin.
-  double total = store.get(node, metric);
-  for (const NodeId child : cct.children(node)) {
-    if (cct.node(child).kind == NodeKind::kBin) continue;
-    total += inclusive(cct, store, child, metric);
+std::vector<double> inclusive(const Cct& cct, const MetricStore& store,
+                              std::uint32_t metric) {
+  // A child's id is larger than its parent's, so one backward pass over
+  // the ids finishes every subtree before adding it to its parent. Bin
+  // nodes REFINE their parent variable's attribution (each sample is
+  // recorded at both the variable node and its bin, §5.2), so adding them
+  // would double-count; they still total their own subtree.
+  std::vector<double> totals(cct.size(), 0.0);
+  for (auto id = static_cast<NodeId>(totals.size()); id-- > 0;) {
+    totals[id] += store.get(id, metric);
+    const CctNode& n = cct.node(id);
+    if (id != kRootNode && n.kind != NodeKind::kBin) {
+      totals[n.parent] += totals[id];
+    }
   }
-  return total;
+  return totals;
 }
 
 double lpi_numa(double remote_latency, double sampled_instructions) noexcept {

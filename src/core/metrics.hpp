@@ -108,9 +108,10 @@ class MetricStore {
   std::vector<std::vector<double>> values_;
 };
 
-/// Inclusive metric: sums `metric` over the subtree rooted at `node`.
-double inclusive(const Cct& cct, const MetricStore& store, NodeId node,
-                 std::uint32_t metric);
+/// Inclusive metric of every node, indexed by NodeId: `metric` summed
+/// over the node's subtree, without the subtrees of its kBin children.
+std::vector<double> inclusive(const Cct& cct, const MetricStore& store,
+                              std::uint32_t metric);
 
 /// lpi_NUMA over a context (Eq. 2, the IBS form): accumulated sampled
 /// remote latency divided by sampled instruction count in that context.

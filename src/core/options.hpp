@@ -36,11 +36,11 @@ struct PipelineOptions {
   std::size_t max_count = std::size_t(1) << 22;
   /// Sources for the static NUMA-antipattern analyzer; when non-empty the
   /// CLIs append a fused-findings pane to their reports (docs/lint.md).
-  std::vector<std::string> lint_paths;
+  std::vector<std::string> lint_paths{};
   /// Directory for numalint's incremental per-file cache; empty disables
   /// caching. Entries are keyed by content hash, so stale files can never
   /// poison a run (docs/lint.md).
-  std::string lint_cache_dir;
+  std::string lint_cache_dir{};
   /// Encoding used when this pipeline WRITES profiles (merged outputs,
   /// shards). Loads always autodetect, so mixed-format inputs merge fine.
   ProfileFormat format = ProfileFormat::kText;

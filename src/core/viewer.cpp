@@ -184,7 +184,7 @@ support::Table Viewer::code_centric_table(std::size_t top_n) const {
                          .samples = samples});
     });
   }
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+  std::stable_sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
     if (a.remote_latency != b.remote_latency)
       return a.remote_latency > b.remote_latency;
     return a.mismatch > b.mismatch;
@@ -314,7 +314,8 @@ std::string Viewer::cct_tree(std::uint32_t metric, NodeId root,
   const auto names = metric_names(d.domain_count);
   std::ostringstream os;
   os << "CCT (inclusive " << names.at(metric) << ")\n";
-  const double total = inclusive(d.cct, merged, root, metric);
+  const std::vector<double> totals = inclusive(d.cct, merged, metric);
+  const double total = totals.at(root);
   if (total <= 0.0) {
     os << "  (no samples)\n";
     return os.str();
@@ -329,18 +330,17 @@ std::string Viewer::cct_tree(std::uint32_t metric, NodeId root,
   while (!stack.empty()) {
     const Entry entry = stack.back();
     stack.pop_back();
-    const double value = inclusive(d.cct, merged, entry.node, metric);
+    const double value = totals[entry.node];
     if (value < min_share * total) continue;
     os << std::string(entry.depth * 2, ' ') << d.node_label(entry.node)
        << "  " << format_fixed(value, 0) << " ("
        << format_percent(value / total) << ")\n";
     if (entry.depth + 1 > max_depth) continue;
-    auto children = d.cct.children(entry.node);
-    std::sort(children.begin(), children.end(),
-              [&](NodeId a, NodeId b) {
-                return inclusive(d.cct, merged, a, metric) <
-                       inclusive(d.cct, merged, b, metric);
-              });  // ascending: stack pops largest first
+    const auto kids = d.cct.children(entry.node);
+    std::vector<NodeId> children(kids.begin(), kids.end());
+    std::sort(children.begin(), children.end(), [&](NodeId a, NodeId b) {
+      return totals[a] < totals[b];
+    });  // ascending: stack pops largest first
     for (const NodeId child : children) {
       stack.push_back({child, entry.depth + 1});
     }

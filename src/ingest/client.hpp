@@ -70,7 +70,7 @@ struct ClientOptions {
   /// Distinguishes this recorder among a daemon's clients; every frame
   /// carries it.
   std::uint32_t client_id = 1;
-  support::RetryPolicy retry;
+  support::RetryPolicy retry{};
   /// Seeds the backoff jitter (support::Rng); same seed, same schedule.
   std::uint64_t retry_seed = 1;
   /// Client-side transport faults (frame-drop / frame-corrupt / stall /

@@ -17,7 +17,9 @@ std::string_view to_string(ErrorKind k) noexcept {
 }
 
 std::string format_error(const Error& error) {
-  return "[" + std::string(to_string(error.kind())) + "] " + error.what();
+  std::string text = "[";
+  text.append(to_string(error.kind())).append("] ").append(error.what());
+  return text;
 }
 
 std::string format_error(const std::exception& error) {

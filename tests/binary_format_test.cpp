@@ -38,6 +38,8 @@
 #include "matrix_support.hpp"
 #include "numasim/topology.hpp"
 #include "support/arena.hpp"
+#include "support/bytes.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 
 namespace numaprof {
@@ -527,6 +529,103 @@ TEST(BinaryFormat, MergeSkipsDamagedBinaryShardsAndChecksQuorum) {
     EXPECT_THROW(core::merge_profile_files(paths, options),
                  core::ProfileError);
   }
+}
+
+// --- CCT edges: the text and binary loaders agree -----------------------
+
+constexpr std::uint64_t kTwinKey = 0x00ed'0000'0000'00a1ULL;
+constexpr std::uint64_t kOtherKey = 0x00ed'0000'0000'00a2ULL;
+constexpr std::uint64_t kWideKey = kTwinKey | (std::uint64_t{1} << 60);
+
+/// full_session() plus root children VAR kTwinKey and VAR `second`.
+core::SessionData session_with_root_variables(std::uint64_t second) {
+  core::SessionData data = full_session();
+  data.cct.child(core::kRootNode, core::NodeKind::kVariable, kTwinKey);
+  data.cct.child(core::kRootNode, core::NodeKind::kVariable, second);
+  return data;
+}
+
+/// Rewrites every section CRC, the table CRC and the header CRC, so an
+/// edited payload reaches its decoder instead of failing a checksum.
+void reseal(std::string& bytes) {
+  const auto put_u32_at = [&](std::size_t at, std::uint32_t v) {
+    std::string le;
+    support::put_u32(le, v);
+    bytes.replace(at, 4, le);
+  };
+  const std::string_view view = bytes;
+  for (std::size_t i = 0; i < format::kSectionCount; ++i) {
+    const std::size_t entry =
+        format::kHeaderBytes + i * format::kTableEntryBytes;
+    const std::uint64_t offset = support::get_u64(view, entry + 8);
+    const std::uint64_t length = support::get_u64(view, entry + 16);
+    put_u32_at(entry + 4, support::crc32(view.substr(offset, length)));
+  }
+  put_u32_at(24, support::crc32(view.substr(
+                     format::kHeaderBytes,
+                     format::kSectionCount * format::kTableEntryBytes)));
+  put_u32_at(28, support::crc32(view.substr(0, 28)));
+}
+
+/// Replaces the one occurrence of `from` in `bytes` with `to`.
+void replace_once(std::string& bytes, const std::string& from,
+                  const std::string& to) {
+  const std::size_t at = bytes.find(from);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(from, at + 1), std::string::npos);
+  bytes.replace(at, from.size(), to);
+}
+
+TEST(BinaryFormat, RepeatedCctSiblingIsRejectedByBothLoaders) {
+  const core::SessionData data = session_with_root_variables(kOtherKey);
+  const core::ProfileReader strict;
+  const core::ProfileReader lenient(core::LoadOptions{.lenient = true});
+
+  // Binary: the second VAR's key column entry becomes the first's, with
+  // valid checksums, so only the CCT decoder can notice.
+  std::string binary = binary_bytes(data);
+  std::string twin_le;
+  std::string other_le;
+  support::put_u64(twin_le, kTwinKey);
+  support::put_u64(other_le, kOtherKey);
+  replace_once(binary, other_le, twin_le);
+  reseal(binary);
+  try {
+    strict.read(binary);
+    FAIL() << "a repeated sibling must throw in strict mode";
+  } catch (const core::ProfileError& e) {
+    EXPECT_EQ(e.field(), "cct/key");
+    EXPECT_GT(e.line(), format::kHeaderBytes);  // a byte offset
+    EXPECT_NE(std::string(e.what()).find("repeats a sibling"),
+              std::string::npos)
+        << e.what();
+  }
+  const core::LoadResult from_binary = lenient.read(binary);
+  EXPECT_FALSE(from_binary.complete);
+  ASSERT_FALSE(from_binary.diagnostics.empty());
+  EXPECT_EQ(from_binary.diagnostics.front().field, "cct/key");
+  EXPECT_EQ(from_binary.data.cct.size(), 1u);  // the section is dropped
+
+  // Text: the same edit in the cct section's key field.
+  std::string text = text_bytes(data);
+  replace_once(text, " " + std::to_string(kOtherKey) + "\n",
+               " " + std::to_string(kTwinKey) + "\n");
+  EXPECT_THROW(strict.read(text), core::ProfileError);
+  const core::LoadResult from_text = lenient.read(text);
+  EXPECT_FALSE(from_text.complete);
+  ASSERT_FALSE(from_text.diagnostics.empty());
+  EXPECT_EQ(from_text.diagnostics.front().field, "cct node");
+}
+
+TEST(BinaryFormat, WideCctKeysLoadInBothEncodings) {
+  // Keys that differ only above bit 55 are distinct children.
+  const core::SessionData data = session_with_root_variables(kWideKey);
+  ASSERT_EQ(data.cct.size(), full_session().cct.size() + 2);
+  expect_lossless(data, "wide cct keys");
+  const core::LoadResult from_text = core::ProfileReader().read(
+      text_bytes(data));
+  EXPECT_TRUE(from_text.complete);
+  EXPECT_EQ(from_text.data.cct.size(), data.cct.size());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "core/cct.hpp"
 
@@ -45,8 +47,8 @@ TEST(Cct, DummySeparatorsPartitionSubtrees) {
   const NodeId in_alloc = cct.extend(alloc, path);
   const NodeId in_access = cct.extend(access, path);
   EXPECT_NE(in_alloc, in_access);
-  EXPECT_TRUE(cct.is_ancestor(alloc, in_alloc));
-  EXPECT_FALSE(cct.is_ancestor(alloc, in_access));
+  EXPECT_EQ(cct.path_to(in_alloc).front(), alloc);
+  EXPECT_EQ(cct.path_to(in_access).front(), access);
 }
 
 TEST(Cct, ExtendBuildsAndReusesPaths) {
@@ -98,24 +100,158 @@ TEST(Cct, FindChildDoesNotCreate) {
   EXPECT_EQ(cct.find_child(kRootNode, NodeKind::kFrame, 9).value(), a);
 }
 
-TEST(Cct, ChildrenSorted) {
-  Cct cct;
-  cct.child(kRootNode, NodeKind::kFrame, 3);
-  cct.child(kRootNode, NodeKind::kFrame, 1);
-  cct.child(kRootNode, NodeKind::kFrame, 2);
-  const auto kids = cct.children(kRootNode);
-  ASSERT_EQ(kids.size(), 3u);
-  EXPECT_LT(kids[0], kids[1]);
-  EXPECT_LT(kids[1], kids[2]);
+std::vector<NodeId> children_of(const Cct& cct, NodeId id) {
+  const auto kids = cct.children(id);
+  return {kids.begin(), kids.end()};
 }
 
-TEST(Cct, IsAncestorReflexiveAndRooted) {
+std::vector<NodeId> visit_order(const Cct& cct, NodeId id) {
+  std::vector<NodeId> order;
+  cct.visit(id, [&](NodeId n) { order.push_back(n); });
+  return order;
+}
+
+TEST(Cct, ChildrenSorted) {
+  // Creation order, not key order: a later child has a larger id.
   Cct cct;
-  const simrt::FrameId frames[] = {1, 2, 3};
+  const NodeId three = cct.child(kRootNode, NodeKind::kFrame, 3);
+  const NodeId one = cct.child(kRootNode, NodeKind::kFrame, 1);
+  const NodeId two = cct.child(kRootNode, NodeKind::kFrame, 2);
+  EXPECT_EQ(children_of(cct, kRootNode),
+            (std::vector<NodeId>{three, one, two}));
+  EXPECT_LT(three, one);
+  EXPECT_LT(one, two);
+  EXPECT_TRUE(cct.children(three).empty());
+}
+
+/// A tree whose nodes are created out of tree order, so that its
+/// pre-order differs from id order:
+///   1 [ACCESS] > 2 frame 5 > 3 frame 6 > 4 frame 7
+///                           > 6 frame 8
+///              > 8 frame 9
+///   5 [ALLOCATION] > 7 VAR 0 > 9 bin 1
+///                            > 10 bin 0
+Cct order_tree() {
+  Cct cct;
+  const NodeId access = cct.child(kRootNode, NodeKind::kAccess, 0);
+  const simrt::FrameId deep[] = {5, 6, 7};
+  const simrt::FrameId wide[] = {5, 8};
+  const simrt::FrameId flat[] = {9};
+  cct.extend(access, deep);
+  const NodeId alloc = cct.child(kRootNode, NodeKind::kAllocation, 0);
+  cct.extend(access, wide);
+  const NodeId var = cct.child(alloc, NodeKind::kVariable, 0);
+  cct.extend(access, flat);
+  cct.child(var, NodeKind::kBin, 1);
+  cct.child(var, NodeKind::kBin, 0);
+  return cct;
+}
+
+void expect_order(const Cct& cct) {
+  ASSERT_EQ(cct.size(), 11u);
+  EXPECT_EQ(visit_order(cct, kRootNode),
+            (std::vector<NodeId>{0, 1, 2, 3, 4, 6, 8, 5, 7, 9, 10}));
+  EXPECT_EQ(visit_order(cct, 2), (std::vector<NodeId>{2, 3, 4, 6}));
+  EXPECT_EQ(visit_order(cct, 4), (std::vector<NodeId>{4}));
+  EXPECT_EQ(children_of(cct, kRootNode), (std::vector<NodeId>{1, 5}));
+  EXPECT_EQ(children_of(cct, 1), (std::vector<NodeId>{2, 8}));
+  EXPECT_EQ(children_of(cct, 2), (std::vector<NodeId>{3, 6}));
+  EXPECT_EQ(children_of(cct, 7), (std::vector<NodeId>{9, 10}));
+  EXPECT_TRUE(children_of(cct, 10).empty());
+}
+
+/// The columns the binary loader hands to assign_columns for `cct`.
+struct Columns {
+  std::vector<NodeId> parents;
+  std::vector<std::uint8_t> kinds;
+  std::vector<std::uint64_t> keys;
+};
+
+Columns columns_of(const Cct& cct) {
+  Columns c;
+  for (NodeId id = 1; id < cct.size(); ++id) {
+    c.parents.push_back(cct.node(id).parent);
+    c.kinds.push_back(static_cast<std::uint8_t>(cct.node(id).kind));
+    c.keys.push_back(cct.node(id).key);
+  }
+  return c;
+}
+
+Cct bulk_loaded(const Columns& c) {
+  Cct cct;
+  EXPECT_FALSE(cct.assign_columns(c.parents, c.kinds, c.keys).has_value());
+  return cct;
+}
+
+TEST(Cct, OrderIsPreOrderInCreationOrder) {
+  const Cct built = order_tree();
+  expect_order(built);
+  expect_order(bulk_loaded(columns_of(built)));
+}
+
+TEST(Cct, BulkLoadBuildsTheChildIndex) {
+  const Cct cct = bulk_loaded(columns_of(order_tree()));
+  EXPECT_EQ(cct.find_child(7, NodeKind::kBin, 0), NodeId{10});
+  EXPECT_EQ(cct.find_child(2, NodeKind::kFrame, 8), NodeId{6});
+  EXPECT_FALSE(cct.find_child(2, NodeKind::kFrame, 9).has_value());
+  EXPECT_EQ(cct.node(4).depth, 4u);
+}
+
+TEST(Cct, BulkLoadRejectsARepeatedSibling) {
+  Columns c = columns_of(order_tree());
+  c.keys[9] = 1;  // node 10 becomes a second bin 1 of VAR 0
+  Cct cct = order_tree();
+  EXPECT_EQ(cct.assign_columns(c.parents, c.kinds, c.keys), NodeId{10});
+  EXPECT_EQ(cct.size(), 1u);  // root-only, not half a tree
+  EXPECT_TRUE(cct.children(kRootNode).empty());
+  EXPECT_FALSE(cct.find_child(kRootNode, NodeKind::kAccess, 0).has_value());
+}
+
+TEST(Cct, WideKeysAreDistinct) {
+  // Keys that differ only in the top byte are different children.
+  constexpr std::uint64_t kLow = 42;
+  constexpr std::uint64_t kHigh = kLow | (std::uint64_t{1} << 60);
+  Cct cct;
+  const NodeId low = cct.child(kRootNode, NodeKind::kVariable, kLow);
+  const NodeId high = cct.child(kRootNode, NodeKind::kVariable, kHigh);
+  EXPECT_NE(low, high);
+  EXPECT_EQ(cct.node(high).key, kHigh);
+  EXPECT_EQ(cct.find_child(kRootNode, NodeKind::kVariable, kHigh), high);
+  EXPECT_EQ(bulk_loaded(columns_of(cct)).size(), 3u);
+}
+
+TEST(Cct, ConcurrentReadsOfABulkLoadedTree) {
+  // Every const member is a plain read, so readers on several threads
+  // need no lock, even on the first lookup after a bulk load.
+  const Cct cct = bulk_loaded(columns_of(order_tree()));
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&cct] {
+      for (int round = 0; round < 100; ++round) {
+        EXPECT_EQ(cct.find_child(7, NodeKind::kBin, 1), NodeId{9});
+        EXPECT_EQ(children_of(cct, 1), (std::vector<NodeId>{2, 8}));
+        EXPECT_EQ(visit_order(cct, kRootNode).size(), 11u);
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+}
+
+TEST(Cct, VisitOfADeepChainUsesNoStack) {
+  // A chain far deeper than a recursive walk could survive.
+  constexpr std::uint32_t kDepth = 300'000;
+  Cct cct;
+  const std::vector<simrt::FrameId> frames(kDepth, 0);
   const NodeId leaf = cct.extend(kRootNode, frames);
-  EXPECT_TRUE(cct.is_ancestor(leaf, leaf));
-  EXPECT_TRUE(cct.is_ancestor(kRootNode, leaf));
-  EXPECT_FALSE(cct.is_ancestor(leaf, kRootNode));
+  EXPECT_EQ(cct.node(leaf).depth, kDepth);
+  std::size_t visited = 0;
+  NodeId last = kRootNode;
+  cct.visit(kRootNode, [&](NodeId id) {
+    ++visited;
+    last = id;
+  });
+  EXPECT_EQ(visited, cct.size());
+  EXPECT_EQ(last, leaf);
 }
 
 TEST(Cct, DeepPathDepths) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "core/metrics.hpp"
 
 namespace numaprof::core {
@@ -51,9 +54,9 @@ TEST(Inclusive, SumsSubtree) {
   MetricStore store(1);
   store.add(leaf, kSamples, 4);
   store.add(mid, kSamples, 1);
-  EXPECT_DOUBLE_EQ(inclusive(cct, store, mid, kSamples), 5.0);
-  EXPECT_DOUBLE_EQ(inclusive(cct, store, leaf, kSamples), 4.0);
-  EXPECT_DOUBLE_EQ(inclusive(cct, store, kRootNode, kSamples), 5.0);
+  EXPECT_DOUBLE_EQ(inclusive(cct, store, kSamples)[mid], 5.0);
+  EXPECT_DOUBLE_EQ(inclusive(cct, store, kSamples)[leaf], 4.0);
+  EXPECT_DOUBLE_EQ(inclusive(cct, store, kSamples)[kRootNode], 5.0);
 }
 
 TEST(Inclusive, BinNodesDoNotDoubleCount) {
@@ -68,10 +71,49 @@ TEST(Inclusive, BinNodesDoNotDoubleCount) {
   store.add(var, kMemorySamples, 2);   // two samples on the variable...
   store.add(bin0, kMemorySamples, 1);  // ...refined into two bins
   store.add(bin1, kMemorySamples, 1);
-  EXPECT_DOUBLE_EQ(inclusive(cct, store, var, kMemorySamples), 2.0);
-  EXPECT_DOUBLE_EQ(inclusive(cct, store, kRootNode, kMemorySamples), 2.0);
+  EXPECT_DOUBLE_EQ(inclusive(cct, store, kMemorySamples)[var], 2.0);
+  EXPECT_DOUBLE_EQ(inclusive(cct, store, kMemorySamples)[kRootNode], 2.0);
   // A query rooted AT a bin still answers for that bin.
-  EXPECT_DOUBLE_EQ(inclusive(cct, store, bin0, kMemorySamples), 1.0);
+  EXPECT_DOUBLE_EQ(inclusive(cct, store, kMemorySamples)[bin0], 1.0);
+}
+
+/// The recursive definition inclusive() implements in one pass: own
+/// value plus every non-bin child's inclusive value.
+double reference_inclusive(const std::vector<std::vector<NodeId>>& children,
+                           const Cct& cct, const MetricStore& store,
+                           NodeId node) {
+  double total = store.get(node, kSamples);
+  for (const NodeId child : children[node]) {
+    if (cct.node(child).kind == NodeKind::kBin) continue;
+    total += reference_inclusive(children, cct, store, child);
+  }
+  return total;
+}
+
+TEST(Inclusive, MatchesRecursiveReferenceOnRandomTrees) {
+  constexpr NodeKind kKinds[] = {NodeKind::kFrame, NodeKind::kVariable,
+                                 NodeKind::kBin};
+  for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937 rng(seed);
+    Cct cct;
+    MetricStore store(1);
+    for (int i = 0; i < 300; ++i) {
+      // Any existing node may get a child, so bins get children too.
+      const auto parent = static_cast<NodeId>(rng() % cct.size());
+      const NodeId node = cct.child(parent, kKinds[rng() % 3], rng() % 8);
+      store.add(node, kSamples, rng() % 5);
+    }
+    std::vector<std::vector<NodeId>> children(cct.size());
+    for (NodeId id = 1; id < cct.size(); ++id) {
+      children[cct.node(id).parent].push_back(id);
+    }
+    const std::vector<double> totals = inclusive(cct, store, kSamples);
+    ASSERT_EQ(totals.size(), cct.size());
+    for (NodeId id = 0; id < cct.size(); ++id) {
+      EXPECT_EQ(totals[id], reference_inclusive(children, cct, store, id))
+          << "seed " << seed << " node " << id;
+    }
+  }
 }
 
 TEST(Lpi, Equation2Form) {

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "apps/common.hpp"
+#include "core/advisor.hpp"
+#include "core/export/export.hpp"
+#include "core/metrics.hpp"
 #include "core/profiler.hpp"
 #include "core/report.hpp"
+#include "core/viewer.hpp"
 #include "numasim/topology.hpp"
 #include "support/error.hpp"
 
@@ -146,6 +152,57 @@ TEST(Report, VariableNamesSanitizedForFilesystem) {
   fs::remove_all(dir);
   EXPECT_NO_THROW(write_report(analyzer, dir.string()));
   EXPECT_TRUE(fs::exists(dir / "var_weird_name_with__" / "ranges.csv"));
+}
+
+TEST(Report, DeepCallChainIsAnalyzedReportedAndExported) {
+  // A well-formed profile whose call path is far deeper than a recursive
+  // CCT walk survives: one memory sample on the leaf of a 250k-frame
+  // chain under [ACCESS], then every consumer of the tree.
+  constexpr std::size_t kDepth = 250'000;
+  SessionData data = make_session(true);
+  const auto access = data.cct.find_child(kRootNode, NodeKind::kAccess, 0);
+  ASSERT_TRUE(access.has_value());
+  const auto deep = static_cast<simrt::FrameId>(data.frames.size());
+  data.frames.push_back(simrt::FrameInfo{.name = "deep", .file = "deep.c"});
+  const std::vector<simrt::FrameId> chain(kDepth, deep);
+  const NodeId leaf = data.cct.extend(*access, chain);
+  MetricStore& store = data.stores.at(0);
+  store.add(leaf, kSamples, 1);
+  store.add(leaf, kMemorySamples, 1);
+  store.add(leaf, kNumaMismatch, 1);
+  store.add(leaf, kRemoteLatency, 1000);
+
+  const Analyzer analyzer(data);
+  const auto region = analyzer.find_region("deep");
+  ASSERT_TRUE(region.has_value());
+  EXPECT_EQ(data.cct.node(*region).parent, *access);
+  EXPECT_DOUBLE_EQ(analyzer.region_lpi(*region).value_or(0.0), 1000.0);
+
+  const Viewer viewer(analyzer);
+  EXPECT_NE(viewer.cct_tree(kMemorySamples, kRootNode, 10, 0.0).find("deep"),
+            std::string::npos);
+  EXPECT_NE(viewer.code_centric_table(10).to_text().find("deep"),
+            std::string::npos);
+  (void)viewer.data_centric_table(10);
+  (void)Advisor(analyzer).recommend_all(5);
+
+  const fs::path dir = fs::path(::testing::TempDir()) / "numaprof_deep_chain";
+  fs::remove_all(dir);
+  EXPECT_TRUE(fs::exists(write_report(analyzer, dir.string())));
+  fs::remove_all(dir);
+
+  std::size_t deepest_stack = 0;
+  for (const ExportArtifact& artifact :
+       export_artifacts(analyzer, ExportKind::kAll)) {
+    EXPECT_FALSE(artifact.bytes.empty()) << artifact.filename;
+    if (!artifact.filename.ends_with(".collapsed.txt")) continue;
+    std::istringstream lines(artifact.bytes);
+    for (std::string line; std::getline(lines, line);) {
+      deepest_stack = std::max<std::size_t>(
+          deepest_stack, std::count(line.begin(), line.end(), ';'));
+    }
+  }
+  EXPECT_EQ(deepest_stack, kDepth);  // [ACCESS];deep;...;deep
 }
 
 }  // namespace

@@ -376,7 +376,9 @@ TEST(TelemetryHub, ConcurrentHotPublishersKeepSnapshotsOrdered) {
       const HotCounter& a = snap.hot_pages[i - 1];
       const HotCounter& b = snap.hot_pages[i];
       ASSERT_LE(a.domain, b.domain);
-      if (a.domain == b.domain) ASSERT_GE(a.count, b.count);
+      if (a.domain == b.domain) {
+        ASSERT_GE(a.count, b.count);
+      }
     }
     for (const ThreadTelemetry& thread : snap.threads) {
       for (std::size_t i = 1; i < thread.hot_paths.size(); ++i) {
