@@ -16,6 +16,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/minilulesh.hpp"
 #include "bench_common.hpp"
@@ -87,16 +88,45 @@ Timing page_table_home_of() {
   return time_op([&] { keep(table.home_of(rng.next_below(1 << 16), 3)); });
 }
 
-Timing cct_extend() {
-  core::Cct cct;
-  support::Rng rng(3);
-  simrt::FrameId path[6];
-  return time_op([&] {
-    for (auto& f : path) {
-      f = static_cast<simrt::FrameId>(rng.next_below(64));
+/// A fixed set of 2048 call paths of 4-15 frames, each frame one of 64.
+const std::vector<std::vector<simrt::FrameId>>& cct_paths() {
+  static const auto paths = [] {
+    support::Rng rng(3);
+    std::vector<std::vector<simrt::FrameId>> out(2048);
+    for (auto& path : out) {
+      path.resize(4 + rng.next_below(12));
+      for (auto& f : path) {
+        f = static_cast<simrt::FrameId>(rng.next_below(64));
+      }
     }
-    keep(cct.extend(core::kRootNode, path));
+    return out;
+  }();
+  return paths;
+}
+
+core::Cct cct_of_paths() {
+  core::Cct cct;
+  for (const auto& path : cct_paths()) cct.extend(core::kRootNode, path);
+  return cct;
+}
+
+/// Extends the root by paths the tree already holds: lookups only, so
+/// the tree keeps its size whatever the batch size.
+Timing cct_extend() {
+  core::Cct cct = cct_of_paths();
+  std::size_t next = 0;
+  return time_op([&] {
+    keep(cct.extend(core::kRootNode, cct_paths()[next]));
+    next = (next + 1) % cct_paths().size();
   });
+}
+
+/// Builds a fresh tree from the fixed paths; reported per node created.
+Timing cct_insert() {
+  const double nodes = static_cast<double>(cct_of_paths().size() - 1);
+  Timing t = time_op([] { keep(cct_of_paths().size()); });
+  t.ns_per_op /= nodes;
+  return t;
 }
 
 Timing metric_add() {
@@ -195,6 +225,7 @@ int main(int argc, char** argv) {
       {"SystemAccessColdStream", system_access_cold_stream},
       {"PageTableHomeOf", page_table_home_of},
       {"CctExtend", cct_extend},
+      {"CctInsert", cct_insert},
       {"MetricAdd", metric_add},
       // A period that never fires: the sampler's fast path.
       {"SamplerDispatchIbs",

@@ -92,9 +92,9 @@ int main() {
     simrt::Machine m3(numasim::amd_magny_cours());
     const auto inter = run_miniamg(m3, cfg);
     const auto reduction = [&](const apps::AmgRun& r) {
-      return "-" + support::format_percent(
-                       1.0 - static_cast<double>(r.solve_cycles) /
-                                 static_cast<double>(base.solve_cycles));
+      return std::string("-").append(support::format_percent(
+          1.0 - static_cast<double>(r.solve_cycles) /
+                    static_cast<double>(base.solve_cycles)));
     };
     table.add_row({"AMG2006", "AMD", "blockwise CSR + interleaved vectors",
                    "solver",

@@ -5,7 +5,6 @@
 #include "core/profile_io.hpp"
 #include "pmu/config.hpp"
 #include "support/stats.hpp"
-#include "support/threadpool.hpp"
 
 namespace numaprof::core {
 
@@ -34,8 +33,7 @@ void Analyzer::merge_stores(const PipelineOptions& options) {
   std::vector<const MetricStore*> parts;
   parts.reserve(data_->stores.size());
   for (const MetricStore& store : data_->stores) parts.push_back(&store);
-  support::ThreadPool pool(options.jobs);
-  merged_.merge_all(parts, &pool);
+  merged_.merge_all(parts, options.jobs);
 }
 
 void Analyzer::build_program_summary() {

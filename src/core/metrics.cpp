@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "support/parallel.hpp"
+
 namespace numaprof::core {
 
 std::vector<std::string> metric_names(std::uint32_t domain_count) {
@@ -82,16 +84,17 @@ void MetricStore::merge(MetricStore&& other) {
 }
 
 void MetricStore::merge_all(const std::vector<const MetricStore*>& parts,
-                            support::ThreadPool* pool) {
+                            unsigned jobs) {
   std::size_t rows = values_.size();
   for (const MetricStore* part : parts) {
     rows = std::max(rows, part->values_.size());
   }
-  if (rows == 0) return;
   values_.resize(rows);
-  support::parallel_for(
-      pool, rows, 256, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t id = begin; id < end; ++id) {
+  constexpr std::size_t kChunk = 256;
+  support::parallel_for_each(
+      jobs, (rows + kChunk - 1) / kChunk, [&](std::size_t chunk) {
+        const std::size_t end = std::min(rows, (chunk + 1) * kChunk);
+        for (std::size_t id = chunk * kChunk; id < end; ++id) {
           auto& row = values_[id];
           for (const MetricStore* part : parts) {
             if (id >= part->values_.size() || part->values_[id].empty()) {

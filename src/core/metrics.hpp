@@ -15,7 +15,6 @@
 
 #include "core/cct.hpp"
 #include "numasim/types.hpp"
-#include "support/threadpool.hpp"
 
 namespace numaprof::core {
 
@@ -93,13 +92,13 @@ class MetricStore {
   /// (each adopted value gets the `+ 0.0` the sum would have given it).
   void merge(MetricStore&& other);
 
-  /// Folds every store in `parts` into this one, parallelized across node
-  /// ROWS: each row's metric values are summed over `parts` in vector
-  /// order, exactly the per-element addition order of calling merge() on
-  /// each part sequentially — so the result is bitwise identical to the
-  /// serial fold for ANY pool size (including null = serial).
+  /// Folds every store in `parts` into this one, parallelized across
+  /// chunks of node ROWS on `jobs` threads: each row's metric values are
+  /// summed over `parts` in vector order, exactly the per-element addition
+  /// order of calling merge() on each part sequentially — so the result is
+  /// bitwise identical to the serial fold for ANY jobs value.
   void merge_all(const std::vector<const MetricStore*>& parts,
-                 support::ThreadPool* pool);
+                 unsigned jobs);
 
  private:
   std::uint32_t width_;

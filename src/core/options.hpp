@@ -20,10 +20,11 @@ enum class ProfileFormat : std::uint8_t {
 };
 
 struct PipelineOptions {
-  /// Participants in every parallel stage (shard parsing, metric-row
-  /// merges, lint phase 1); each stage runs on its own pool of this size.
-  /// 1 runs everything inline on the calling thread; any value produces
-  /// bitwise-identical results (docs/analyzer.md).
+  /// Threads of every parallel stage (shard parsing, metric-row merges,
+  /// lint phase 1); each stage runs support::parallel_for_each on at most
+  /// this many, never more than it has indices. 1 runs everything on the
+  /// calling thread; any value produces bitwise-identical results
+  /// (docs/analyzer.md).
   unsigned jobs = 1;
   /// Recover from damaged inputs: malformed sections become diagnostics,
   /// unreadable shard files are skipped (subject to `quorum`).

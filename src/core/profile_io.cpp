@@ -13,7 +13,7 @@
 #include "core/format/format.hpp"
 #include "core/format/writer.hpp"
 #include "support/file.hpp"
-#include "support/threadpool.hpp"
+#include "support/parallel.hpp"
 
 namespace numaprof::core {
 
@@ -226,10 +226,10 @@ void record_skips(MergeResult& result) {
 
 }  // namespace
 
-/// One code path for every `jobs` value (§7.2 at scale). Each pool
-/// participant loops: claim the next path index (claims go in position
-/// order), parse that file into its slot, then under the fold lock mark
-/// the slot ready and fold every consecutive ready slot from `next_fold`.
+/// One code path for every `jobs` value (§7.2 at scale). parallel_for_each
+/// runs one index per path (indices start in position order): parse that
+/// file into its slot, then under the fold lock mark the slot ready and
+/// fold every consecutive ready slot from `next_fold`.
 /// Screening (skips, diagnostics, base selection, compatibility) and the
 /// fold therefore run strictly in input order, so the bytes, the summary
 /// and the strict-mode error (always the first failing file BY POSITION)
@@ -264,7 +264,7 @@ MergeResult merge_profile_files(const std::vector<std::string>& paths,
     bool ready = false;  // guarded by fold_mutex
   };
   std::vector<LoadSlot> slots(paths.size());
-  std::atomic<std::size_t> next_claim{0};
+  std::atomic<bool> stopped{false};  // a strict failure: parse no more
   std::mutex fold_mutex;
   std::size_t next_fold = 0;   // guarded by fold_mutex
   bool have_base = false;      // guarded by fold_mutex
@@ -365,38 +365,33 @@ MergeResult merge_profile_files(const std::vector<std::string>& paths,
         fold(next_fold);
       } catch (...) {
         failure = std::current_exception();
-        next_claim = paths.size();  // stop further claims
+        stopped = true;
       }
       folded.push_back(std::move(slots[next_fold++]));
     }
   };
 
-  support::ThreadPool pool(
-      static_cast<unsigned>(std::min<std::size_t>(options.jobs, paths.size())));
-  pool.for_each_index(pool.jobs(), [&](std::size_t) {
-    for (;;) {
-      const std::size_t i = next_claim++;
-      if (i >= paths.size()) return;
-      // Slot i belongs to its claimer until `ready` is set under the lock.
-      if (i == 0) {
-        parse(0, {.publish = settle});
-        settle(std::nullopt);
-        const LoadSlot& slot = slots[0];
-        const SessionData& data = slot.loaded.data;
-        reference_valid = published && !slot.error &&
-                          slot.loaded.diagnostics.empty() &&
-                          data.frames.size() == published->frames &&
-                          data.cct.size() == published->cct_nodes &&
-                          data.variables.size() == published->variables;
-      } else {
-        std::unique_lock<std::mutex> lock(publish_mutex);
-        publish_cv.wait(lock, [&] { return settled; });
-        lock.unlock();
-        parse(i, {.publish = nullptr,
-                  .reference = published ? &*published : nullptr});
-      }
-      finish(i);
+  support::parallel_for_each(options.jobs, paths.size(), [&](std::size_t i) {
+    if (stopped) return;
+    // Slot i belongs to its claimer until `ready` is set under the lock.
+    if (i == 0) {
+      parse(0, {.publish = settle});
+      settle(std::nullopt);
+      const LoadSlot& slot = slots[0];
+      const SessionData& data = slot.loaded.data;
+      reference_valid = published && !slot.error &&
+                        slot.loaded.diagnostics.empty() &&
+                        data.frames.size() == published->frames &&
+                        data.cct.size() == published->cct_nodes &&
+                        data.variables.size() == published->variables;
+    } else {
+      std::unique_lock<std::mutex> lock(publish_mutex);
+      publish_cv.wait(lock, [&] { return settled; });
+      lock.unlock();
+      parse(i, {.publish = nullptr,
+                .reference = published ? &*published : nullptr});
     }
+    finish(i);
   });
   if (failure) std::rethrow_exception(failure);
 

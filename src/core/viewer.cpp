@@ -135,7 +135,7 @@ support::Table Viewer::data_centric_table(std::size_t top_n) const {
                                      "M_l",       "M_r",     "rem.lat%",
                                      "M_r%",      "lpi",     "home"};
   for (std::uint32_t dom = 0; dom < d.domain_count; ++dom) {
-    header.push_back("N" + std::to_string(dom));
+    header.push_back(std::string("N").append(std::to_string(dom)));
   }
   support::Table table(std::move(header));
   std::size_t emitted = 0;

@@ -81,7 +81,7 @@ std::string site_str(const Effect& e) {
 std::string sched_str(const Effect& e) {
   std::string s(lint::to_string(e.sched));
   if (e.sched == ir::Schedule::kStaticChunk && e.chunk > 0) {
-    s += "," + std::to_string(e.chunk);
+    s.append(",").append(std::to_string(e.chunk));
   }
   return s;
 }

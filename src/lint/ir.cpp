@@ -77,7 +77,6 @@ class IrBuilder {
   }
 
   FileIr build() {
-    collect_regions();
     collect_globals();
     collect_functions();
     return std::move(ir_);
@@ -88,44 +87,17 @@ class IrBuilder {
   const Token& tok(std::size_t i) const { return ts_[i]; }
   bool valid(std::size_t i) const { return ts_.valid(i); }
 
-  /// The regions this pass reads: DSL calls, and pragmas that are not
-  /// num_threads(1) or single/master/critical and name `parallel` or
-  /// `for` outside their clauses.
-  void collect_regions() {
-    for (const Region& r : scan_.regions) {
-      if (r.pragma && (r.num_threads_one || r.one_thread ||
-                       !(r.omp_parallel || r.omp_for))) {
-        continue;
-      }
-      regions_.push_back(r);
-    }
-    std::sort(regions_.begin(), regions_.end(),
-              [](const Region& a, const Region& b) {
-                return a.begin < b.begin;
-              });
-  }
-
   Ctx ctx_at(std::size_t pos) const {
     Ctx c;
-    const Region* best = nullptr;
-    std::size_t best_span = SIZE_MAX;
-    for (const Region& r : regions_) {
-      if (r.begin <= pos && pos < r.body_end &&
-          r.body_end - r.begin < best_span) {
-        best = &r;
-        best_span = r.body_end - r.begin;
-      }
-    }
-    if (best != nullptr && best->parallel) {
+    const Region* r = scan_.region_at(pos);
+    if (r != nullptr && r->parallel) {
       c.parallel = true;
-      c.sched = best->sched;
-      c.chunk = best->chunk;
-      c.blocked = best->blocked;
-      c.loop_var = best->loop_var;
+      c.sched = r->sched;
+      c.chunk = r->chunk;
+      c.blocked = r->blocked;
+      c.loop_var = r->loop_var;
     }
-    for (const auto& [gb, ge] : scan_.guards) {
-      if (gb <= pos && pos < ge) c.guarded = true;
-    }
+    c.guarded = scan_.guarded(pos);
     return c;
   }
 
@@ -831,7 +803,6 @@ class IrBuilder {
 
   const TokenStream& ts_;
   const ParallelScan& scan_;
-  std::vector<Region> regions_;
   std::vector<Interval> intervals_;
   std::set<std::string> global_names_;
   FileIr ir_;

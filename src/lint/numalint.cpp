@@ -13,7 +13,7 @@
 #include "lint/ir.hpp"
 #include "lint/lexer.hpp"
 #include "lint/regions.hpp"
-#include "support/threadpool.hpp"
+#include "support/parallel.hpp"
 
 namespace numaprof::lint {
 
@@ -87,12 +87,11 @@ struct Access {
   int var = -1;
   bool write = false;
   std::uint32_t line = 0;
-  int region = -1;  // -1: serial context outside any region
-  bool region_parallel = false;
-  bool thread_guarded = false;  // under if (index == 0)-style guard
-  bool indirect = false;        // index computed through an unknown call
-  bool soa = false;             // index scales by an allocation-size ident
-  bool per_thread = false;      // element selected by a thread id
+  const Region* region = nullptr;  // innermost; null outside any region
+  bool thread_guarded = false;     // in a ParallelScan guard range
+  bool indirect = false;           // index computed through an unknown call
+  bool soa = false;                // index scales by an allocation-size ident
+  bool per_thread = false;         // element selected by a thread id
 };
 
 std::uint32_t primitive_size(const std::string& t) {
@@ -130,7 +129,6 @@ class FileAnalyzer {
     collect_policies();
     collect_tables();
     collect_range_fors();
-    collect_regions();
     collect_vars();
     collect_accesses();
     emit();
@@ -420,38 +418,6 @@ class FileAnalyzer {
     }
   }
 
-  /// The regions this pass reads: DSL calls, and pragmas whose words
-  /// name `parallel` and no single/master/critical/num_threads(1 ...),
-  /// with a loop body ending before end of file.
-  void collect_regions() {
-    for (const Region& r : scan_.regions) {
-      if (r.pragma &&
-          (!r.any_parallel || r.any_serial || r.body_end >= n())) {
-        continue;
-      }
-      regions_.push_back(r);
-    }
-    std::sort(regions_.begin(), regions_.end(),
-              [](const Region& a, const Region& b) {
-                return a.begin < b.begin;
-              });
-  }
-
-  int region_of(std::size_t i) const {
-    int best = -1;
-    std::size_t best_span = SIZE_MAX;
-    for (std::size_t r = 0; r < regions_.size(); ++r) {
-      if (regions_[r].begin <= i && i < regions_[r].body_end) {
-        const std::size_t span = regions_[r].body_end - regions_[r].begin;
-        if (span < best_span) {
-          best = static_cast<int>(r);
-          best_span = span;
-        }
-      }
-    }
-    return best;
-  }
-
   // -- guard analysis ---------------------------------------------------
 
   struct Guards {
@@ -462,9 +428,9 @@ class FileAnalyzer {
 
   Guards guards_of(std::size_t i) const {
     Guards g;
+    g.thread_guarded = scan_.guarded(i);
     for (const IfStmt& stmt : scan_.ifs) {
       if (!(stmt.body.first <= i && i < stmt.body.second)) continue;
-      g.thread_guarded |= stmt.tid_eq_zero;
       add_row_filters(stmt.cond.first, stmt.cond.second, g);
     }
     return g;
@@ -895,14 +861,13 @@ class FileAnalyzer {
 
   void add_access(const std::vector<int>& vars, bool write, std::size_t at,
                   const Guards& guards, const IndexShape& shape) {
-    const int region = region_of(at);
+    const Region* region = scan_.region_at(at);
     for (int v : vars) {
       Access a;
       a.var = v;
       a.write = write;
       a.line = tok(at).line;
       a.region = region;
-      a.region_parallel = region >= 0 && regions_[static_cast<std::size_t>(region)].parallel;
       a.thread_guarded = guards.thread_guarded;
       a.indirect = shape.indirect;
       a.soa = shape.soa;
@@ -1062,7 +1027,8 @@ class FileAnalyzer {
       bool any_blocked_region = false, any_round_robin = false;
       for (const Access& a : accesses_) {
         if (a.var != static_cast<int>(vi)) continue;
-        const bool serial_ctx = !a.region_parallel || a.thread_guarded;
+        const bool serial_ctx =
+            a.region == nullptr || !a.region->parallel || a.thread_guarded;
         if (a.write && serial_ctx) serial_writes.push_back(&a);
         if (!serial_ctx) {
           par_acc.push_back(&a);
@@ -1070,12 +1036,10 @@ class FileAnalyzer {
           if (a.indirect) any_indirect = true;
           if (a.soa) any_soa = true;
           if (a.write && a.per_thread) any_per_thread_write = true;
-          if (a.region >= 0) {
-            const Region& r = regions_[static_cast<std::size_t>(a.region)];
-            par_regions.insert(r.name.empty() ? "<anonymous>" : r.name);
-            if (r.partitioned) any_blocked_region = true;
-            if (r.round_robin) any_round_robin = true;
-          }
+          const Region& r = *a.region;
+          par_regions.insert(r.name.empty() ? "<anonymous>" : r.name);
+          if (r.partitioned) any_blocked_region = true;
+          if (r.round_robin) any_round_robin = true;
         }
         if (a.soa) any_soa = true;
       }
@@ -1221,7 +1185,6 @@ class FileAnalyzer {
   std::map<std::string, std::pair<std::size_t, std::size_t>> lambdas_;
   std::map<std::string, Policy> policies_;
   std::map<std::string, std::string> range_iters_;  // iter -> table
-  std::vector<Region> regions_;
   std::vector<VarDecl> vars_;
   std::vector<Access> accesses_;
   std::map<std::string, std::vector<int>> by_last_;
@@ -1317,7 +1280,7 @@ LintResult lint_paths(const std::vector<std::string>& paths,
     }
     parts[i] = lint_file_phase1(buffer.str(), name);
   };
-  support::ThreadPool(options.jobs).for_each_index(files.size(), lint_one);
+  support::parallel_for_each(options.jobs, files.size(), lint_one);
 
   LintResult out;
   std::vector<dataflow::FileSummary> summaries;

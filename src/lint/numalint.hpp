@@ -86,10 +86,10 @@ bool lintable_file(const std::string& path);
 /// (file, line, variable, kind).
 LintResult lint_paths(const std::vector<std::string>& paths);
 
-/// As above with the consolidated pipeline policy: files are linted on a
-/// pool of `options.jobs` participants and folded in path order, so the
-/// result is identical for every jobs value. Only `jobs` and
-/// `lint_cache_dir` of `options` are consumed.
+/// As above with the consolidated pipeline policy: files are linted on up
+/// to `options.jobs` threads and folded in path order, so the result is
+/// identical for every jobs value. Only `jobs` and `lint_cache_dir` of
+/// `options` are consumed.
 LintResult lint_paths(const std::vector<std::string>& paths,
                       const numaprof::PipelineOptions& options);
 

@@ -1,6 +1,7 @@
 #include "lint/regions.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 
 namespace numaprof::lint {
@@ -29,17 +30,17 @@ std::string_view tail_after(std::string_view text, std::string_view seps) {
   return cut == std::string_view::npos ? text : text.substr(cut + 1);
 }
 
-void scan_body(const TokenStream& ts, Region& r) {
+/// `count_last`: the trailing identifier of a DSL call's COUNT.
+void scan_body(const TokenStream& ts, std::string_view count_last,
+               Region& r) {
   const std::size_t stop = std::min(r.body_end, ts.size());
   for (std::size_t k = r.begin; k < stop; ++k) {
     if (ts[k].is_ident("block_slice") || ts[k].is_ident("schedule")) {
       r.partitioned = true;
     }
     if (ts[k].is_punct("+=") && ts.valid(k + 1)) {
-      const Chain c = ts.read_chain(k + 1);
-      r.round_robin |= strides_by_threads(c.last, r.count_last);
-      r.round_robin_dotted |=
-          strides_by_threads(tail_after(c.text, "."), r.count_last);
+      r.round_robin |= strides_by_threads(
+          tail_after(ts.read_chain(k + 1).text, "."), count_last);
     }
   }
 }
@@ -59,8 +60,9 @@ void scan_dsl(const TokenStream& ts, std::vector<Region>& out) {
     const auto [cb, ce] = args[1];
     r.parallel = !(ce == cb + 1 && ts[cb].kind == TokKind::kNumber &&
                    ts[cb].text == "1");
+    std::string_view count_last;
     for (std::size_t k = cb; k < ce; ++k) {
-      if (ts[k].kind == TokKind::kIdent) r.count_last = ts[k].text;
+      if (ts[k].kind == TokKind::kIdent) count_last = ts[k].text;
     }
     r.name = ts.first_string_in(args[0].first, ts.matching(i + 1))
                  .value_or("");
@@ -88,11 +90,11 @@ void scan_dsl(const TokenStream& ts, std::vector<Region>& out) {
         }
       }
     }
-    scan_body(ts, r);
-    r.blocked = r.partitioned || r.round_robin_dotted;
+    scan_body(ts, count_last, r);
+    r.blocked = r.partitioned || r.round_robin;
     if (r.partitioned && r.sched == Schedule::kNone) {
       r.sched = Schedule::kStaticBlock;
-    } else if (r.round_robin_dotted && !r.partitioned) {
+    } else if (r.round_robin && !r.partitioned) {
       r.sched = Schedule::kStaticChunk;
       r.chunk = 1;
     }
@@ -121,13 +123,13 @@ std::size_t loop_body_end(const TokenStream& ts, std::size_t p) {
   return q;
 }
 
-/// Reads the num_threads(...)/schedule(...) clause whose name is at `p`.
-void read_clause(const TokenStream& ts, std::size_t p, Region& r) {
+/// Reads the num_threads(...)/schedule(...) clause whose name is at `p`;
+/// sets `one` for num_threads(1) exactly.
+void read_clause(const TokenStream& ts, std::size_t p, Region& r, bool& one) {
   const auto args = ts.split_args(p + 1);
   if (ts[p].is("num_threads")) {
-    r.num_threads_one |= !args.empty() &&
-                         args[0].second == args[0].first + 1 &&
-                         ts[args[0].first].text == "1";
+    one |= !args.empty() && args[0].second == args[0].first + 1 &&
+           ts[args[0].first].text == "1";
     return;
   }
   if (args.empty() || ts[args[0].first].kind != TokKind::kIdent) return;
@@ -147,9 +149,11 @@ void read_clause(const TokenStream& ts, std::size_t p, Region& r) {
   }
 }
 
-/// OpenMP: `#pragma omp ...` with `\` continuations. single/master/
+/// OpenMP: `#pragma omp ...` with `\` continuations; words inside
+/// num_threads(...)/schedule(...) are not directive words. single/master/
 /// critical bodies become guard ranges; a following block or loop becomes
-/// a region.
+/// a region unless the directive runs one thread or names neither
+/// `parallel` nor `for`.
 void scan_pragmas(const TokenStream& ts, ParallelScan& out) {
   for (std::size_t i = 0; i + 2 < ts.size(); ++i) {
     if (!ts[i].is_punct("#") || !ts[i + 1].is_ident("pragma") ||
@@ -157,36 +161,32 @@ void scan_pragmas(const TokenStream& ts, ParallelScan& out) {
       continue;
     }
     Region r;
-    r.pragma = true;
     r.parallel = true;
     r.name = "omp";
+    bool parallel = false, omp_for = false, one_thread = false;
+    bool num_threads_one = false;
     const std::size_t p = std::max(i + 3, ts.skip_directive(i));
     std::size_t clause_end = 0;  // one past the last clause's ')'
     for (std::size_t k = i + 3; k < p; ++k) {
       if (ts[k].kind != TokKind::kIdent) continue;
       const std::string& w = ts[k].text;
-      const bool serial_word =
-          w == "single" || w == "master" || w == "critical";
       r.name += " " + w;
-      r.any_parallel |= w == "parallel";
-      r.any_serial |= serial_word || (w == "num_threads" && ts.valid(k + 2) &&
-                                      ts[k + 1].is_punct("(") &&
-                                      ts[k + 2].text == "1");
       if (k < clause_end) continue;
-      r.omp_parallel |= w == "parallel";
-      r.omp_for |= w == "for";
-      r.one_thread |= serial_word;
+      parallel |= w == "parallel";
+      omp_for |= w == "for";
+      one_thread |= w == "single" || w == "master" || w == "critical";
       if ((w == "num_threads" || w == "schedule") && ts.valid(k + 1) &&
           ts[k + 1].is_punct("(") && ts.matching(k + 1) < ts.size()) {
-        read_clause(ts, k, r);
+        read_clause(ts, k, r, num_threads_one);
         clause_end = ts.matching(k + 1) + 1;
       }
     }
     if (!ts.valid(p)) continue;
-    if (r.one_thread && !r.num_threads_one) {
+    if (one_thread && !num_threads_one) {
       const TokenRange g = ts.construct_range(p);
       if (g.first < g.second) out.guards.push_back(g);
     }
+    if (one_thread || num_threads_one || !(parallel || omp_for)) continue;
     if (ts[p].is_punct("{")) {
       if (ts.matching(p) >= ts.size()) continue;
       r.begin = p + 1;
@@ -210,53 +210,38 @@ void scan_pragmas(const TokenStream& ts, ParallelScan& out) {
       continue;
     }
     if (r.begin >= r.body_end) continue;
-    if (r.omp_for) {
+    if (omp_for) {
       r.blocked = true;
       if (r.sched == Schedule::kNone) r.sched = Schedule::kStaticBlock;
     }
-    scan_body(ts, r);
+    scan_body(ts, {}, r);
     out.regions.push_back(std::move(r));
   }
 }
 
-/// Every `if (...)`: the recognizer's statement and the IR's guard range.
+/// Every `if (...)`; one testing a thread id against 0 guards its body.
 void scan_ifs(const TokenStream& ts, ParallelScan& out) {
   for (std::size_t i = 0; i + 1 < ts.size(); ++i) {
     if (!ts[i].is_ident("if") || !ts[i + 1].is_punct("(")) continue;
     const std::size_t cond_close = ts.matching(i + 1);
     if (cond_close >= ts.size()) continue;
-    IfStmt stmt;
-    stmt.cond = {i + 2, cond_close};
-    std::size_t p = cond_close + 1;
-    if (ts.valid(p) && ts[p].is_punct("{")) {
-      stmt.body = {p + 1, ts.matching(p)};
-    } else {
-      stmt.body.first = p;
-      while (ts.valid(p) && !ts[p].is_punct(";")) {
-        if (ts[p].is_punct("(") || ts[p].is_punct("{")) {
-          p = ts.matching(p) < ts.size() ? ts.matching(p) : p;
-        }
-        ++p;
-      }
-      stmt.body.second = p;
-    }
+    const IfStmt stmt{{i + 2, cond_close},
+                      ts.construct_range(cond_close + 1)};
+    out.ifs.push_back(stmt);
     bool thread_zero = false;
     for (std::size_t k = i + 2; k < cond_close; ++k) {
       if (ts[k].kind != TokKind::kIdent) continue;
       const Chain c = ts.read_chain(k);
-      const bool eq_zero = ts.valid(c.end + 1) && ts[c.end].is_punct("==") &&
-                           ts[c.end + 1].text == "0";
-      stmt.tid_eq_zero |= eq_zero && thread_id_name(c.last);
       if (thread_id_name(tail_after(c.text, ".:"))) {
-        thread_zero |= eq_zero || (k >= 2 && ts[k - 1].is_punct("==") &&
-                                   ts[k - 2].text == "0");
+        thread_zero |= (ts.valid(c.end + 1) && ts[c.end].is_punct("==") &&
+                        ts[c.end + 1].text == "0") ||
+                       (k >= 2 && ts[k - 1].is_punct("==") &&
+                        ts[k - 2].text == "0");
       }
       k = c.end > k ? c.end - 1 : k;
     }
-    out.ifs.push_back(stmt);
-    if (thread_zero) {
-      const TokenRange g = ts.construct_range(cond_close + 1);
-      if (g.first < g.second) out.guards.push_back(g);
+    if (thread_zero && stmt.body.first < stmt.body.second) {
+      out.guards.push_back(stmt.body);
     }
   }
 }
@@ -268,7 +253,30 @@ ParallelScan scan_parallel(const TokenStream& ts) {
   scan_dsl(ts, out.regions);
   scan_pragmas(ts, out);
   scan_ifs(ts, out);
+  std::sort(out.regions.begin(), out.regions.end(),
+            [](const Region& a, const Region& b) {
+              return a.begin < b.begin;
+            });
   return out;
+}
+
+const Region* ParallelScan::region_at(std::size_t pos) const noexcept {
+  const Region* best = nullptr;
+  std::size_t best_span = SIZE_MAX;
+  for (const Region& r : regions) {
+    if (r.begin > pos) break;  // sorted by begin
+    if (pos < r.body_end && r.body_end - r.begin < best_span) {
+      best = &r;
+      best_span = r.body_end - r.begin;
+    }
+  }
+  return best;
+}
+
+bool ParallelScan::guarded(std::size_t pos) const noexcept {
+  return std::any_of(guards.begin(), guards.end(), [pos](TokenRange g) {
+    return g.first <= pos && pos < g.second;
+  });
 }
 
 }  // namespace numaprof::lint

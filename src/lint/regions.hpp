@@ -4,9 +4,8 @@
 // which run on one thread: the L1-L4 recognizer (numalint.cpp) and the
 // IR builder (ir.cpp). `scan_parallel` reads the two source idioms once
 // — simulator DSL calls (`parallel_region`, `parallel_for`) and
-// `#pragma omp` directives — plus every `if (...)` statement. Where the
-// two passes read a construct differently, the record keeps both
-// readings and each pass picks its own (see the field comments).
+// `#pragma omp` directives — plus every `if (...)` statement, and gives
+// each construct one reading that both passes share.
 #pragma once
 
 #include <cstdint>
@@ -37,31 +36,18 @@ std::string_view to_string(Schedule s) noexcept;
 struct Region {
   std::string name;  // DSL: first string literal in the call; omp: "omp"
                      // followed by every directive word
-  bool pragma = false;  // `#pragma omp` (else a DSL call)
   std::size_t begin = 0;  // first body token (the keyword of a loop)
   /// One past the body: a brace block's '}'; for a loop, the end of its
   /// body (see loop_body_end in regions.cpp).
   std::size_t body_end = 0;
   bool parallel = false;  // runs on many threads: DSL COUNT is not the
                           // literal 1; always set for a pragma
-  // Directive words read outside num_threads(...)/schedule(...) (the IR):
-  bool omp_parallel = false;
-  bool omp_for = false;
-  bool one_thread = false;       // single / master / critical
-  bool num_threads_one = false;  // num_threads(1) exactly
-  // Directive words read everywhere (the recognizer):
-  bool any_parallel = false;
-  bool any_serial = false;  // single / master / critical, or num_threads
-                            // whose first argument token is 1
-  std::string count_last;   // DSL: trailing identifier of COUNT
   // Body facts, over [begin, body_end):
   bool partitioned = false;  // names block_slice or schedule
-  /// Strides `+=` by the thread count, matched on the chain's last
-  /// identifier (recognizer) or on the chain text after its last '.' (IR):
-  /// `ctx.threads[0]` and `cfg::nthreads` match only the first.
+  /// Strides `+=` by the thread count, matched on the chain text after
+  /// its last '.': `ctx.nthreads` matches, `ctx.threads[0]` does not.
   bool round_robin = false;
-  bool round_robin_dotted = false;
-  // The IR's iteration mapping: omp for is blocked and defaults to
+  // The iteration mapping: omp for is blocked and defaults to
   // schedule(static); a DSL body is blocked when it partitions or strides.
   bool blocked = false;
   Schedule sched = Schedule::kNone;
@@ -69,23 +55,28 @@ struct Region {
   std::string loop_var;  // omp for: the induction variable, if known
 };
 
-/// An `if (...)` statement as the recognizer reads it.
+/// An `if (...)` statement.
 struct IfStmt {
   TokenRange cond;  // condition tokens inside the parentheses
-  TokenRange body;  // brace block, or through the first ';' outside ()/{}
-  /// `<chain> == 0` where the chain's last identifier names a thread.
-  bool tid_eq_zero = false;
+  TokenRange body;  // brace block, or through the first ';' outside
+                    // brackets
 };
 
 struct ParallelScan {
-  /// DSL calls first, then pragmas, each in token order. Each pass keeps
-  /// its own subset (see numalint.cpp and ir.cpp).
+  /// Sorted by `begin`: every DSL call, and every pragma that names
+  /// `parallel` or `for` outside its clauses and is neither single/
+  /// master/critical nor num_threads(1).
   std::vector<Region> regions;
   std::vector<IfStmt> ifs;
-  /// Token ranges that run on one thread (the IR's reading): omp single/
-  /// master/critical bodies and `if` bodies testing tid == 0 or 0 == tid
-  /// (chain text after its last '.' or ':').
+  /// Token ranges that run on one thread: omp single/master/critical
+  /// bodies and `if` bodies testing tid == 0 or 0 == tid (chain text
+  /// after its last '.' or ':').
   std::vector<TokenRange> guards;
+
+  /// The innermost region holding token `pos`, or null.
+  const Region* region_at(std::size_t pos) const noexcept;
+  /// Whether token `pos` lies in a guard range.
+  bool guarded(std::size_t pos) const noexcept;
 };
 
 ParallelScan scan_parallel(const TokenStream& ts);

@@ -9,6 +9,15 @@
 namespace numaprof::monitor {
 
 void LiveTop::on_exec(const simrt::SimThread& thread, std::uint64_t count) {
+  retire(thread, count);
+}
+
+void LiveTop::on_access(const simrt::SimThread& thread,
+                        const simrt::AccessEvent& /*event*/) {
+  retire(thread, 1);  // a memory access retires one instruction
+}
+
+void LiveTop::retire(const simrt::SimThread& thread, std::uint64_t count) {
   since_paint_ += count;
   last_time_ =
       std::max(last_time_, static_cast<std::uint64_t>(thread.now()));

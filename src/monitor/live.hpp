@@ -1,10 +1,11 @@
 // LiveTop: the in-process live renderer behind `record_app --top`.
 //
 // A simrt::MachineObserver that, every `interval_instructions` retired
-// instructions, pulls one snapshot from the TelemetryHub, feeds the pure
-// MonitorModel, and paints a frame to `out` — ANSI repaint-in-place when
-// `ansi` is set (a real terminal), plain `== frame N ==`-delimited frames
-// otherwise (pipes, CI logs).
+// instructions (memory accesses included: the TelemetryStreamer's clock),
+// pulls one snapshot from the TelemetryHub, feeds the pure MonitorModel,
+// and paints a frame to `out` — ANSI repaint-in-place when `ansi` is set
+// (a real terminal), plain `== frame N ==`-delimited frames otherwise
+// (pipes, CI logs).
 //
 // The observer is strictly pull-only: it reads the hub the samplers
 // already publish into and writes to its own stream, so attaching it
@@ -39,6 +40,8 @@ class LiveTop final : public simrt::MachineObserver {
   }
 
   void on_exec(const simrt::SimThread& thread, std::uint64_t count) override;
+  void on_access(const simrt::SimThread& thread,
+                 const simrt::AccessEvent& event) override;
 
   /// Paints the final partial interval exactly once; a second flush in a
   /// row (or one landing on an interval boundary) is a no-op.
@@ -48,6 +51,7 @@ class LiveTop final : public simrt::MachineObserver {
   const MonitorModel& model() const noexcept { return model_; }
 
  private:
+  void retire(const simrt::SimThread& thread, std::uint64_t count);
   void paint(std::uint64_t time);
 
   support::TelemetryHub* hub_;

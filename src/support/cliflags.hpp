@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "support/error.hpp"
-#include "support/threadpool.hpp"
+#include "support/parallel.hpp"
 
 namespace numaprof::support {
 

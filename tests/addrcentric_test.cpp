@@ -16,7 +16,7 @@ Variable make_var(VariableId id, std::uint64_t pages,
                   simos::VAddr start = 0x100000) {
   Variable v;
   v.id = id;
-  v.name = "v" + std::to_string(id);
+  v.name = std::string("v").append(std::to_string(id));
   v.start = start;
   v.size = pages * simos::kPageBytes;
   v.page_count = pages;

@@ -37,7 +37,6 @@
 #include "core/profile_io.hpp"
 #include "core/session.hpp"
 #include "support/rng.hpp"
-#include "support/threadpool.hpp"
 
 namespace numaprof::core {
 namespace {
@@ -324,9 +323,8 @@ TEST(MergeProperty, MergeAllMatchesSerialFoldBitwiseAcrossJobs) {
     std::vector<const MetricStore*> pointers;
     for (const MetricStore& p : parts) pointers.push_back(&p);
     for (const unsigned jobs : {1u, 2u, 8u}) {
-      support::ThreadPool pool(jobs);
       MetricStore parallel(3);
-      parallel.merge_all(pointers, &pool);
+      parallel.merge_all(pointers, jobs);
       expect_stores_identical(parallel, serial);
     }
   }

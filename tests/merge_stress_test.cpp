@@ -1,8 +1,8 @@
 // Concurrency stress tests for the parallel analysis pipeline. Suites are
 // named PipelineStress* so the CI thread-sanitizer matrix entry (which runs
 // ctest -R '...|Pipeline|...') exercises them under TSan: the interesting
-// failure mode here is not a wrong sum but a data race in the pool's batch
-// hand-off or the merge's row partitioning.
+// failure mode here is not a wrong sum but a data race in
+// parallel_for_each's index claims or the merge's row partitioning.
 //
 // Everything is deterministic: adversarial inputs come from seeded
 // support::Rng streams, and every parallel result is compared bitwise
@@ -11,17 +11,16 @@
 // under TSan.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -29,8 +28,8 @@
 #include "core/profile_io.hpp"
 #include "core/session.hpp"
 #include "core/viewer.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
-#include "support/threadpool.hpp"
 
 namespace numaprof::core {
 namespace {
@@ -138,15 +137,14 @@ std::string render_analysis(const SessionData& data, unsigned jobs) {
   return os.str();
 }
 
-// --- ThreadPool primitives under contention --------------------------
+// --- parallel_for_each under contention ------------------------------
 
 TEST(PipelineStressPool, ForEachIndexRunsEveryIndexExactlyOnce) {
-  support::ThreadPool pool(8);
   for (int round = 0; round < 20; ++round) {
     const std::size_t count = 1 + 977 * static_cast<std::size_t>(round);
     std::vector<std::atomic<int>> hits(count);
-    pool.for_each_index(count,
-                        [&](std::size_t i) { hits[i].fetch_add(1); });
+    support::parallel_for_each(
+        8, count, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < count; ++i) {
       ASSERT_EQ(hits[i].load(), 1) << "index " << i << " round " << round;
     }
@@ -154,11 +152,10 @@ TEST(PipelineStressPool, ForEachIndexRunsEveryIndexExactlyOnce) {
 }
 
 TEST(PipelineStressPool, SmallestIndexExceptionWins) {
-  support::ThreadPool pool(8);
   const std::set<std::size_t> throwers = {3, 500, 1999};
   std::atomic<int> executed{0};
   try {
-    pool.for_each_index(2000, [&](std::size_t i) {
+    support::parallel_for_each(8, 2000, [&](std::size_t i) {
       executed.fetch_add(1);
       if (throwers.count(i) != 0) {
         throw std::runtime_error(std::to_string(i));
@@ -166,37 +163,39 @@ TEST(PipelineStressPool, SmallestIndexExceptionWins) {
     });
     FAIL() << "exception must propagate";
   } catch (const std::runtime_error& e) {
-    // The batch still completes every index, and the error surfaced is
-    // the one a serial in-order loop would have hit first.
+    // Every index still runs, and the error surfaced is the one a serial
+    // in-order loop would have hit first.
     EXPECT_STREQ(e.what(), "3");
     EXPECT_EQ(executed.load(), 2000);
   }
 }
 
-TEST(PipelineStressPool, ParallelForCoversIndexSpaceInGrainChunks) {
-  support::ThreadPool pool(8);
-  const std::size_t count = 4099;  // deliberately not a grain multiple
-  const std::size_t grain = 64;
-  std::mutex mutex;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  support::parallel_for(&pool, count, grain,
-                        [&](std::size_t begin, std::size_t end) {
-                          const std::lock_guard<std::mutex> lock(mutex);
-                          chunks.emplace_back(begin, end);
-                        });
-  std::sort(chunks.begin(), chunks.end());
-  std::size_t expect_begin = 0;
-  for (const auto& [begin, end] : chunks) {
-    EXPECT_EQ(begin, expect_begin);
-    EXPECT_LE(end - begin, grain);
-    expect_begin = end;
-  }
-  EXPECT_EQ(expect_begin, count);
+TEST(PipelineStressPool, SingleIndexRunsOnTheCallingThread) {
+  std::thread::id ran_on;
+  support::parallel_for_each(8, 1, [&](std::size_t i) {
+    EXPECT_EQ(i, 0u);
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
-TEST(PipelineStressPool, NestedCallRunsInlineExactlyOnce) {
-  // A body that re-enters its own (busy) pool must not deadlock: the inner
-  // for_each_index and merge_all fall back to an inline serial loop.
+TEST(PipelineStressPool, OneJobStopsAtTheFirstThrowLikeTheLoop) {
+  std::vector<std::size_t> ran;
+  try {
+    support::parallel_for_each(1, 10, [&](std::size_t i) {
+      ran.push_back(i);
+      if (i == 3 || i == 6) throw std::runtime_error(std::to_string(i));
+    });
+    FAIL() << "exception must propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "3");
+  }
+  EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2, 3}));
+}
+
+TEST(PipelineStressPool, NestedCallsRunEveryIndexExactlyOnce) {
+  // A body that makes its own parallel calls must not deadlock: each
+  // nested parallel_for_each and merge_all starts its own threads.
   support::Rng rng(0x57285506);
   std::vector<MetricStore> parts;
   for (int p = 0; p < 5; ++p) {
@@ -217,14 +216,13 @@ TEST(PipelineStressPool, NestedCallRunsInlineExactlyOnce) {
 
   constexpr std::size_t kOuter = 16;
   constexpr std::size_t kInner = 97;
-  support::ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(kOuter * kInner);
   std::vector<MetricStore> nested(kOuter, MetricStore(3));
-  pool.for_each_index(kOuter, [&](std::size_t outer) {
-    pool.for_each_index(kInner, [&](std::size_t inner) {
+  support::parallel_for_each(4, kOuter, [&](std::size_t outer) {
+    support::parallel_for_each(4, kInner, [&](std::size_t inner) {
       hits[outer * kInner + inner].fetch_add(1);
     });
-    nested[outer].merge_all(pointers, &pool);
+    nested[outer].merge_all(pointers, 4);
   });
   for (std::size_t i = 0; i < hits.size(); ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "inner index " << i;

@@ -434,5 +434,43 @@ TEST(MonitorLive, AttachedMonitorDoesNotPerturbTheProfile) {
   EXPECT_NE(frames.find("numa_top - IBS"), std::string::npos) << frames;
 }
 
+// record_app --top and --telemetry-interval run on one clock: retired
+// instructions, memory accesses included. The same seeded run, each
+// observer on its own hub, paints as many frames as the streamer emits
+// snapshots.
+TEST(MonitorLive, PaintsOnTheTelemetryStreamersClock) {
+  constexpr std::uint64_t kInterval = 5000;
+  const auto record = [](simrt::MachineObserver* observer,
+                         TelemetryHub& hub) {
+    simrt::Machine machine(numasim::test_machine(2, 2));
+    machine.set_telemetry(&hub);
+    core::ProfilerConfig cfg;
+    cfg.event = pmu::EventConfig::mini(pmu::Mechanism::kIbs);
+    cfg.event.period = 50;
+    cfg.telemetry = &hub;
+    core::Profiler profiler(machine, cfg);
+    machine.add_observer(*observer);
+    apps::run_minilulesh(machine, {.threads = 4,
+                                   .pages_per_thread = 2,
+                                   .timesteps = 2,
+                                   .variant = apps::Variant::kBaseline});
+    return machine.elapsed();
+  };
+
+  TelemetryHub top_hub;
+  std::ostringstream frames;
+  LiveTop top(top_hub, {.interval_instructions = kInterval, .out = &frames});
+  top.flush(record(&top, top_hub));
+
+  TelemetryHub stream_hub;
+  std::ostringstream jsonl;
+  core::TelemetryStreamer streamer(
+      stream_hub, {.interval_instructions = kInterval, .jsonl = &jsonl});
+  streamer.flush(record(&streamer, stream_hub));
+
+  EXPECT_GT(streamer.snapshots_emitted(), 2u);
+  EXPECT_EQ(top.frames_painted(), streamer.snapshots_emitted());
+}
+
 }  // namespace
 }  // namespace numaprof::monitor
