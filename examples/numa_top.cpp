@@ -40,7 +40,6 @@
 
 #include "core/telemetry_stream.hpp"
 #include "monitor/frame.hpp"
-#include "monitor/live.hpp"
 #include "monitor/script.hpp"
 #include "monitor/term.hpp"
 #include "support/cliflags.hpp"
@@ -79,22 +78,6 @@ TermSize frame_size(const support::CliParser& cli) {
   return *size;
 }
 
-/// Paints one frame: ANSI repaint-in-place on a tty, a plain framed block
-/// otherwise. `n` is the 1-based frame number for the plain header.
-void paint(const MonitorModel& model, TermSize size, bool tty,
-           std::size_t n) {
-  const std::string frame = model.render(size.width, size.height);
-  if (tty) {
-    if (n == 1) std::cout << ansi_enter();
-    std::cout << ansi_frame(frame);
-  } else {
-    std::cout << "== frame " << n << " (" << size.width << "x"
-              << size.height << ") ==\n"
-              << frame;
-  }
-  std::cout.flush();
-}
-
 int run_scripted(const support::CliParser& cli, const std::string& path) {
   const std::string script_path = *cli.value("--script");
   std::ifstream script(script_path);
@@ -129,7 +112,7 @@ int run_replay(const support::CliParser& cli, const std::string& path) {
   std::size_t frames = 0;
   for (const support::TelemetrySnapshot& snapshot : trace.snapshots) {
     model.feed(snapshot);
-    paint(model, size, tty, ++frames);
+    std::cout << paint_frame(model, size, tty, ++frames) << std::flush;
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(delay_ms);
     do {
@@ -137,7 +120,7 @@ int run_replay(const support::CliParser& cli, const std::string& path) {
         const Key key = poll_key(STDIN_FILENO, 10);
         if (key != Key::kNone) {
           model.apply_key(key);
-          paint(model, size, tty, ++frames);
+          std::cout << paint_frame(model, size, tty, ++frames) << std::flush;
         }
         if (model.quit_requested()) break;
       }
@@ -150,7 +133,7 @@ int run_replay(const support::CliParser& cli, const std::string& path) {
     const Key key = poll_key(STDIN_FILENO, 50);
     if (key != Key::kNone) {
       model.apply_key(key);
-      paint(model, size, tty, ++frames);
+      std::cout << paint_frame(model, size, tty, ++frames) << std::flush;
     }
   }
   if (tty) std::cout << ansi_leave() << std::flush;
@@ -173,18 +156,24 @@ int run_follow(const support::CliParser& cli) {
   bool mechanism_set = false;
   std::size_t lineno = 0;
   std::size_t frames = 0;
-  std::string line;
+  std::string line;  // the writer may end it in a later read
+  std::string chunk;
   auto last_progress = std::chrono::steady_clock::now();
   while (!model.quit_requested()) {
     bool advanced = false;
-    while (std::getline(in, line)) {
-      if (core::append_trace_line(trace, line, ++lineno, path)) {
+    while (std::getline(in, chunk)) {
+      line += chunk;
+      if (in.eof()) break;  // no '\n' yet: hold the tail for the next read
+      const bool snapshot =
+          core::append_trace_line(trace, line, ++lineno, path);
+      line.clear();
+      if (snapshot) {
         if (!mechanism_set && trace.has_mechanism) {
           model.set_mechanism(trace.mechanism);
           mechanism_set = true;
         }
         model.feed(trace.snapshots.back());
-        paint(model, size, tty, ++frames);
+        std::cout << paint_frame(model, size, tty, ++frames) << std::flush;
         advanced = true;
       }
     }
@@ -200,7 +189,7 @@ int run_follow(const support::CliParser& cli) {
       const Key key = poll_key(STDIN_FILENO, 50);
       if (key != Key::kNone) {
         model.apply_key(key);
-        paint(model, size, tty, ++frames);
+        std::cout << paint_frame(model, size, tty, ++frames) << std::flush;
       }
     } else {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));

@@ -33,13 +33,12 @@
 //   --daemon-spool FILE       write the framed client stream to FILE for
 //                             a separate numaprofd process to replay
 //   --client-id N             client id stamped on every frame (default 1)
-//   --top                     paint a live numa_top monitor to stderr while
-//                             the workload runs (pull-only: the recorded
-//                             profile is byte-identical with or without
-//                             it); excludes --telemetry/--telemetry-interval
-//                             because a hub snapshot drains the event
-//                             queues and the hub is single-consumer
-//   --top-interval N          repaint every N instructions (default 100000)
+//   --top                     paint a live numa_top monitor to stderr, one
+//                             frame per telemetry snapshot, in place of
+//                             the status lines (the JSONL trace is still
+//                             written; the recorded profile is
+//                             byte-identical with or without it); the
+//                             interval defaults to 100000 with --top
 //   --top-size WxH            monitor frame size (default: tty size, else
 //                             80x24)
 //
@@ -61,7 +60,6 @@
 
 #include <unistd.h>
 
-#include "monitor/live.hpp"
 #include "monitor/term.hpp"
 
 #include "apps/distributions.hpp"
@@ -145,10 +143,8 @@ support::CliParser make_parser() {
   cli.add_flag("--client-id", true,
                "client id stamped on every frame (default 1)", "N");
   cli.add_flag("--top", false,
-               "paint a live numa_top monitor to stderr while running");
-  cli.add_flag("--top-interval", true,
-               "repaint the monitor every N instructions (default 100000)",
-               "N");
+               "paint a live numa_top monitor to stderr, one frame per "
+               "telemetry snapshot");
   cli.add_flag("--top-size", true,
                "monitor frame size (default: tty size or 80x24)", "WxH");
   return cli;
@@ -252,57 +248,53 @@ int run(const support::CliParser& cli) {
   cfg.telemetry = &hub;
   core::Profiler profiler(machine, cfg);
 
-  TelemetryStreamer::Config stream_cfg;
-  stream_cfg.interval_instructions =
-      cli.unsigned_value("--telemetry-interval", 0);
-  stream_cfg.status = cli.has("--telemetry-interval") ? &std::cerr : nullptr;
-  stream_cfg.jsonl = trace_path ? &jsonl : nullptr;
-  stream_cfg.mechanism = profiler.sampler().mechanism();
-  TelemetryStreamer streamer(hub, stream_cfg);
-  const bool streaming =
-      stream_cfg.status != nullptr || stream_cfg.jsonl != nullptr;
-  if (streaming) machine.add_observer(streamer);
-
-  // Live monitor. It pulls snapshots from the same hub, and a hub
-  // snapshot drains the per-ring event queues (single consumer), so
-  // --top cannot share the hub with the telemetry streamer.
-  if (cli.has("--top") && streaming) {
-    cli.fail(
-        "--top excludes --telemetry/--telemetry-interval (both drain the "
-        "telemetry hub, which is single-consumer)");
-  }
-  monitor::LiveTop::Config top_cfg;
-  top_cfg.out = &std::cerr;
-  top_cfg.mechanism = profiler.sampler().mechanism();
-  top_cfg.interval_instructions =
-      cli.unsigned_value("--top-interval", 100000);
-  top_cfg.ansi = ::isatty(STDERR_FILENO) != 0;
+  // Live monitor: with --top, every snapshot the streamer emits also
+  // feeds the model and paints a frame to stderr, in place of the status
+  // lines. The streamer is the hub's only reader (a hub snapshot drains
+  // the per-ring event queues).
+  const bool topping = cli.has("--top");
   monitor::TermSize top_size = monitor::detect_term_size(STDERR_FILENO);
   if (const auto text = cli.value("--top-size")) {
     const auto parsed = monitor::parse_term_size(*text);
     if (!parsed) cli.fail("--top-size expects WxH, e.g. 80x24");
     top_size = *parsed;
   }
-  top_cfg.width = top_size.width;
-  top_cfg.height = top_size.height;
+  const bool top_ansi = ::isatty(STDERR_FILENO) != 0;
+  monitor::MonitorModel top_model;
+  top_model.set_mechanism(profiler.sampler().mechanism());
+  std::size_t top_frames = 0;
+
+  TelemetryStreamer::Config stream_cfg;
+  stream_cfg.interval_instructions =
+      cli.unsigned_value("--telemetry-interval", topping ? 100000 : 0);
+  stream_cfg.status = cli.has("--telemetry-interval") && !topping
+                          ? &std::cerr
+                          : nullptr;
+  stream_cfg.jsonl = trace_path ? &jsonl : nullptr;
+  stream_cfg.mechanism = profiler.sampler().mechanism();
+  if (topping) {
+    stream_cfg.sink = [&](const support::TelemetrySnapshot& snapshot) {
+      top_model.feed(snapshot);
+      std::cerr << monitor::paint_frame(top_model, top_size, top_ansi,
+                                        ++top_frames)
+                << std::flush;
+    };
+  }
+  TelemetryStreamer streamer(hub, stream_cfg);
+  const bool streaming = stream_cfg.status != nullptr ||
+                         stream_cfg.jsonl != nullptr || topping;
+  if (streaming) machine.add_observer(streamer);
   const unsigned client_id_raw = cli.unsigned_value("--client-id", 1);
   const auto client_id =
       static_cast<std::uint32_t>(client_id_raw == 0 ? 1 : client_id_raw);
-  monitor::LiveTop top(hub, top_cfg);
-  const bool topping = cli.has("--top");
-  if (topping) machine.add_observer(top);
 
   run_workload(machine, app, variant_it->second);
 
-  if (topping) {
-    top.flush(machine.elapsed());
-    machine.remove_observer(top);
-    if (top_cfg.ansi) std::cerr << monitor::ansi_leave() << std::flush;
-  }
   if (streaming) {
     streamer.flush(machine.elapsed());
     machine.remove_observer(streamer);
   }
+  if (topping && top_ansi) std::cerr << monitor::ansi_leave() << std::flush;
   const core::SessionData data = profiler.snapshot();
   const ProfileWriter writer(format);
   writer.write_file(data, out);

@@ -597,12 +597,7 @@ void TelemetryStreamer::on_exec(const simrt::SimThread& thread,
 
 void TelemetryStreamer::on_access(const simrt::SimThread& thread,
                                   const simrt::AccessEvent& /*event*/) {
-  since_emit_ += 1;
-  last_time_ = std::max(last_time_, static_cast<std::uint64_t>(thread.now()));
-  if (config_.interval_instructions > 0 &&
-      since_emit_ >= config_.interval_instructions) {
-    emit(last_time_);
-  }
+  on_exec(thread, 1);  // a memory access retires one instruction
 }
 
 void TelemetryStreamer::flush(std::uint64_t time) {
@@ -632,7 +627,9 @@ void TelemetryStreamer::emit(std::uint64_t time) {
   }
   if (config_.jsonl != nullptr) {
     write_snapshot_jsonl(snapshot, config_.mechanism, *config_.jsonl);
+    config_.jsonl->flush();
   }
+  if (config_.sink) config_.sink(snapshot);
   previous_ = std::move(snapshot);
   has_previous_ = true;
 }

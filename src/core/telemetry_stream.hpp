@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -90,19 +91,26 @@ std::string render_health_pane(const TelemetryTrace& trace,
                                const SessionData* profile = nullptr);
 
 /// Machine observer that emits a telemetry snapshot every
-/// `interval_instructions` retired instructions (virtual time advances
-/// only inside the simulator, so instruction count is the natural
-/// interval unit). Attach alongside the profiler; call flush() after
-/// run() for the final partial interval.
+/// `interval_instructions` retired instructions, memory accesses included
+/// (virtual time advances only inside the simulator, so instruction count
+/// is the natural interval unit). Attach alongside the profiler; call
+/// flush() after run() for the final partial interval. A hub snapshot
+/// drains the per-ring event queues, so the streamer must be the hub's
+/// only reader: every consumer of a run's telemetry (status lines, JSONL
+/// trace, `record_app --top`) hangs off this one clock.
 class TelemetryStreamer final : public simrt::MachineObserver {
  public:
   struct Config {
     std::uint64_t interval_instructions = 100000;
     /// Live status lines (nullptr: none).
     std::ostream* status = nullptr;
-    /// JSONL trace (nullptr: none).
+    /// JSONL trace (nullptr: none), flushed after every snapshot so a
+    /// tail of the file sees each one as it is emitted.
     std::ostream* jsonl = nullptr;
     pmu::Mechanism mechanism = pmu::Mechanism::kIbs;
+    /// Called with every emitted snapshot, after the other sinks (empty:
+    /// none). `record_app --top` paints its monitor here.
+    std::function<void(const support::TelemetrySnapshot&)> sink;
   };
 
   TelemetryStreamer(support::TelemetryHub& hub, Config config)

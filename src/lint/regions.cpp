@@ -24,9 +24,10 @@ bool strides_by_threads(std::string_view last, std::string_view count_last) {
                            last == "nthreads" || last == "num_threads");
 }
 
-/// `text` after its last character from `seps` (all of it when none).
-std::string_view tail_after(std::string_view text, std::string_view seps) {
-  const std::size_t cut = text.find_last_of(seps);
+/// The last name of a chain: `text` after its last '.' or ':' (all of it
+/// when none), so `ctx.nthreads` and `cfg::nthreads` both read `nthreads`.
+std::string_view last_name(std::string_view text) {
+  const std::size_t cut = text.find_last_of(".:");
   return cut == std::string_view::npos ? text : text.substr(cut + 1);
 }
 
@@ -40,7 +41,7 @@ void scan_body(const TokenStream& ts, std::string_view count_last,
     }
     if (ts[k].is_punct("+=") && ts.valid(k + 1)) {
       r.round_robin |= strides_by_threads(
-          tail_after(ts.read_chain(k + 1).text, "."), count_last);
+          last_name(ts.read_chain(k + 1).text), count_last);
     }
   }
 }
@@ -232,7 +233,7 @@ void scan_ifs(const TokenStream& ts, ParallelScan& out) {
     for (std::size_t k = i + 2; k < cond_close; ++k) {
       if (ts[k].kind != TokKind::kIdent) continue;
       const Chain c = ts.read_chain(k);
-      if (thread_id_name(tail_after(c.text, ".:"))) {
+      if (thread_id_name(last_name(c.text))) {
         thread_zero |= (ts.valid(c.end + 1) && ts[c.end].is_punct("==") &&
                         ts[c.end + 1].text == "0") ||
                        (k >= 2 && ts[k - 1].is_punct("==") &&

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "monitor/term.hpp"
 #include "support/error.hpp"
 
 namespace numaprof::monitor {
@@ -83,11 +84,8 @@ ScriptResult run_script(
                      "resize requires two positive integers");
       }
     } else if (cmd == "frame") {
-      ++result.frame_count;
-      result.frames += "== frame " + std::to_string(result.frame_count) +
-                       " (" + std::to_string(width) + "x" +
-                       std::to_string(height) + ") ==\n";
-      result.frames += model.render(width, height);
+      result.frames += paint_frame(model, {width, height}, /*ansi=*/false,
+                                   ++result.frame_count);
     } else {
       script_error(options, lineno, "unknown command '" + cmd + "'");
     }

@@ -60,6 +60,14 @@ std::string ansi_frame(std::string_view frame) {
 std::string_view ansi_enter() noexcept { return "\x1b[?1049h\x1b[?25l"; }
 std::string_view ansi_leave() noexcept { return "\x1b[?25h\x1b[?1049l"; }
 
+std::string paint_frame(const MonitorModel& model, TermSize size, bool ansi,
+                        std::size_t n) {
+  const std::string frame = model.render(size.width, size.height);
+  if (ansi) return std::string(n == 1 ? ansi_enter() : "") + ansi_frame(frame);
+  return "== frame " + std::to_string(n) + " (" + std::to_string(size.width) +
+         "x" + std::to_string(size.height) + ") ==\n" + frame;
+}
+
 Key decode_key_bytes(std::string_view bytes) noexcept {
   if (bytes.empty()) return Key::kNone;
   if (bytes[0] == '\x1b') {

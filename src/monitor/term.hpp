@@ -38,6 +38,14 @@ std::string ansi_frame(std::string_view frame);
 std::string_view ansi_enter() noexcept;
 std::string_view ansi_leave() noexcept;
 
+/// Frame `n` (1-based) of `model` at `size`, the one painter behind
+/// record_app --top, numa_top and the script's `frame` command. With
+/// `ansi`: a repaint in place, preceded by ansi_enter() for frame 1.
+/// Without: a plain block headed `== frame <n> (<W>x<H>) ==` (pipes, CI
+/// logs, goldens).
+std::string paint_frame(const MonitorModel& model, TermSize size, bool ansi,
+                        std::size_t n);
+
 /// Decodes one keypress from raw input bytes: arrow-key CSI sequences
 /// (ESC [ A/B), the letter commands (q t d p v s r b), vi-style j/k,
 /// Enter (\r or \n), and backspace (0x7f -> kBack). Unknown bytes decode

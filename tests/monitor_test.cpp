@@ -17,7 +17,6 @@
 #include "core/profiler.hpp"
 #include "core/telemetry_stream.hpp"
 #include "monitor/frame.hpp"
-#include "monitor/live.hpp"
 #include "monitor/model.hpp"
 #include "monitor/script.hpp"
 #include "monitor/term.hpp"
@@ -111,6 +110,16 @@ TEST(MonitorTerm, ParseTermSizeTakesDigitsXDigits) {
                           "80x24x", "99999999999999999999x24"}) {
     EXPECT_FALSE(parse_term_size(bad).has_value()) << "'" << bad << "'";
   }
+}
+
+TEST(MonitorTerm, PaintFrameHeadsPlainFramesAndEntersAnsiOnce) {
+  const MonitorModel model;
+  const std::string frame = model.render(30, 5);
+  EXPECT_EQ(paint_frame(model, {30, 5}, false, 7),
+            "== frame 7 (30x5) ==\n" + frame);
+  EXPECT_EQ(paint_frame(model, {30, 5}, true, 1),
+            std::string(ansi_enter()) + ansi_frame(frame));
+  EXPECT_EQ(paint_frame(model, {30, 5}, true, 2), ansi_frame(frame));
 }
 
 TEST(MonitorModel, RenderBeforeFirstSnapshotIsAWaitScreen) {
@@ -384,92 +393,92 @@ TEST_P(MonitorGolden, ScriptedFramesMatchCheckedInBytes) {
 INSTANTIATE_TEST_SUITE_P(CaseStudies, MonitorGolden,
                          ::testing::Values("lulesh", "amg"));
 
-// The end-to-end record_app --top contract in miniature: attaching the
-// pull-only LiveTop observer must not perturb the recorded profile.
-TEST(MonitorLive, AttachedMonitorDoesNotPerturbTheProfile) {
-  const auto run_once = [](bool with_top, std::string* frames_out) {
-    simrt::Machine machine(numasim::test_machine(2, 2));
-    TelemetryHub hub;
-    machine.set_telemetry(&hub);
-    core::ProfilerConfig cfg;
-    cfg.event = pmu::EventConfig::mini(pmu::Mechanism::kIbs);
-    cfg.event.period = 50;
-    cfg.telemetry = &hub;
-    core::Profiler profiler(machine, cfg);
-
-    std::ostringstream frames;
-    LiveTop::Config top_cfg;
-    top_cfg.interval_instructions = 5000;
-    top_cfg.width = 60;
-    top_cfg.height = 12;
-    top_cfg.out = &frames;
-    LiveTop top(hub, top_cfg);
-    if (with_top) machine.add_observer(top);
-
-    apps::run_minilulesh(machine, {.threads = 4,
-                                   .pages_per_thread = 2,
-                                   .timesteps = 2,
-                                   .variant = apps::Variant::kBaseline});
-    if (with_top) {
-      top.flush(machine.elapsed());
-      top.flush(machine.elapsed());  // flush-once: second is a no-op
-      machine.remove_observer(top);
-      EXPECT_GT(top.frames_painted(), 0u);
-      EXPECT_EQ(top.frames_painted(), top.model().snapshots_fed());
-    }
-    if (frames_out != nullptr) *frames_out = frames.str();
-
-    std::ostringstream profile;
-    core::ProfileWriter(ProfileFormat::kText)
-        .write(profiler.snapshot(), profile);
-    return profile.str();
-  };
-
+// record_app --top in miniature: one TelemetryStreamer, the hub's only
+// reader, feeds both the JSONL trace and, with `with_top`, the monitor
+// sink, which paints one frame per snapshot it is handed.
+struct LiveRun {
+  std::string profile;
+  std::string jsonl;
   std::string frames;
-  const std::string with = run_once(true, &frames);
-  const std::string without = run_once(false, nullptr);
-  EXPECT_EQ(with, without)
-      << "LiveTop must be read-only with respect to the profile";
-  EXPECT_NE(frames.find("== frame 1 (60x12) =="), std::string::npos);
-  EXPECT_NE(frames.find("numa_top - IBS"), std::string::npos) << frames;
+  std::uint64_t snapshots = 0;
+  std::size_t painted = 0;
+};
+
+LiveRun record_live(bool with_top) {
+  simrt::Machine machine(numasim::test_machine(2, 2));
+  TelemetryHub hub;
+  machine.set_telemetry(&hub);
+  core::ProfilerConfig cfg;
+  cfg.event = pmu::EventConfig::mini(pmu::Mechanism::kIbs);
+  cfg.event.period = 50;
+  cfg.telemetry = &hub;
+  core::Profiler profiler(machine, cfg);
+
+  LiveRun run;
+  std::ostringstream jsonl;
+  MonitorModel model;
+  model.set_mechanism(pmu::Mechanism::kIbs);
+  core::TelemetryStreamer::Config stream_cfg;
+  stream_cfg.interval_instructions = 5000;
+  stream_cfg.jsonl = &jsonl;
+  if (with_top) {
+    stream_cfg.sink = [&](const TelemetrySnapshot& snapshot) {
+      model.feed(snapshot);
+      run.frames += paint_frame(model, {60, 12}, false, ++run.painted);
+    };
+  }
+  core::TelemetryStreamer streamer(hub, stream_cfg);
+  machine.add_observer(streamer);
+  apps::run_minilulesh(machine, {.threads = 4,
+                                 .pages_per_thread = 2,
+                                 .timesteps = 2,
+                                 .variant = apps::Variant::kBaseline});
+  streamer.flush(machine.elapsed());
+  streamer.flush(machine.elapsed());  // flush-once: second is a no-op
+  machine.remove_observer(streamer);
+  run.snapshots = streamer.snapshots_emitted();
+  run.jsonl = jsonl.str();
+  std::ostringstream profile;
+  core::ProfileWriter(ProfileFormat::kText)
+      .write(profiler.snapshot(), profile);
+  run.profile = profile.str();
+  return run;
 }
 
-// record_app --top and --telemetry-interval run on one clock: retired
-// instructions, memory accesses included. The same seeded run, each
-// observer on its own hub, paints as many frames as the streamer emits
-// snapshots.
+// Attaching the monitor sink must leave the recorded profile and the
+// JSONL trace untouched.
+TEST(MonitorLive, AttachedMonitorDoesNotPerturbTheProfile) {
+  const LiveRun with = record_live(true);
+  const LiveRun without = record_live(false);
+  EXPECT_EQ(with.profile, without.profile)
+      << "the monitor sink must be read-only with respect to the profile";
+  EXPECT_EQ(with.jsonl, without.jsonl);
+  EXPECT_EQ(without.painted, 0u);
+  EXPECT_NE(with.frames.find("== frame 1 (60x12) =="), std::string::npos);
+  EXPECT_NE(with.frames.find("numa_top - IBS"), std::string::npos)
+      << with.frames;
+}
+
+// record_app --top and --telemetry-interval run on one clock: the monitor
+// paints one frame per streamer snapshot, and exactly what paint_frame
+// replays over the reloaded trace (numa_top --replay).
 TEST(MonitorLive, PaintsOnTheTelemetryStreamersClock) {
-  constexpr std::uint64_t kInterval = 5000;
-  const auto record = [](simrt::MachineObserver* observer,
-                         TelemetryHub& hub) {
-    simrt::Machine machine(numasim::test_machine(2, 2));
-    machine.set_telemetry(&hub);
-    core::ProfilerConfig cfg;
-    cfg.event = pmu::EventConfig::mini(pmu::Mechanism::kIbs);
-    cfg.event.period = 50;
-    cfg.telemetry = &hub;
-    core::Profiler profiler(machine, cfg);
-    machine.add_observer(*observer);
-    apps::run_minilulesh(machine, {.threads = 4,
-                                   .pages_per_thread = 2,
-                                   .timesteps = 2,
-                                   .variant = apps::Variant::kBaseline});
-    return machine.elapsed();
-  };
+  const LiveRun with = record_live(true);
+  EXPECT_GT(with.snapshots, 2u);
+  EXPECT_EQ(with.painted, with.snapshots);
 
-  TelemetryHub top_hub;
-  std::ostringstream frames;
-  LiveTop top(top_hub, {.interval_instructions = kInterval, .out = &frames});
-  top.flush(record(&top, top_hub));
-
-  TelemetryHub stream_hub;
-  std::ostringstream jsonl;
-  core::TelemetryStreamer streamer(
-      stream_hub, {.interval_instructions = kInterval, .jsonl = &jsonl});
-  streamer.flush(record(&streamer, stream_hub));
-
-  EXPECT_GT(streamer.snapshots_emitted(), 2u);
-  EXPECT_EQ(top.frames_painted(), streamer.snapshots_emitted());
+  std::istringstream reload(with.jsonl);
+  const core::TelemetryTrace trace = core::load_telemetry_trace(reload);
+  ASSERT_EQ(trace.snapshots.size(), with.snapshots);
+  MonitorModel replay;
+  replay.set_mechanism(trace.mechanism);
+  std::string replayed;
+  std::size_t n = 0;
+  for (const TelemetrySnapshot& snapshot : trace.snapshots) {
+    replay.feed(snapshot);
+    replayed += paint_frame(replay, {60, 12}, false, ++n);
+  }
+  EXPECT_EQ(with.frames, replayed);
 }
 
 }  // namespace
