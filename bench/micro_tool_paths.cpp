@@ -140,8 +140,9 @@ Timing metric_add() {
   return t;
 }
 
-/// The per-access observer path of a sampler: what every memory access
-/// of a monitored program pays.
+/// One call of a sampler by hand, counting one access. In a machine run
+/// the machine counts accesses inline and calls the sampler only when its
+/// countdown runs out (or on every access, for Soft-IBS's stub).
 Timing sampler_dispatch(pmu::Mechanism mechanism, std::uint64_t period) {
   auto config = pmu::EventConfig::mini(mechanism);
   if (period > 0) config.period = period;
@@ -152,7 +153,7 @@ Timing sampler_dispatch(pmu::Mechanism mechanism, std::uint64_t period) {
   simrt::AccessEvent event{};
   event.addr = simos::kStaticBase;
   const Timing t =
-      time_op([&] { sampler->on_access(machine.thread(0), event); });
+      time_op([&] { sampler->on_count(machine.thread(0), 1, &event); });
   keep(sampler->samples_emitted());
   return t;
 }
@@ -227,7 +228,7 @@ int main(int argc, char** argv) {
       {"CctExtend", cct_extend},
       {"CctInsert", cct_insert},
       {"MetricAdd", metric_add},
-      // A period that never fires: the sampler's fast path.
+      // A period that never fires: a call that only counts down.
       {"SamplerDispatchIbs",
        [] {
          return sampler_dispatch(pmu::Mechanism::kIbs, 1 << 20);

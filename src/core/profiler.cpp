@@ -70,6 +70,7 @@ Profiler::~Profiler() {
 
 void Profiler::stop() {
   if (!running_) return;
+  sampler_events_ = machine_.counted(*sampler_);
   machine_.remove_observer(*sampler_);
   if (watchdog_) machine_.remove_observer(*watchdog_);
   machine_.remove_observer(*this);
@@ -348,7 +349,7 @@ SessionData Profiler::snapshot() {
   data.first_touches = first_touches_;
   data.trace = trace_;
   if (sampler_->mechanism() == pmu::Mechanism::kPebsLl) {
-    data.pebs_ll_events = sampler_->events_counted();
+    data.pebs_ll_events = sampler_events_;
   }
   const support::FaultPlan& plan =
       config_.faults ? *config_.faults : support::global_fault_plan();

@@ -107,6 +107,13 @@ class Profiler final : public simrt::MachineObserver {
   SessionData snapshot();
 
   // --- MachineObserver (allocation wrappers, §6) ---
+  /// Allocations and frees only: samples arrive through the sampler and
+  /// first touches through the fault handler, so no access reaches here.
+  simrt::Interest interest() const override {
+    simrt::Interest interest;
+    interest.counts = simrt::Counts::kNothing;
+    return interest;
+  }
   void on_alloc(const simrt::AllocEvent& event) override;
   void on_free(const simrt::FreeEvent& event) override;
 
@@ -138,6 +145,10 @@ class Profiler final : public simrt::MachineObserver {
   std::vector<FirstTouchRecord> first_touches_;
   std::vector<TraceEvent> trace_;
   std::unordered_map<NodeId, std::string> hot_path_labels_;
+  /// Events the machine counted down for the sampler, read at stop(): for
+  /// PEBS-LL the free-running count of qualifying loads, the
+  /// "conventional counter" Eq. 3 scales by.
+  std::uint64_t sampler_events_ = 0;
   NodeId access_dummy_;
   NodeId first_touch_dummy_;
   bool running_ = false;

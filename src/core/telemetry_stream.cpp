@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <ostream>
 #include <sstream>
 
 #include "core/export/schema.hpp"
 #include "core/export/writer_util.hpp"
-#include "simrt/thread.hpp"
+#include "simrt/machine.hpp"
 #include "support/error.hpp"
 
 namespace numaprof::core {
@@ -350,6 +351,35 @@ std::vector<std::string> format_event_lines(
 
 namespace {
 
+/// The status-line sink's event echo: one line per event kind, in order of
+/// first appearance. A kind whose events are all identical prints its
+/// format_event_lines row, "(xN)" included; a kind with differing events
+/// collapses to "  [kind] xN", so a 48-thread start is one line, not 48.
+/// The JSONL trace and the health pane keep every event.
+std::vector<std::string> format_event_echo(
+    const std::vector<TelemetryEvent>& events) {
+  std::vector<TelemetryEventKind> kinds;
+  for (const TelemetryEvent& event : events) {
+    if (std::find(kinds.begin(), kinds.end(), event.kind) == kinds.end()) {
+      kinds.push_back(event.kind);
+    }
+  }
+  std::vector<std::string> lines;
+  for (const TelemetryEventKind kind : kinds) {
+    std::vector<TelemetryEvent> of_kind;
+    std::copy_if(events.begin(), events.end(), std::back_inserter(of_kind),
+                 [kind](const TelemetryEvent& e) { return e.kind == kind; });
+    std::vector<std::string> rows = format_event_lines(of_kind);
+    if (rows.size() == 1) {
+      lines.push_back(std::move(rows.front()));
+    } else {
+      lines.push_back("  [" + std::string(to_string(kind)) + "] x" +
+                      std::to_string(of_kind.size()));
+    }
+  }
+  return lines;
+}
+
 void write_snapshot_jsonl_impl(const TelemetrySnapshot& snapshot,
                                const pmu::Mechanism* mechanism,
                                std::ostream& os) {
@@ -534,9 +564,8 @@ std::string render_health_pane(const TelemetryTrace& trace,
   os << "telemetry events dropped: "
      << last.total(TelemetryCounter::kEventsDropped) << "\n";
 
-  // Identical repeated events collapse into one "(xN)" row — the same
-  // format_event_lines the live status-line sink prints through (the raw
-  // total in the heading and the cross-check below still count every
+  // Identical repeated events collapse into one "(xN)" row (the raw total
+  // in the heading and the cross-check below still count every
   // occurrence).
   os << "events (" << trace.events.size() << "):\n";
   for (const std::string& line : format_event_lines(trace.events)) {
@@ -585,19 +614,21 @@ std::string render_health_pane(const TelemetryTrace& trace,
   return os.str();
 }
 
-void TelemetryStreamer::on_exec(const simrt::SimThread& thread,
-                                std::uint64_t count) {
-  since_emit_ += count;
-  last_time_ = std::max(last_time_, static_cast<std::uint64_t>(thread.now()));
-  if (config_.interval_instructions > 0 &&
-      since_emit_ >= config_.interval_instructions) {
-    emit(last_time_);
-  }
+simrt::Interest TelemetryStreamer::interest() const {
+  simrt::Interest interest;
+  interest.counts = simrt::Counts::kInstructions;
+  return interest;
 }
 
-void TelemetryStreamer::on_access(const simrt::SimThread& thread,
-                                  const simrt::AccessEvent& /*event*/) {
-  on_exec(thread, 1);  // a memory access retires one instruction
+std::uint64_t TelemetryStreamer::on_count(const simrt::SimThread& thread,
+                                          std::uint64_t counted,
+                                          const simrt::AccessEvent* /*access*/) {
+  since_emit_ += counted;
+  last_time_ = thread.machine().latest_event_time();
+  const std::uint64_t interval = config_.interval_instructions;
+  if (interval > 0 && since_emit_ >= interval) emit(last_time_);
+  if (since_emit_ == 0) return 1;
+  return interval > 0 ? interval - since_emit_ : simrt::kNever;
 }
 
 void TelemetryStreamer::flush(std::uint64_t time) {
@@ -618,10 +649,10 @@ void TelemetryStreamer::emit(std::uint64_t time) {
                                           has_previous_ ? &previous_
                                                         : nullptr)
                     << "\n";
-    // Event echo below the status line, with identical repeats collapsed
-    // into "(xN)" exactly like the health pane — a stalled client
-    // re-publishing one event cannot scroll the terminal.
-    for (const std::string& line : format_event_lines(snapshot.events)) {
+    // Event echo below the status line, one line per event kind: neither
+    // a 48-thread start nor a stalled client re-publishing one event can
+    // scroll the status lines away.
+    for (const std::string& line : format_event_echo(snapshot.events)) {
       *config_.status << line << "\n";
     }
   }

@@ -52,9 +52,8 @@ std::string format_status_line(const support::TelemetrySnapshot& snapshot,
                                const support::TelemetrySnapshot* previous);
 
 /// The health pane's event log body: one "  [kind] t=... tid=..." line per
-/// distinct event, with identical repeats collapsed into "(xN)". Shared by
-/// render_health_pane and the live status-line sink so a stalled client
-/// re-publishing the same event cannot scroll the terminal.
+/// distinct event, with identical repeats collapsed into "(xN)". The live
+/// status-line sink collapses further, to one line per event kind.
 std::vector<std::string> format_event_lines(
     const std::vector<support::TelemetryEvent>& events);
 
@@ -93,11 +92,12 @@ std::string render_health_pane(const TelemetryTrace& trace,
 /// Machine observer that emits a telemetry snapshot every
 /// `interval_instructions` retired instructions, memory accesses included
 /// (virtual time advances only inside the simulator, so instruction count
-/// is the natural interval unit). Attach alongside the profiler; call
-/// flush() after run() for the final partial interval. A hub snapshot
-/// drains the per-ring event queues, so the streamer must be the hub's
-/// only reader: every consumer of a run's telemetry (status lines, JSONL
-/// trace, `record_app --top`) hangs off this one clock.
+/// is the natural interval unit). The machine counts the interval down and
+/// calls the streamer only at its deadlines. Attach alongside the
+/// profiler; call flush() after run() for the final partial interval. A
+/// hub snapshot drains the per-ring event queues, so the streamer must be
+/// the hub's only reader: every consumer of a run's telemetry (status
+/// lines, JSONL trace, `record_app --top`) hangs off this one clock.
 class TelemetryStreamer final : public simrt::MachineObserver {
  public:
   struct Config {
@@ -116,14 +116,20 @@ class TelemetryStreamer final : public simrt::MachineObserver {
   TelemetryStreamer(support::TelemetryHub& hub, Config config)
       : hub_(&hub), config_(config) {}
 
-  void on_exec(const simrt::SimThread& thread, std::uint64_t count) override;
-  void on_access(const simrt::SimThread& thread,
-                 const simrt::AccessEvent& event) override;
+  /// Every retired instruction, machine-wide.
+  simrt::Interest interest() const override;
+  /// Accumulates `counted` instructions and emits when the interval is
+  /// full. Asks for a call on the first instruction after each emit, so
+  /// flush() knows whether a partial interval is pending.
+  std::uint64_t on_count(const simrt::SimThread& thread,
+                         std::uint64_t counted,
+                         const simrt::AccessEvent* access) override;
 
   /// Emits the final partial interval exactly once: a flush with nothing
   /// accumulated since the last emit (including a second flush in a row)
   /// is a no-op, so shutdown paths may flush defensively without
-  /// duplicating the final snapshot.
+  /// duplicating the final snapshot. `time` is the run's end, e.g.
+  /// Machine::elapsed().
   void flush(std::uint64_t time);
 
   std::uint64_t snapshots_emitted() const noexcept { return emitted_; }

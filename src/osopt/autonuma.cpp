@@ -6,9 +6,7 @@ namespace numaprof::osopt {
 
 AutoNumaBalancer::AutoNumaBalancer(simrt::Machine& machine,
                                    AutoNumaConfig config)
-    : machine_(machine),
-      config_(config),
-      next_scan_(config.scan_interval) {
+    : machine_(machine), config_(config) {
   machine_.add_observer(*this);
   machine_.set_fault_handler(
       [this](const simrt::FaultEvent& f) { on_fault(f); });
@@ -27,19 +25,16 @@ AutoNumaBalancer::~AutoNumaBalancer() {
   });
 }
 
-void AutoNumaBalancer::on_access(const simrt::SimThread& thread,
-                                 const simrt::AccessEvent& /*event*/) {
-  maybe_scan(thread.now());
+simrt::Interest AutoNumaBalancer::interest() const {
+  simrt::Interest interest;
+  interest.counts = simrt::Counts::kClock;
+  interest.first = config_.scan_interval;
+  return interest;
 }
 
-void AutoNumaBalancer::on_exec(const simrt::SimThread& thread,
-                               std::uint64_t /*count*/) {
-  maybe_scan(thread.now());
-}
-
-void AutoNumaBalancer::maybe_scan(numasim::Cycles now) {
-  if (now < next_scan_) return;
-  next_scan_ = now + config_.scan_interval;
+std::uint64_t AutoNumaBalancer::on_count(const simrt::SimThread& /*thread*/,
+                                         std::uint64_t clock,
+                                         const simrt::AccessEvent* /*access*/) {
   ++scans_;
   // The periodic "task_numa_work" sweep: write-protect live heap pages so
   // the next access faults and reveals the accessing domain.
@@ -47,6 +42,7 @@ void AutoNumaBalancer::maybe_scan(numasim::Cycles now) {
   machine_.memory().heap().for_each_live([&](const simos::HeapBlock& block) {
     table.protect_range(simos::page_of(block.start), block.page_count);
   });
+  return clock + config_.scan_interval;
 }
 
 void AutoNumaBalancer::on_fault(const simrt::FaultEvent& fault) {

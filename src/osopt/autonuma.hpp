@@ -44,16 +44,18 @@ class AutoNumaBalancer final : public simrt::MachineObserver {
   AutoNumaBalancer(const AutoNumaBalancer&) = delete;
   AutoNumaBalancer& operator=(const AutoNumaBalancer&) = delete;
 
-  void on_access(const simrt::SimThread& thread,
-                 const simrt::AccessEvent& event) override;
-  void on_exec(const simrt::SimThread& thread, std::uint64_t count) override;
+  /// A deadline on the running thread's clock, every scan_interval.
+  simrt::Interest interest() const override;
+  /// The deadline passed: sweeps, and returns the next deadline.
+  std::uint64_t on_count(const simrt::SimThread& thread,
+                         std::uint64_t clock,
+                         const simrt::AccessEvent* access) override;
 
   std::uint64_t scans() const noexcept { return scans_; }
   std::uint64_t hint_faults() const noexcept { return hint_faults_; }
   std::uint64_t migrations() const noexcept { return migrations_; }
 
  private:
-  void maybe_scan(numasim::Cycles now);
   void on_fault(const simrt::FaultEvent& fault);
 
   struct PageState {
@@ -63,7 +65,6 @@ class AutoNumaBalancer final : public simrt::MachineObserver {
 
   simrt::Machine& machine_;
   AutoNumaConfig config_;
-  numasim::Cycles next_scan_;
   std::unordered_map<simos::PageId, PageState> pages_;
   std::uint64_t scans_ = 0;
   std::uint64_t hint_faults_ = 0;

@@ -43,42 +43,30 @@ std::uint64_t Sampler::reload() {
   return base - spread + jitter_.next_below(2 * spread + 1);
 }
 
-void Sampler::on_exec(const simrt::SimThread& thread, std::uint64_t count) {
-  if (!caps_.samples_all_instructions) return;
-  if (defers_skid_) flush_pending(thread);
-  ThreadState& st = primed_state(thread.tid());
-  // A batch of `count` non-memory instructions may straddle several fire
-  // points; each yields an instruction sample (I^s in Eq. 2). Instruction
-  // samples are never deferred: the skid only matters for an access.
-  while (count >= st.countdown) {
-    count -= st.countdown;
-    emit(make_instruction_sample(thread));
-    st.countdown = reload();
+simrt::Interest Sampler::interest() const {
+  simrt::Interest interest;
+  interest.counts = simrt::Counts::kAccesses;
+  interest.per_thread = true;
+  if (caps_.samples_all_instructions) {
+    interest.counts = simrt::Counts::kInstructions;
+    return interest;
   }
-  st.countdown -= count;
-}
-
-void Sampler::on_access(const simrt::SimThread& thread,
-                        const simrt::AccessEvent& event) {
-  // The filter runs first so that an access it rejects costs a load and a
-  // branch. Only MRK, DEAR and PEBS-LL filter, and none of them runs a
-  // stub or defers a skid, so this order changes no sample.
   switch (caps_.filter) {
     case AccessFilter::kAll: break;
     case AccessFilter::kL3Miss:
-      if (!event.l3_miss) return;
+      interest.counts = simrt::Counts::kL3Misses;
       break;
     case AccessFilter::kSlowLoad:
-      if (event.is_write || event.latency < config_.latency_threshold) {
-        return;
-      }
+      interest.counts = simrt::Counts::kSlowLoads;
+      interest.latency_threshold = config_.latency_threshold;
       break;
   }
-  count(thread, event);
+  return interest;
 }
 
-void Sampler::count(const simrt::SimThread& thread,
-                    const simrt::AccessEvent& event) {
+std::uint64_t Sampler::on_count(const simrt::SimThread& thread,
+                                std::uint64_t counted,
+                                const simrt::AccessEvent* access) {
   // Soft-IBS's instrumentation stub runs on EVERY memory access (the
   // engine "instruments every memory access instruction", §3); its cost
   // is real host work and dominates Soft-IBS's Table 2 overhead.
@@ -86,14 +74,32 @@ void Sampler::count(const simrt::SimThread& thread,
     busy_work(config_.instrumentation_work);
   }
   if (defers_skid_) flush_pending(thread);
-  ++events_counted_;
-
   ThreadState& st = primed_state(thread.tid());
-  if (st.countdown > 1) {
-    --st.countdown;
-    return;
+
+  if (access == nullptr) {
+    // A batch of non-memory instructions may straddle several fire
+    // points; each yields an instruction sample (I^s in Eq. 2). Instruction
+    // samples are never deferred: the skid only matters for an access.
+    while (counted >= st.countdown) {
+      counted -= st.countdown;
+      emit(make_instruction_sample(thread));
+      st.countdown = reload();
+    }
+    st.countdown -= counted;
+  } else if (counted < st.countdown) {
+    st.countdown -= counted;
+  } else {
+    st.countdown = reload();
+    sample_access(thread, st, *access);
   }
-  st.countdown = reload();
+
+  const bool skid_waits = defers_skid_ && thread.tid() < pending_.size() &&
+                          pending_[thread.tid()].has_value();
+  return caps_.software_instrumentation || skid_waits ? 1 : st.countdown;
+}
+
+void Sampler::sample_access(const simrt::SimThread& thread, ThreadState& st,
+                            const simrt::AccessEvent& event) {
   if (caps_.reload == Reload::kRateLimited) {
     // POWER7 will not mark again until the gap has elapsed, which is what
     // caps MRK below 100 samples/s/thread.

@@ -10,6 +10,12 @@
 // software stub runs on every access, and whether the IP skids. Jitter
 // models hardware randomizing low period bits to keep sampling of regular
 // loops unbiased — §3 requires "uniformly sampled" accesses.
+//
+// As on real hardware, the counting costs the sampler nothing: it declares
+// its events as its machine Interest, the machine counts them down inline
+// per thread, and the sampler runs only when a countdown expires. It asks
+// for a call on every event only where the mechanism does per-event work:
+// the Soft-IBS stub, and a PEBS sample waiting for its skid context.
 #pragma once
 
 #include <cstdint>
@@ -37,12 +43,17 @@ class Sampler final : public simrt::MachineObserver {
  public:
   explicit Sampler(EventConfig config);
 
-  /// Counts a batch of non-memory instructions down (all-instruction
-  /// mechanisms only); a batch may straddle several fires.
-  void on_exec(const simrt::SimThread& thread, std::uint64_t count) override;
-  /// Applies the access filter; an access that passes goes to count().
-  void on_access(const simrt::SimThread& thread,
-                 const simrt::AccessEvent& event) override;
+  /// Per thread: every instruction for IBS, PEBS and SPE; every access
+  /// for Soft-IBS; L3 misses for MRK; slow loads for DEAR and PEBS-LL.
+  simrt::Interest interest() const override;
+  /// The countdown ran out: primes the thread's countdown on its first
+  /// counted event, runs the Soft-IBS stub, emits a deferred PEBS sample,
+  /// and emits a sample at each fire point among the `counted` events (an
+  /// exec batch may straddle several). Returns the events to the next fire,
+  /// or 1 while a call per event is needed.
+  std::uint64_t on_count(const simrt::SimThread& thread,
+                         std::uint64_t counted,
+                         const simrt::AccessEvent* access) override;
   /// Emits a PEBS sample still waiting for its skid context.
   void on_thread_finish(const simrt::SimThread& thread) override;
 
@@ -75,10 +86,6 @@ class Sampler final : public simrt::MachineObserver {
   /// Samples suppressed / mangled by the fault plan.
   std::uint64_t dropped_samples() const noexcept { return dropped_; }
   std::uint64_t corrupted_samples() const noexcept { return corrupted_; }
-  /// Accesses that passed the access filter: for PEBS-LL the free-running
-  /// count of loads at or above the latency threshold, the "conventional
-  /// counter" reading Eq. 3 scales by.
-  std::uint64_t events_counted() const noexcept { return events_counted_; }
 
  private:
   /// Per-thread sampling state, grown on demand.
@@ -93,10 +100,10 @@ class Sampler final : public simrt::MachineObserver {
   /// The next countdown: the period, jittered when the row says so.
   std::uint64_t reload();
 
-  /// An access that passed the filter: runs the Soft-IBS stub, emits a
-  /// deferred PEBS sample, counts the access down and, when the countdown
-  /// fires, applies MRK's rate limit and emits a memory sample.
-  void count(const simrt::SimThread& thread, const simrt::AccessEvent& event);
+  /// An access at a fire point: applies MRK's rate limit and emits a
+  /// memory sample.
+  void sample_access(const simrt::SimThread& thread, ThreadState& st,
+                     const simrt::AccessEvent& event);
 
   /// Builds the mechanism-appropriate Sample for a memory access, honoring
   /// this mechanism's capability mask (latency/data-source stripping).
@@ -124,7 +131,6 @@ class Sampler final : public simrt::MachineObserver {
   std::vector<ThreadState> states_;
   std::vector<std::optional<Sample>> pending_;  // per thread (PEBS skid)
   support::Rng jitter_;
-  std::uint64_t events_counted_ = 0;
   std::uint64_t emitted_ = 0;
   std::uint64_t memory_samples_ = 0;
   std::uint64_t dropped_ = 0;

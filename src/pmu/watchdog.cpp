@@ -9,32 +9,24 @@
 namespace numaprof::pmu {
 
 SamplingWatchdog::SamplingWatchdog(Sampler& sampler, WatchdogConfig config)
-    : sampler_(&sampler), config_(config) {
-  next_check_ = config_.check_interval;
+    : sampler_(&sampler), config_(config) {}
+
+simrt::Interest SamplingWatchdog::interest() const {
+  simrt::Interest interest;
+  interest.counts = simrt::Counts::kInstructions;
+  interest.first = config_.check_interval;
+  return interest;
 }
 
-void SamplingWatchdog::on_exec(const simrt::SimThread& thread,
-                               std::uint64_t count) {
-  last_tid_ = thread.tid();
-  advance(thread.now(), count);
+std::uint64_t SamplingWatchdog::on_count(const simrt::SimThread& thread,
+                                         std::uint64_t counted,
+                                         const simrt::AccessEvent* /*access*/) {
+  instructions_ += counted;
+  check(thread.now(), thread.tid());
+  return config_.check_interval;
 }
 
-void SamplingWatchdog::on_access(const simrt::SimThread& thread,
-                                 const simrt::AccessEvent& event) {
-  (void)event;
-  last_tid_ = thread.tid();
-  advance(thread.now(), 1);
-}
-
-void SamplingWatchdog::advance(numasim::Cycles now, std::uint64_t count) {
-  instructions_ += count;
-  if (instructions_ >= next_check_) {
-    check(now);
-    next_check_ = instructions_ + config_.check_interval;
-  }
-}
-
-void SamplingWatchdog::check(numasim::Cycles now) {
+void SamplingWatchdog::check(numasim::Cycles now, simrt::ThreadId tid) {
   const std::uint64_t samples = sampler_->samples_emitted();
   if (samples > samples_at_check_) {
     instr_at_last_sample_ = instructions_;
@@ -53,7 +45,7 @@ void SamplingWatchdog::check(numasim::Cycles now) {
                                       .old_period = period,
                                       .new_period = retuned,
                                       .starvation = true});
-      publish_retune(now, period, retuned, true);
+      publish_retune(now, tid, period, retuned, true);
     }
     instr_at_last_sample_ = instructions_;  // restart the window
   } else if (instructions_ > instr_at_check_) {
@@ -72,7 +64,7 @@ void SamplingWatchdog::check(numasim::Cycles now) {
                                         .old_period = period,
                                         .new_period = retuned,
                                         .starvation = false});
-        publish_retune(now, period, retuned, false);
+        publish_retune(now, tid, period, retuned, false);
       }
     }
   }
@@ -82,19 +74,20 @@ void SamplingWatchdog::check(numasim::Cycles now) {
 }
 
 void SamplingWatchdog::publish_retune(numasim::Cycles now,
+                                      simrt::ThreadId tid,
                                       std::uint64_t old_period,
                                       std::uint64_t new_period,
                                       bool starvation) {
   if (telemetry_ == nullptr) return;
   support::TelemetryEvent event;
   event.kind = support::TelemetryEventKind::kPeriodRetune;
-  event.tid = last_tid_;
+  event.tid = tid;
   event.time = now;
   event.value = new_period;
   event.set_detail("period " + std::to_string(old_period) + " -> " +
                    std::to_string(new_period) +
                    (starvation ? " (starvation)" : " (overhead)"));
-  telemetry_->ring(last_tid_).publish(event);
+  telemetry_->ring(tid).publish(event);
 }
 
 }  // namespace numaprof::pmu

@@ -3,8 +3,9 @@
 // A misconfigured period (or an injected fault regime that eats samples)
 // leaves a run with either no data or crushing overhead. Production
 // profilers guard against both by watching the sample rate and retuning
-// the period online; this watchdog reproduces that: it observes the same
-// instruction stream the sampler does, and
+// the period online; this watchdog reproduces that: every check_interval
+// instructions of the machine's retired-instruction stream (a deadline the
+// machine counts down, so the watchdog runs only at its checks) it
 //   - halves the period after a window of instructions with zero emitted
 //     samples (starvation — the mechanism is configured too coarse, or
 //     faults are suppressing its output), and
@@ -45,14 +46,17 @@ class SamplingWatchdog final : public simrt::MachineObserver {
  public:
   explicit SamplingWatchdog(Sampler& sampler, WatchdogConfig config = {});
 
-  void on_exec(const simrt::SimThread& thread, std::uint64_t count) override;
-  void on_access(const simrt::SimThread& thread,
-                 const simrt::AccessEvent& event) override;
+  /// Every retired instruction, machine-wide, first called after
+  /// check_interval of them.
+  simrt::Interest interest() const override;
+  /// A check: `counted` instructions retired since the last one.
+  std::uint64_t on_count(const simrt::SimThread& thread,
+                         std::uint64_t counted,
+                         const simrt::AccessEvent* access) override;
 
   const std::vector<WatchdogEvent>& events() const noexcept {
     return events_;
   }
-  std::uint64_t instructions_seen() const noexcept { return instructions_; }
 
   /// Streams every retune as a kPeriodRetune telemetry event (published to
   /// the ring of the thread whose instruction crossed the check boundary).
@@ -61,21 +65,20 @@ class SamplingWatchdog final : public simrt::MachineObserver {
   }
 
  private:
-  void advance(numasim::Cycles now, std::uint64_t count);
-  void check(numasim::Cycles now);
-  void publish_retune(numasim::Cycles now, std::uint64_t old_period,
-                      std::uint64_t new_period, bool starvation);
+  /// `tid`: the thread whose instruction reached the check.
+  void check(numasim::Cycles now, simrt::ThreadId tid);
+  void publish_retune(numasim::Cycles now, simrt::ThreadId tid,
+                      std::uint64_t old_period, std::uint64_t new_period,
+                      bool starvation);
 
   Sampler* sampler_;
   WatchdogConfig config_;
   std::uint64_t instructions_ = 0;
-  std::uint64_t next_check_ = 0;
   std::uint64_t samples_at_check_ = 0;
   std::uint64_t instr_at_check_ = 0;
   std::uint64_t instr_at_last_sample_ = 0;
   std::vector<WatchdogEvent> events_;
   support::TelemetryHub* telemetry_ = nullptr;
-  std::uint32_t last_tid_ = 0;
 };
 
 }  // namespace numaprof::pmu

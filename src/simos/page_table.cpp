@@ -1,5 +1,6 @@
 #include "simos/page_table.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace numaprof::simos {
@@ -91,6 +92,12 @@ void PageTable::unprotect(PageId page) {
 bool PageTable::is_protected(PageId page) const {
   const auto it = entries_.find(page);
   return it != entries_.end() && it->second.protected_;
+}
+
+std::size_t PageTable::touched_pages() const noexcept {
+  return static_cast<std::size_t>(std::count_if(
+      entries_.begin(), entries_.end(),
+      [](const auto& entry) { return entry.second.home.has_value(); }));
 }
 
 std::vector<std::uint64_t> PageTable::placement_histogram() const {

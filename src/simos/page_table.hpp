@@ -67,8 +67,9 @@ class PageTable {
 
   std::uint32_t domain_count() const noexcept { return domain_count_; }
 
-  /// Number of pages with an assigned home (touched pages).
-  std::size_t touched_pages() const noexcept { return entries_.size(); }
+  /// Number of pages with an assigned home (touched pages). A page that is
+  /// only protected has an entry but no home, and does not count.
+  std::size_t touched_pages() const noexcept;
 
   /// numastat-style placement histogram: touched pages homed per domain.
   std::vector<std::uint64_t> placement_histogram() const;

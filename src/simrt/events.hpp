@@ -1,5 +1,6 @@
 // Events the machine publishes to observers (PMUs, the profiler's
-// allocation wrappers, and the first-touch trap handler).
+// allocation wrappers, and the first-touch trap handler), and the interest
+// an observer declares to be called only when its count runs out.
 #pragma once
 
 #include <cstdint>
@@ -64,13 +65,59 @@ struct FaultEvent {
 
 class SimThread;
 
+/// What an observer counts toward its next call (MachineObserver::interest).
+/// A hardware PMU counts its event in silicon and interrupts only when the
+/// count runs out; the machine does the same for every observer that
+/// declares a count, so an access that no countdown expires on costs no
+/// call at all.
+enum class Counts : std::uint8_t {
+  kEvery,         // on_access for every access, on_exec for every batch
+  kNothing,       // alloc, free and thread events only
+  kAccesses,      // every memory access
+  kL3Misses,      // accesses that missed the L3
+  kSlowLoads,     // loads whose latency is at least the threshold
+  kInstructions,  // every retired instruction: accesses and exec batches
+  kClock,         // the running thread's clock reaching a deadline
+};
+
+/// An observer's declared interest, read once by Machine::add_observer.
+struct Interest {
+  Counts counts = Counts::kEvery;
+  /// One countdown per thread; otherwise one for the whole machine.
+  /// A kClock deadline is always the machine's.
+  bool per_thread = false;
+  /// Counted events up to and including the first call; for kClock, the
+  /// first deadline.
+  std::uint64_t first = 1;
+  numasim::Cycles latency_threshold = 0;  // kSlowLoads
+};
+
+/// An on_count() result that asks for no further call.
+inline constexpr std::uint64_t kNever = ~std::uint64_t{0};
+
 /// Observer interface for everything that watches execution. Default
 /// implementations are no-ops so observers override only what they need.
 class MachineObserver {
  public:
   virtual ~MachineObserver() = default;
-  /// `count` non-memory instructions retired in one batch.
+  /// What this observer counts. The default, kEvery, delivers every access
+  /// to on_access and every exec batch to on_exec, as they happen.
+  virtual Interest interest() const { return {}; }
+  /// Called on the counted event that runs this observer's countdown out.
+  /// `counted` is the number of events counted since the previous call,
+  /// this one included (an exec batch counts its instructions, so it can
+  /// overshoot); `access` is the access that ran it out, or null for an
+  /// exec batch. Returns the events to count up to and including the next
+  /// call (0 acts as 1). For kClock, `counted` is the thread's clock and
+  /// the return value is the next deadline.
+  virtual std::uint64_t on_count(const SimThread& /*thread*/,
+                                 std::uint64_t /*counted*/,
+                                 const AccessEvent* /*access*/) {
+    return kNever;
+  }
+  /// `count` non-memory instructions retired in one batch (kEvery only).
   virtual void on_exec(const SimThread& /*thread*/, std::uint64_t /*count*/) {}
+  /// One resolved access (kEvery only).
   virtual void on_access(const SimThread& /*thread*/,
                          const AccessEvent& /*event*/) {}
   virtual void on_alloc(const AllocEvent& /*event*/) {}

@@ -30,6 +30,11 @@ ThreadId Machine::spawn(Kernel kernel, std::optional<numasim::CoreId> core,
   SimThread& ref = *thread;
   threads_.push_back(std::move(thread));
   runnable_.push_back(tid);
+  for (Counter& counter : counters_) {
+    if (counter.interest.per_thread) {
+      counter.threads.resize(threads_.size(), counter.global);
+    }
+  }
 
   // Trampoline: a capture-less coroutine taking the kernel BY VALUE, so the
   // callable (and its captures) live inside the coroutine frame itself and
@@ -91,10 +96,41 @@ void Machine::run() {
 
 void Machine::add_observer(MachineObserver& observer) {
   observers_.push_back(&observer);
+  Counter counter;
+  counter.observer = &observer;
+  counter.interest = observer.interest();
+  const Counts counts = counter.interest.counts;
+  if (counts == Counts::kNothing) return;
+  const std::uint64_t first =
+      counts == Counts::kClock
+          ? counter.interest.first
+          : std::max<std::uint64_t>(1, counter.interest.first);
+  counter.global = {.left = first, .asked = first};
+  if (counts == Counts::kClock) counter.interest.per_thread = false;
+  if (counter.interest.per_thread) {
+    counter.threads.assign(threads_.size(), counter.global);
+  }
+  counters_.push_back(std::move(counter));
 }
 
 void Machine::remove_observer(MachineObserver& observer) noexcept {
   std::erase(observers_, &observer);
+  std::erase_if(counters_, [&observer](const Counter& counter) {
+    return counter.observer == &observer;
+  });
+}
+
+void Machine::count_down(Counter& counter, Countdown& down,
+                         const SimThread& thread, std::uint64_t n,
+                         const AccessEvent* access) {
+  if (n < down.left) {
+    down.left -= n;
+    return;
+  }
+  const std::uint64_t counted = down.asked - down.left + n;
+  counter.counted += counted;
+  down.left = down.asked = std::max<std::uint64_t>(
+      1, counter.observer->on_count(thread, counted, access));
 }
 
 numasim::Cycles Machine::migrate_page(simos::VAddr addr,
@@ -138,6 +174,19 @@ std::uint64_t Machine::total_accesses() const noexcept {
   return total;
 }
 
+std::uint64_t Machine::counted(const MachineObserver& observer) const noexcept {
+  for (const Counter& counter : counters_) {
+    if (counter.observer != &observer) continue;
+    std::uint64_t total =
+        counter.counted + counter.global.asked - counter.global.left;
+    for (const Countdown& down : counter.threads) {
+      total += down.asked - down.left;
+    }
+    return total;
+  }
+  return 0;
+}
+
 numasim::Cycles Machine::access_path(SimThread& thread, simos::VAddr addr,
                                      std::uint32_t size, bool is_write) {
   auto& page_table = space_.page_table();
@@ -168,22 +217,15 @@ numasim::Cycles Machine::access_path(SimThread& thread, simos::VAddr addr,
   ++thread.memory_accesses_;
   thread.charge_fuel(1);
 
-  if (!observers_.empty()) {
-    const AccessEvent event{.tid = thread.tid_,
-                            .core = thread.core_,
-                            .thread_domain = thread.domain_,
-                            .home_domain = home,
-                            .addr = addr,
-                            .size = size,
-                            .is_write = is_write,
-                            .latency = result.latency,
-                            .source = result.source,
-                            .l3_miss = result.l3_miss,
-                            .time = thread.clock_,
-                            .op_index = thread.instructions_,
-                            .leaf_frame = thread.leaf_frame(),
-                            .stack = thread.stack_};
-    for (auto* obs : observers_) obs->on_access(thread, event);
+  // Each counter checks its filter and counts down inline; an observer is
+  // called, and its event built, only when its count or deadline runs out.
+  if (!counters_.empty()) {
+    latest_event_time_ = std::max(latest_event_time_, thread.clock_);
+    for (Counter& counter : counters_) {
+      if (due(counter, thread, result, is_write)) {
+        notify_access(counter, thread, addr, size, is_write, home, result);
+      }
+    }
   }
   if (telemetry_ != nullptr) {
     telemetry_->ring(thread.tid_).add(
@@ -192,8 +234,96 @@ numasim::Cycles Machine::access_path(SimThread& thread, simos::VAddr addr,
   return result.latency;
 }
 
+bool Machine::due(Counter& counter, const SimThread& thread,
+                  const numasim::MemoryResult& result, bool is_write) {
+  switch (counter.interest.counts) {
+    case Counts::kEvery:
+      return true;
+    case Counts::kClock:
+      return thread.clock_ >= counter.global.left;
+    case Counts::kL3Misses:
+      if (!result.l3_miss) return false;
+      break;
+    case Counts::kSlowLoads:
+      if (is_write || result.latency < counter.interest.latency_threshold) {
+        return false;
+      }
+      break;
+    case Counts::kNothing:
+    case Counts::kAccesses:
+    case Counts::kInstructions:
+      break;
+  }
+  Countdown& down = counter.countdown(thread.tid_);
+  if (down.left > 1) {
+    --down.left;
+    return false;
+  }
+  return true;
+}
+
+void Machine::notify_access(Counter& counter, SimThread& thread,
+                            simos::VAddr addr, std::uint32_t size,
+                            bool is_write, numasim::DomainId home,
+                            const numasim::MemoryResult& result) {
+  const AccessEvent event{.tid = thread.tid_,
+                          .core = thread.core_,
+                          .thread_domain = thread.domain_,
+                          .home_domain = home,
+                          .addr = addr,
+                          .size = size,
+                          .is_write = is_write,
+                          .latency = result.latency,
+                          .source = result.source,
+                          .l3_miss = result.l3_miss,
+                          .time = thread.clock_,
+                          .op_index = thread.instructions_,
+                          .leaf_frame = thread.leaf_frame(),
+                          .stack = thread.stack_};
+  switch (counter.interest.counts) {
+    case Counts::kEvery:
+      counter.observer->on_access(thread, event);
+      return;
+    case Counts::kClock:
+      counter.global.left = counter.global.asked =
+          counter.observer->on_count(thread, thread.clock_, &event);
+      return;
+    case Counts::kNothing:
+    case Counts::kAccesses:
+    case Counts::kL3Misses:
+    case Counts::kSlowLoads:
+    case Counts::kInstructions:
+      count_down(counter, counter.countdown(thread.tid_), thread, 1, &event);
+      return;
+  }
+}
+
 void Machine::notify_exec(SimThread& thread, std::uint64_t count) {
-  for (auto* obs : observers_) obs->on_exec(thread, count);
+  if (!counters_.empty()) {
+    latest_event_time_ = std::max(latest_event_time_, thread.clock_);
+  }
+  for (Counter& counter : counters_) {
+    switch (counter.interest.counts) {
+      case Counts::kEvery:
+        counter.observer->on_exec(thread, count);
+        break;
+      case Counts::kClock:
+        if (thread.clock_ >= counter.global.left) {
+          counter.global.left = counter.global.asked =
+              counter.observer->on_count(thread, thread.clock_, nullptr);
+        }
+        break;
+      case Counts::kInstructions:
+        count_down(counter, counter.countdown(thread.tid_), thread, count,
+                   nullptr);
+        break;
+      case Counts::kNothing:
+      case Counts::kAccesses:
+      case Counts::kL3Misses:
+      case Counts::kSlowLoads:
+        break;  // accesses only
+    }
+  }
   if (telemetry_ != nullptr) {
     telemetry_->ring(thread.tid_).add(
         support::TelemetryCounter::kInstructions, count);

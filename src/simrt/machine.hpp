@@ -5,6 +5,8 @@
 // completion by a least-virtual-time scheduler. Observers (the PMU samplers
 // and the profiler's wrappers) watch the instruction/access/allocation
 // stream — the machine is the "hardware + OS" the paper's tool monitors.
+// Like a PMU, the machine counts each observer's declared events inline
+// and calls it only when its count or deadline runs out.
 #pragma once
 
 #include <cstdint>
@@ -74,6 +76,8 @@ class Machine {
   std::size_t thread_count() const noexcept { return threads_.size(); }
 
   // --- Monitoring hookup ---
+  /// Registers `observer` and reads its interest(). Observers are called
+  /// in registration order.
   void add_observer(MachineObserver& observer);
   void remove_observer(MachineObserver& observer) noexcept;
   /// Installs the simulated-SIGSEGV handler (§6). Replaces any previous.
@@ -117,6 +121,14 @@ class Machine {
   // --- Aggregate counters ---
   std::uint64_t total_instructions() const noexcept;
   std::uint64_t total_accesses() const noexcept;
+  /// Events counted toward `observer`'s calls so far, every thread's and
+  /// those since its last call included (0 for one that counts nothing).
+  std::uint64_t counted(const MachineObserver& observer) const noexcept;
+  /// The latest thread clock at which an access or exec batch retired
+  /// while an observer was counting.
+  numasim::Cycles latest_event_time() const noexcept {
+    return latest_event_time_;
+  }
 
  private:
   friend class SimThread;
@@ -132,6 +144,35 @@ class Machine {
                               simos::PolicySpec policy);
   void wrapped_free(SimThread& thread, simos::VAddr addr);
 
+  /// Events left until a call, and the count the observer asked for.
+  struct Countdown {
+    std::uint64_t left = 1;
+    std::uint64_t asked = 1;
+  };
+  /// An observer that counts (any interest but kNothing).
+  struct Counter {
+    MachineObserver* observer = nullptr;
+    Interest interest;
+    Countdown global;  // kClock: the deadline, in both fields
+    std::vector<Countdown> threads;  // per_thread, indexed by ThreadId
+    std::uint64_t counted = 0;       // reported at past calls
+
+    Countdown& countdown(ThreadId tid) {
+      return interest.per_thread ? threads[tid] : global;
+    }
+  };
+  /// Counts `n` events on `down`, calling the observer when they run it out.
+  static void count_down(Counter& counter, Countdown& down,
+                         const SimThread& thread, std::uint64_t n,
+                         const AccessEvent* access);
+  /// Applies `counter`'s filter to an access and counts it down; true when
+  /// the access must call the observer (notify_access).
+  static bool due(Counter& counter, const SimThread& thread,
+                  const numasim::MemoryResult& result, bool is_write);
+  void notify_access(Counter& counter, SimThread& thread, simos::VAddr addr,
+                     std::uint32_t size, bool is_write, numasim::DomainId home,
+                     const numasim::MemoryResult& result);
+
   numasim::System system_;
   simos::AddressSpace space_;
   FrameRegistry frames_;
@@ -139,10 +180,12 @@ class Machine {
   std::vector<std::unique_ptr<SimThread>> threads_;
   std::vector<ThreadId> runnable_;
   std::vector<MachineObserver*> observers_;
+  std::vector<Counter> counters_;  // registration order
   FaultHandler fault_handler_;
   support::TelemetryHub* telemetry_ = nullptr;
   bool protect_on_alloc_ = false;
   numasim::Cycles elapsed_ = 0;
+  numasim::Cycles latest_event_time_ = 0;
 };
 
 /// Runs `body(thread, index)` on `count` freshly spawned threads (bound to

@@ -75,6 +75,7 @@ class SimThread {
   bool finished() const noexcept { return task_.done(); }
 
   Machine& machine() noexcept { return machine_; }
+  const Machine& machine() const noexcept { return machine_; }
 
  private:
   friend class Machine;

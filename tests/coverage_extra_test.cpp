@@ -59,7 +59,7 @@ TEST(PebsLl, ThresholdSweepMonotonicallyFiltersEvents) {
       }
     });
     m.run();
-    return sampler->events_counted();
+    return m.counted(*sampler);
   };
   const auto any = events_at(1);
   const auto l2ish = events_at(15);

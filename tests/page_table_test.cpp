@@ -154,6 +154,15 @@ TEST(PageTable, TouchedPagesCount) {
   pt.home_of(2, 0);
   pt.home_of(1, 1);  // repeat
   EXPECT_EQ(pt.touched_pages(), 2u);
+
+  // Protecting creates entries but homes no page: only touches count.
+  pt.protect_range(10, 8);
+  EXPECT_EQ(pt.touched_pages(), 2u);
+  for (PageId p = 10; p < 13; ++p) {
+    pt.unprotect(p);
+    pt.home_of(p, 1);
+  }
+  EXPECT_EQ(pt.touched_pages(), 5u);
 }
 
 TEST(PageTable, PlacementHistogramCountsTouchedPages) {

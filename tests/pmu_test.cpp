@@ -19,10 +19,12 @@ using simrt::ScopedFrame;
 using simrt::SimThread;
 using simrt::Task;
 
-/// Runs a simple load loop under `sampler`, returns collected samples.
+/// Runs a simple load loop under `sampler`, returns collected samples and,
+/// through `counted`, the events the machine counted for the sampler.
 std::vector<Sample> run_loads(Sampler& sampler, std::uint64_t loads,
                               std::uint64_t exec_per_load = 0,
-                              bool stores_instead = false) {
+                              bool stores_instead = false,
+                              std::uint64_t* counted = nullptr) {
   Machine m(test_machine(2, 2));
   m.add_observer(sampler);
   std::vector<Sample> samples;
@@ -36,6 +38,7 @@ std::vector<Sample> run_loads(Sampler& sampler, std::uint64_t loads,
     }
   });
   m.run();
+  if (counted != nullptr) *counted = m.counted(sampler);
   return samples;
 }
 
@@ -221,9 +224,10 @@ TEST(PebsLl, CountsEventsAndSamplesWithSources) {
   cfg.period = 10;
   cfg.latency_threshold = 50;
   const auto sampler = make_sampler(cfg);
-  const auto samples = run_loads(*sampler, 2000);
+  std::uint64_t counted = 0;
+  const auto samples = run_loads(*sampler, 2000, 0, false, &counted);
   ASSERT_GT(samples.size(), 0u);
-  EXPECT_GT(sampler->events_counted(), samples.size());
+  EXPECT_GT(counted, samples.size());
   for (const Sample& s : samples) {
     EXPECT_TRUE(s.latency.has_value());
     EXPECT_TRUE(s.data_source.has_value());
@@ -516,6 +520,71 @@ TEST(SampleStream, FingerprintsArePinned) {
   EXPECT_FALSE(data.degradations.empty());
   EXPECT_EQ(watched_digest, 0x93476f9486b910d3ull)
       << "0x" << std::hex << watched_digest;
+}
+
+/// Hands the machine's calls on to a sampler and counts them.
+class CallCounter final : public simrt::MachineObserver {
+ public:
+  explicit CallCounter(Sampler& sampler) : sampler_(sampler) {}
+  simrt::Interest interest() const override { return sampler_.interest(); }
+  std::uint64_t on_count(const SimThread& thread, std::uint64_t counted,
+                         const simrt::AccessEvent* access) override {
+    ++calls;
+    return sampler_.on_count(thread, counted, access);
+  }
+  void on_thread_finish(const SimThread& thread) override {
+    sampler_.on_thread_finish(thread);
+  }
+  std::uint64_t calls = 0;
+
+ private:
+  Sampler& sampler_;
+};
+
+TEST(SampleStream, SamplersAreCalledOnlyWhenTheyFire) {
+  // The machine counts a sampler's events down inline and calls it on a
+  // thread's first counted event and at each fire point, so a sampler
+  // runs at most once per sample plus once per thread, where it used to
+  // run on every access. On the fingerprint workload (periods far denser
+  // than record_app's) that is a pinned number of calls, for the same
+  // sample streams FingerprintsArePinned pins.
+  struct Case {
+    const char* name;
+    EventConfig config;
+    std::uint64_t digest;
+    std::uint64_t calls;
+  };
+  EventConfig mrk = fingerprint_config(Mechanism::kMrk, 3);
+  mrk.min_sample_gap = 0;
+  const Case cases[] = {
+      {"ibs", fingerprint_config(Mechanism::kIbs, 50), 0x3e58c9d638570588ull,
+       2691},
+      {"mrk", mrk, 0x873aa08f75e73582ull, 4779},
+  };
+  for (const Case& c : cases) {
+    const auto sampler = make_sampler(c.config);
+    CallCounter counter(*sampler);
+    Machine m(test_machine(2, 2));
+    m.add_observer(counter);
+    StreamHash hash;
+    sampler->set_sink([&](const Sample& s) { hash.add(s); });
+    fingerprint_workload(m);
+    hash.add(sampler->samples_emitted());
+    EXPECT_EQ(hash.h, c.digest) << c.name;
+    EXPECT_EQ(counter.calls, c.calls) << c.name;
+    EXPECT_LE(counter.calls, sampler->samples_emitted() + 4) << c.name;
+    EXPECT_LT(counter.calls * 3, m.total_accesses()) << c.name;
+  }
+
+  // PEBS-LL's qualifying loads, counted by the machine alone: the count
+  // the profile records as Eq. 3's E.
+  EventConfig pebs_ll = fingerprint_config(Mechanism::kPebsLl, 7);
+  pebs_ll.latency_threshold = 144;
+  const auto sampler = make_sampler(pebs_ll);
+  Machine m(test_machine(2, 2));
+  m.add_observer(*sampler);
+  fingerprint_workload(m);
+  EXPECT_EQ(m.counted(*sampler), 10342u);
 }
 
 TEST(Sampler, StacksAreCopiedIntoSamples) {

@@ -242,6 +242,143 @@ TEST(Machine, AccessObserverSeesEventFields) {
   EXPECT_GT(recorder.events[0].latency, recorder.events[1].latency);
 }
 
+// An observer that declares no interest is called as every observer was
+// before machines counted: on_access for every access and on_exec for
+// every exec batch, as they happen, in order. The digest of every call
+// and every AccessEvent field pins that stream.
+TEST(Machine, DefaultObserverSeesEveryEventInOrder) {
+  struct Recorder : MachineObserver {
+    std::uint64_t digest = 14695981039346656037ull;
+    std::uint64_t accesses = 0;
+    std::uint64_t execs = 0;
+    std::uint64_t exec_instructions = 0;
+    void add(std::uint64_t v) {
+      for (int i = 0; i < 8; ++i) {
+        digest ^= (v >> (8 * i)) & 0xffu;
+        digest *= 1099511628211ull;
+      }
+    }
+    void on_exec(const SimThread& t, std::uint64_t count) override {
+      ++execs;
+      exec_instructions += count;
+      add(0);
+      add(t.tid());
+      add(count);
+      add(t.now());
+    }
+    void on_access(const SimThread& t, const AccessEvent& e) override {
+      ++accesses;
+      EXPECT_EQ(e.tid, t.tid());
+      EXPECT_EQ(e.time, t.now());
+      EXPECT_EQ(e.op_index, t.instructions());
+      EXPECT_EQ(e.leaf_frame, t.leaf_frame());
+      EXPECT_EQ(e.stack.size(), t.call_stack().size());
+      add(1);
+      for (const std::uint64_t v :
+           {std::uint64_t{e.tid}, std::uint64_t{e.core},
+            std::uint64_t{e.thread_domain}, std::uint64_t{e.home_domain},
+            e.addr, std::uint64_t{e.size}, std::uint64_t{e.is_write},
+            e.latency, static_cast<std::uint64_t>(e.source),
+            std::uint64_t{e.l3_miss}, e.time, e.op_index,
+            std::uint64_t{e.leaf_frame}}) {
+        add(v);
+      }
+      for (const FrameId f : e.stack) add(f);
+    }
+  } recorder;
+
+  Machine m = small();
+  m.add_observer(recorder);
+  const FrameId main_f = m.frames().intern("main");
+  const FrameId loop_f = m.frames().intern("loop");
+  for (std::uint32_t k = 0; k < 3; ++k) {
+    m.spawn(
+        [=](SimThread& t) -> Task {
+          const simos::VAddr own = simos::kHeapBase + k * (1u << 16);
+          for (std::uint64_t i = 0; i < 400; ++i) {
+            ScopedFrame frame(t, loop_f);
+            if (i % 3 == 0) {
+              t.store(own + (i * 40 % 4096), 4);
+            } else {
+              t.load(own + (i * 72 % 8192));
+            }
+            if (i % 5 == 0) t.load(simos::kHeapBase + (i * 8 % 2048));
+            if (i % 4 == 1) t.exec(1 + i % 17);
+            if (i % 16 == 0) co_await t.tick();
+          }
+        },
+        std::nullopt, {main_f});
+  }
+  m.run();
+  EXPECT_EQ(recorder.accesses, m.total_accesses());
+  EXPECT_EQ(recorder.accesses + recorder.exec_instructions,
+            m.total_instructions());
+  EXPECT_EQ(recorder.execs, 300u);
+  EXPECT_EQ(recorder.digest, 0x8ec749d416af74e4ull)
+      << "0x" << std::hex << recorder.digest;
+}
+
+// A counting observer is called only on the event that runs its count
+// out, and told how many events the count covered: an exec batch can
+// overshoot it.
+TEST(Machine, CountingObserverIsCalledWhenItsCountRunsOut) {
+  struct EveryFifth : MachineObserver {
+    std::vector<std::uint64_t> counted;
+    std::uint64_t on_accesses = 0;
+    Interest interest() const override {
+      Interest interest;
+      interest.counts = Counts::kInstructions;
+      interest.first = 5;
+      return interest;
+    }
+    std::uint64_t on_count(const SimThread&, std::uint64_t n,
+                           const AccessEvent* access) override {
+      counted.push_back(n);
+      if (access != nullptr) ++on_accesses;
+      return 5;
+    }
+  } observer;
+  Machine m = small();
+  m.add_observer(observer);
+  m.spawn([](SimThread& t) -> Task {
+    for (int i = 0; i < 12; ++i) t.load(simos::kHeapBase + 64 * i);
+    t.exec(7);  // 3 short of the third call: overshoots it by 4
+    t.exec(2);
+    co_return;
+  });
+  m.run();
+  EXPECT_EQ(observer.counted, (std::vector<std::uint64_t>{5, 5, 9}));
+  EXPECT_EQ(observer.on_accesses, 2u);
+  EXPECT_EQ(m.counted(observer), 21u);  // the 2 since the last call too
+}
+
+TEST(Machine, ClockDeadlineFiresOnTheRunningThreadsClock) {
+  struct Ticker : MachineObserver {
+    std::vector<std::uint64_t> clocks;
+    Interest interest() const override {
+      Interest interest;
+      interest.counts = Counts::kClock;
+      interest.first = 1000;
+      return interest;
+    }
+    std::uint64_t on_count(const SimThread& t, std::uint64_t clock,
+                           const AccessEvent*) override {
+      EXPECT_EQ(clock, t.now());
+      clocks.push_back(clock);
+      return clock + 1000;
+    }
+  } ticker;
+  Machine m = small();
+  m.add_observer(ticker);
+  m.spawn([](SimThread& t) -> Task {
+    for (int i = 0; i < 10; ++i) t.exec(300);
+    co_return;
+  });
+  m.run();
+  EXPECT_EQ(ticker.clocks, (std::vector<std::uint64_t>{1200, 2400}));
+  EXPECT_EQ(m.counted(ticker), 0u);
+}
+
 TEST(Machine, RemoveObserverStopsDelivery) {
   struct Counter : MachineObserver {
     int execs = 0;

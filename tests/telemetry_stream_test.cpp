@@ -5,6 +5,7 @@
 // live profiler run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -429,6 +430,40 @@ TEST(TelemetryJsonl, StreamerEchoesDedupedEventsBelowStatusLine) {
   const std::string text = status.str();
   EXPECT_NE(text.find("[telemetry #1"), std::string::npos) << text;
   EXPECT_NE(text.find("(x2)"), std::string::npos) << text;
+}
+
+// The status-line echo collapses each interval's events by kind: 48
+// distinct thread starts are one line, a lone event keeps its full row.
+TEST(TelemetryJsonl, StreamerEchoCollapsesEventsByKind) {
+  TelemetryHub hub;
+  for (std::uint32_t tid = 0; tid < 48; ++tid) {
+    TelemetryEvent start;
+    start.kind = TelemetryEventKind::kThreadStart;
+    start.tid = tid;
+    start.time = 10 + tid;
+    hub.ring(tid).publish(start);
+  }
+  TelemetryEvent finish;
+  finish.kind = TelemetryEventKind::kThreadFinish;
+  finish.tid = 3;
+  finish.time = 90;
+  hub.ring(3).publish(finish);
+
+  std::ostringstream status;
+  std::ostringstream jsonl;
+  TelemetryStreamer::Config cfg;
+  cfg.status = &status;
+  cfg.jsonl = &jsonl;
+  TelemetryStreamer streamer(hub, cfg);
+  streamer.flush(100);
+
+  const std::string text = status.str();
+  EXPECT_NE(text.find("\n  [thread-start] x48\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\n  [thread-finish] t=90 tid=3\n"), std::string::npos)
+      << text;
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3) << text;
+  std::istringstream is(jsonl.str());
+  EXPECT_EQ(load_telemetry_trace(is).events.size(), 49u);
 }
 
 // Satellite: flush emits the final partial interval exactly once.
