@@ -620,9 +620,9 @@ simrt::Interest TelemetryStreamer::interest() const {
   return interest;
 }
 
-std::uint64_t TelemetryStreamer::on_count(const simrt::SimThread& thread,
-                                          std::uint64_t counted,
-                                          const simrt::AccessEvent* /*access*/) {
+simrt::NextCall TelemetryStreamer::on_count(
+    const simrt::SimThread& thread, std::uint64_t counted,
+    const simrt::AccessEvent* /*access*/) {
   since_emit_ += counted;
   last_time_ = thread.machine().latest_event_time();
   const std::uint64_t interval = config_.interval_instructions;

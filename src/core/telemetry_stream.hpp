@@ -121,9 +121,9 @@ class TelemetryStreamer final : public simrt::MachineObserver {
   /// Accumulates `counted` instructions and emits when the interval is
   /// full. Asks for a call on the first instruction after each emit, so
   /// flush() knows whether a partial interval is pending.
-  std::uint64_t on_count(const simrt::SimThread& thread,
-                         std::uint64_t counted,
-                         const simrt::AccessEvent* access) override;
+  simrt::NextCall on_count(const simrt::SimThread& thread,
+                           std::uint64_t counted,
+                           const simrt::AccessEvent* access) override;
 
   /// Emits the final partial interval exactly once: a flush with nothing
   /// accumulated since the last emit (including a second flush in a row)

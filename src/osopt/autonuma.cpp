@@ -32,9 +32,9 @@ simrt::Interest AutoNumaBalancer::interest() const {
   return interest;
 }
 
-std::uint64_t AutoNumaBalancer::on_count(const simrt::SimThread& /*thread*/,
-                                         std::uint64_t clock,
-                                         const simrt::AccessEvent* /*access*/) {
+simrt::NextCall AutoNumaBalancer::on_count(
+    const simrt::SimThread& /*thread*/, std::uint64_t clock,
+    const simrt::AccessEvent* /*access*/) {
   ++scans_;
   // The periodic "task_numa_work" sweep: write-protect live heap pages so
   // the next access faults and reveals the accessing domain.

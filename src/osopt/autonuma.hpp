@@ -47,9 +47,9 @@ class AutoNumaBalancer final : public simrt::MachineObserver {
   /// A deadline on the running thread's clock, every scan_interval.
   simrt::Interest interest() const override;
   /// The deadline passed: sweeps, and returns the next deadline.
-  std::uint64_t on_count(const simrt::SimThread& thread,
-                         std::uint64_t clock,
-                         const simrt::AccessEvent* access) override;
+  simrt::NextCall on_count(const simrt::SimThread& thread,
+                           std::uint64_t clock,
+                           const simrt::AccessEvent* access) override;
 
   std::uint64_t scans() const noexcept { return scans_; }
   std::uint64_t hint_faults() const noexcept { return hint_faults_; }

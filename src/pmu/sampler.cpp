@@ -64,9 +64,9 @@ simrt::Interest Sampler::interest() const {
   return interest;
 }
 
-std::uint64_t Sampler::on_count(const simrt::SimThread& thread,
-                                std::uint64_t counted,
-                                const simrt::AccessEvent* access) {
+simrt::NextCall Sampler::on_count(
+    const simrt::SimThread& thread, std::uint64_t counted,
+    const simrt::AccessEvent* access) {
   // Soft-IBS's instrumentation stub runs on EVERY memory access (the
   // engine "instruments every memory access instruction", §3); its cost
   // is real host work and dominates Soft-IBS's Table 2 overhead.
@@ -95,7 +95,15 @@ std::uint64_t Sampler::on_count(const simrt::SimThread& thread,
 
   const bool skid_waits = defers_skid_ && thread.tid() < pending_.size() &&
                           pending_[thread.tid()].has_value();
-  return caps_.software_instrumentation || skid_waits ? 1 : st.countdown;
+  if (caps_.software_instrumentation || skid_waits) return 1;
+  // Inside MRK's gap every fire would be refused: the machine need not
+  // call until it ends. A fire keeps reloading the same period there, so
+  // only a mid-run retune (expect_retunes) needs the calls.
+  const bool gapped = caps_.reload == Reload::kRateLimited &&
+                      config_.min_sample_gap != 0 && !retunable_ &&
+                      st.last_sample_time != 0;
+  return {st.countdown,
+          gapped ? st.last_sample_time + config_.min_sample_gap : 0};
 }
 
 void Sampler::sample_access(const simrt::SimThread& thread, ThreadState& st,

@@ -49,11 +49,12 @@ class Sampler final : public simrt::MachineObserver {
   /// The countdown ran out: primes the thread's countdown on its first
   /// counted event, runs the Soft-IBS stub, emits a deferred PEBS sample,
   /// and emits a sample at each fire point among the `counted` events (an
-  /// exec batch may straddle several). Returns the events to the next fire,
-  /// or 1 while a call per event is needed.
-  std::uint64_t on_count(const simrt::SimThread& thread,
-                         std::uint64_t counted,
-                         const simrt::AccessEvent* access) override;
+  /// exec batch may straddle several). Returns the events to the next fire
+  /// (quiet until MRK's rate-limit gap ends), or 1 while a call per event
+  /// is needed.
+  simrt::NextCall on_count(const simrt::SimThread& thread,
+                           std::uint64_t counted,
+                           const simrt::AccessEvent* access) override;
   /// Emits a PEBS sample still waiting for its skid context.
   void on_thread_finish(const simrt::SimThread& thread) override;
 
@@ -79,6 +80,10 @@ class Sampler final : public simrt::MachineObserver {
   void set_period(std::uint64_t period) noexcept {
     config_.period = period == 0 ? 1 : period;
   }
+  /// Declares, before the run, that set_period may be called mid-run (the
+  /// watchdog does): MRK's rate-limit gap is then checked at every fire
+  /// instead of skipped, so a retune lands at the same reload.
+  void expect_retunes() noexcept { retunable_ = true; }
 
   std::uint64_t samples_emitted() const noexcept { return emitted_; }
   /// Memory samples only (excludes sampled non-memory instructions).
@@ -131,6 +136,7 @@ class Sampler final : public simrt::MachineObserver {
   std::vector<ThreadState> states_;
   std::vector<std::optional<Sample>> pending_;  // per thread (PEBS skid)
   support::Rng jitter_;
+  bool retunable_ = false;
   std::uint64_t emitted_ = 0;
   std::uint64_t memory_samples_ = 0;
   std::uint64_t dropped_ = 0;

@@ -9,7 +9,9 @@
 namespace numaprof::pmu {
 
 SamplingWatchdog::SamplingWatchdog(Sampler& sampler, WatchdogConfig config)
-    : sampler_(&sampler), config_(config) {}
+    : sampler_(&sampler), config_(config) {
+  sampler_->expect_retunes();
+}
 
 simrt::Interest SamplingWatchdog::interest() const {
   simrt::Interest interest;
@@ -18,9 +20,9 @@ simrt::Interest SamplingWatchdog::interest() const {
   return interest;
 }
 
-std::uint64_t SamplingWatchdog::on_count(const simrt::SimThread& thread,
-                                         std::uint64_t counted,
-                                         const simrt::AccessEvent* /*access*/) {
+simrt::NextCall SamplingWatchdog::on_count(
+    const simrt::SimThread& thread, std::uint64_t counted,
+    const simrt::AccessEvent* /*access*/) {
   instructions_ += counted;
   check(thread.now(), thread.tid());
   return config_.check_interval;

@@ -50,9 +50,9 @@ class SamplingWatchdog final : public simrt::MachineObserver {
   /// check_interval of them.
   simrt::Interest interest() const override;
   /// A check: `counted` instructions retired since the last one.
-  std::uint64_t on_count(const simrt::SimThread& thread,
-                         std::uint64_t counted,
-                         const simrt::AccessEvent* access) override;
+  simrt::NextCall on_count(const simrt::SimThread& thread,
+                           std::uint64_t counted,
+                           const simrt::AccessEvent* access) override;
 
   const std::vector<WatchdogEvent>& events() const noexcept {
     return events_;

@@ -92,8 +92,23 @@ struct Interest {
   numasim::Cycles latency_threshold = 0;  // kSlowLoads
 };
 
-/// An on_count() result that asks for no further call.
+/// An on_count() count that asks for no further call.
 inline constexpr std::uint64_t kNever = ~std::uint64_t{0};
+
+/// When the machine calls an observer next: on_count()'s answer. A bare
+/// count converts to one.
+struct NextCall {
+  NextCall(std::uint64_t count_ = kNever,
+           numasim::Cycles quiet_until_ = 0) noexcept
+      : count(count_), quiet_until(quiet_until_) {}
+  /// Counted events up to and including the next call (0 acts as 1); for
+  /// kClock, the next deadline.
+  std::uint64_t count;
+  /// A per-thread access countdown that runs out while the thread's clock
+  /// is below this is re-armed with `count` without a call: a PMU that
+  /// will not fire again before then (MRK's rate limit) costs nothing.
+  numasim::Cycles quiet_until;
+};
 
 /// Observer interface for everything that watches execution. Default
 /// implementations are no-ops so observers override only what they need.
@@ -107,12 +122,11 @@ class MachineObserver {
   /// `counted` is the number of events counted since the previous call,
   /// this one included (an exec batch counts its instructions, so it can
   /// overshoot); `access` is the access that ran it out, or null for an
-  /// exec batch. Returns the events to count up to and including the next
-  /// call (0 acts as 1). For kClock, `counted` is the thread's clock and
-  /// the return value is the next deadline.
-  virtual std::uint64_t on_count(const SimThread& /*thread*/,
-                                 std::uint64_t /*counted*/,
-                                 const AccessEvent* /*access*/) {
+  /// exec batch. Returns when to call next. For kClock, `counted` is the
+  /// thread's clock and the returned count is the next deadline.
+  virtual NextCall on_count(const SimThread& /*thread*/,
+                            std::uint64_t /*counted*/,
+                            const AccessEvent* /*access*/) {
     return kNever;
   }
   /// `count` non-memory instructions retired in one batch (kEvery only).

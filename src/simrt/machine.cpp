@@ -105,7 +105,7 @@ void Machine::add_observer(MachineObserver& observer) {
       counts == Counts::kClock
           ? counter.interest.first
           : std::max<std::uint64_t>(1, counter.interest.first);
-  counter.global = {.left = first, .asked = first};
+  counter.global = {.left = first, .asked = first, .quiet_until = 0};
   if (counts == Counts::kClock) counter.interest.per_thread = false;
   if (counter.interest.per_thread) {
     counter.threads.assign(threads_.size(), counter.global);
@@ -129,8 +129,13 @@ void Machine::count_down(Counter& counter, Countdown& down,
   }
   const std::uint64_t counted = down.asked - down.left + n;
   counter.counted += counted;
-  down.left = down.asked = std::max<std::uint64_t>(
-      1, counter.observer->on_count(thread, counted, access));
+  if (thread.clock_ < down.quiet_until) {
+    down.left = down.asked - (counted - down.asked) % down.asked;
+    return;
+  }
+  const NextCall next = counter.observer->on_count(thread, counted, access);
+  down.left = down.asked = std::max<std::uint64_t>(1, next.count);
+  down.quiet_until = next.quiet_until;
 }
 
 numasim::Cycles Machine::migrate_page(simos::VAddr addr,
@@ -259,6 +264,11 @@ bool Machine::due(Counter& counter, const SimThread& thread,
     --down.left;
     return false;
   }
+  if (thread.clock_ < down.quiet_until) {
+    counter.counted += down.asked;
+    down.left = down.asked;
+    return false;
+  }
   return true;
 }
 
@@ -286,7 +296,7 @@ void Machine::notify_access(Counter& counter, SimThread& thread,
       return;
     case Counts::kClock:
       counter.global.left = counter.global.asked =
-          counter.observer->on_count(thread, thread.clock_, &event);
+          counter.observer->on_count(thread, thread.clock_, &event).count;
       return;
     case Counts::kNothing:
     case Counts::kAccesses:
@@ -310,7 +320,8 @@ void Machine::notify_exec(SimThread& thread, std::uint64_t count) {
       case Counts::kClock:
         if (thread.clock_ >= counter.global.left) {
           counter.global.left = counter.global.asked =
-              counter.observer->on_count(thread, thread.clock_, nullptr);
+              counter.observer->on_count(thread, thread.clock_, nullptr)
+                  .count;
         }
         break;
       case Counts::kInstructions:

@@ -144,10 +144,12 @@ class Machine {
                               simos::PolicySpec policy);
   void wrapped_free(SimThread& thread, simos::VAddr addr);
 
-  /// Events left until a call, and the count the observer asked for.
+  /// Events left until a call, the count the observer asked for, and
+  /// the clock before which running out re-arms it without a call.
   struct Countdown {
     std::uint64_t left = 1;
     std::uint64_t asked = 1;
+    numasim::Cycles quiet_until = 0;
   };
   /// An observer that counts (any interest but kNothing).
   struct Counter {

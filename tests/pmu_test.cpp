@@ -527,8 +527,8 @@ class CallCounter final : public simrt::MachineObserver {
  public:
   explicit CallCounter(Sampler& sampler) : sampler_(sampler) {}
   simrt::Interest interest() const override { return sampler_.interest(); }
-  std::uint64_t on_count(const SimThread& thread, std::uint64_t counted,
-                         const simrt::AccessEvent* access) override {
+  simrt::NextCall on_count(const SimThread& thread, std::uint64_t counted,
+                           const simrt::AccessEvent* access) override {
     ++calls;
     return sampler_.on_count(thread, counted, access);
   }
@@ -556,10 +556,15 @@ TEST(SampleStream, SamplersAreCalledOnlyWhenTheyFire) {
   };
   EventConfig mrk = fingerprint_config(Mechanism::kMrk, 3);
   mrk.min_sample_gap = 0;
+  // Period 1 fires on every L3 miss, but inside the rate-limit gap no fire
+  // can sample, so the machine stays quiet until the gap ends.
+  EventConfig mrk_gap = fingerprint_config(Mechanism::kMrk, 1);
+  mrk_gap.min_sample_gap = 2'000;
   const Case cases[] = {
       {"ibs", fingerprint_config(Mechanism::kIbs, 50), 0x3e58c9d638570588ull,
        2691},
       {"mrk", mrk, 0x873aa08f75e73582ull, 4779},
+      {"mrk-gap", mrk_gap, 0xd7b2d7a1e40c30c9ull, 1180},
   };
   for (const Case& c : cases) {
     const auto sampler = make_sampler(c.config);

@@ -331,8 +331,8 @@ TEST(Machine, CountingObserverIsCalledWhenItsCountRunsOut) {
       interest.first = 5;
       return interest;
     }
-    std::uint64_t on_count(const SimThread&, std::uint64_t n,
-                           const AccessEvent* access) override {
+    NextCall on_count(const SimThread&, std::uint64_t n,
+                      const AccessEvent* access) override {
       counted.push_back(n);
       if (access != nullptr) ++on_accesses;
       return 5;
@@ -361,8 +361,8 @@ TEST(Machine, ClockDeadlineFiresOnTheRunningThreadsClock) {
       interest.first = 1000;
       return interest;
     }
-    std::uint64_t on_count(const SimThread& t, std::uint64_t clock,
-                           const AccessEvent*) override {
+    NextCall on_count(const SimThread& t, std::uint64_t clock,
+                      const AccessEvent*) override {
       EXPECT_EQ(clock, t.now());
       clocks.push_back(clock);
       return clock + 1000;
