@@ -145,10 +145,11 @@ int main() {
           "PEBS > IBS", support::format_percent(pebs), pebs > ibs);
   // The machine counts each mechanism's events inline and calls the
   // sampler only when its countdown runs out, so, as on a real PMU, a
-  // mechanism costs what its samples cost. The trio's filtered events fire
-  // rarely, yet its mean stays near IBS's: first-touch traps and the
-  // per-sample CCT work dominate both, and the sub-second runs spread by
-  // several points between repetitions, hence the small margin.
+  // mechanism costs what its samples cost. The trio still does not sit
+  // clearly below IBS: MRK samples at period 1 under its rate limit, and
+  // the best-of-5 sub-second cells move by several points between runs
+  // (on a shared 4-core VM the strict low < ibs held in only 4 of 10
+  // runs), hence the small margin.
   cmp.add("MRK/DEAR/PEBS-LL not above IBS (paper +3..12%)",
           "trio mean <= IBS + noise", support::format_percent(low),
           low <= ibs + 0.05);
