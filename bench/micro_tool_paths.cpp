@@ -3,7 +3,8 @@
 // These are engineering benchmarks, not paper reproductions: they bound
 // the per-event cost of the machinery that runs inside the monitored
 // program (cache model lookups, sampler dispatch, CCT insertion, page-table
-// queries, metric updates) and of the offline stages (merge, serialization).
+// queries, metric and address-centric updates) and of the offline stages
+// (merge, serialization).
 //
 // Each case doubles its batch size until one batch takes at least 20 ms,
 // then reports the best of five batches of that size as ns per operation:
@@ -129,6 +130,83 @@ Timing cct_insert() {
   return t;
 }
 
+/// Call paths of 4-15 frames, each frame one of 8192, enough of them that
+/// the tree they build holds at least 2^18 nodes (built once).
+const std::vector<std::vector<simrt::FrameId>>& large_cct_paths() {
+  static const auto paths = [] {
+    support::Rng rng(5);
+    std::vector<std::vector<simrt::FrameId>> out;
+    core::Cct cct;
+    while (cct.size() <= (std::size_t{1} << 18)) {
+      std::vector<simrt::FrameId>& path = out.emplace_back(4 + rng.next_below(12));
+      for (auto& f : path) {
+        f = static_cast<simrt::FrameId>(rng.next_below(8192));
+      }
+      cct.extend(core::kRootNode, path);
+    }
+    return out;
+  }();
+  return paths;
+}
+
+/// Builds a fresh tree of >= 262,144 nodes; reported per node created.
+Timing cct_insert_large() {
+  const auto build = [] {
+    core::Cct cct;
+    for (const auto& path : large_cct_paths()) {
+      cct.extend(core::kRootNode, path);
+    }
+    return cct.size();
+  };
+  const double nodes = static_cast<double>(build() - 1);
+  Timing t = time_op([&] { keep(build()); });
+  t.ns_per_op /= nodes;
+  return t;
+}
+
+/// One memory sample with a 12-frame stack recorded into a tracker that
+/// already holds ~50k entries. The 6144 samples cycled through are the
+/// ones that filled it, so every op updates entries and the tracker keeps
+/// its size whatever the batch size.
+Timing address_centric_record() {
+  struct Sample {
+    std::vector<simrt::FrameId> stack;
+    std::uint32_t variable;
+    simrt::ThreadId tid;
+    simos::VAddr addr;
+  };
+  std::vector<core::Variable> variables(2);
+  for (std::uint32_t v = 0; v < variables.size(); ++v) {
+    variables[v].id = v;
+    variables[v].start = simos::kStaticBase + v * (std::uint64_t{1} << 24);
+    variables[v].page_count = 64;
+  }
+  support::Rng rng(6);
+  std::vector<Sample> samples(6144);
+  for (Sample& s : samples) {
+    s.stack.resize(12);
+    for (auto& f : s.stack) {
+      f = static_cast<simrt::FrameId>(rng.next_below(2048));
+    }
+    s.variable = static_cast<std::uint32_t>(rng.next_below(variables.size()));
+    s.tid = static_cast<simrt::ThreadId>(rng.next_below(4));
+    s.addr = variables[s.variable].start +
+             rng.next_below(variables[s.variable].extent_bytes());
+  }
+  core::AddressCentric tracker(5);
+  const auto record = [&](const Sample& s) {
+    tracker.record(s.stack, variables[s.variable], s.tid, s.addr, 100.0);
+  };
+  for (const Sample& s : samples) record(s);
+  std::size_t next = 0;
+  const Timing t = time_op([&] {
+    record(samples[next]);
+    next = (next + 1) % samples.size();
+  });
+  keep(tracker.entry_count());
+  return t;
+}
+
 Timing metric_add() {
   core::MetricStore store(8);
   support::Rng rng(4);
@@ -227,6 +305,8 @@ int main(int argc, char** argv) {
       {"PageTableHomeOf", page_table_home_of},
       {"CctExtend", cct_extend},
       {"CctInsert", cct_insert},
+      {"CctInsertLarge", cct_insert_large},
+      {"AddressCentricRecord", address_centric_record},
       {"MetricAdd", metric_add},
       // A period that never fires: a call that only counts down.
       {"SamplerDispatchIbs",

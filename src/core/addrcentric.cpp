@@ -142,13 +142,14 @@ std::vector<std::pair<simrt::FrameId, double>> AddressCentric::contexts_of(
 
 void AddressCentric::for_each(
     const std::function<void(const BinKey&, const BinStats&)>& fn) const {
-  for (const auto& [key, stats] : entries_) fn(key, stats);
+  for (const Entry& e : entries_) fn(e.key, e.stats);
 }
 
 std::vector<std::pair<BinKey, BinStats>> AddressCentric::sorted_entries()
     const {
-  std::vector<std::pair<BinKey, BinStats>> result(entries_.begin(),
-                                                  entries_.end());
+  std::vector<std::pair<BinKey, BinStats>> result;
+  result.reserve(entries_.size());
+  for (const Entry& e : entries_) result.emplace_back(e.key, e.stats);
   std::sort(result.begin(), result.end(),
             [](const auto& a, const auto& b) {
               const BinKey& x = a.first;
@@ -164,14 +165,22 @@ void AddressCentric::insert(const BinKey& key, const BinStats& stats) {
 }
 
 void AddressCentric::merge_from(const AddressCentric& other) {
-  entries_.reserve(entries_.size() + other.entries_.size());
-  for (const auto& [key, stats] : other.entries_) entry(key).merge(stats);
+  for (const Entry& e : other.entries_) entry(e.key).merge(e.stats);
 }
 
 BinStats& AddressCentric::entry(const BinKey& key) {
-  const auto [it, inserted] = entries_.try_emplace(key);
-  if (inserted) keys_of_[key.variable].push_back(key);
-  return it->second;
+  const auto id = static_cast<std::uint32_t>(entries_.size() + 1);
+  const std::uint64_t hash = support::hash128(
+      std::uint64_t{key.context} << 32 | key.variable,
+      std::uint64_t{key.bin} << 32 | key.tid);
+  const std::uint32_t found = index_.find_or_add(
+      hash, id, [&](std::uint32_t e) { return entries_[e - 1].key == key; });
+  if (found != id) return entries_[found - 1].stats;
+  entries_.push_back(Entry{.key = key, .stats = {}, .next = 0});
+  Chain& chain = chains_[key.variable];
+  (chain.head == 0 ? chain.head : entries_[chain.tail - 1].next) = id;
+  chain.tail = id;
+  return entries_.back().stats;
 }
 
 }  // namespace numaprof::core

@@ -20,6 +20,7 @@
 #include "core/datacentric.hpp"
 #include "simos/types.hpp"
 #include "simrt/frame.hpp"
+#include "support/flat_index.hpp"
 
 namespace numaprof::core {
 
@@ -59,16 +60,6 @@ struct BinKey {
   simrt::ThreadId tid = 0;
 
   bool operator==(const BinKey&) const = default;
-};
-
-struct BinKeyHash {
-  std::size_t operator()(const BinKey& k) const noexcept {
-    std::uint64_t h = k.context;
-    h = h * 0x9e3779b97f4a7c15ULL + k.variable;
-    h = h * 0x9e3779b97f4a7c15ULL + k.bin;
-    h = h * 0x9e3779b97f4a7c15ULL + k.tid;
-    return static_cast<std::size_t>(h ^ (h >> 32));
-  }
 };
 
 /// Per-thread accessed range of a variable in one context, normalized to
@@ -128,22 +119,26 @@ class AddressCentric {
 
   /// Calls fn(key, stats) for every entry of `variable` (any context, bin
   /// and thread), in first-insertion order. Every (variable, context)
-  /// query walks this per-variable index instead of the whole table.
+  /// query walks this one variable's list instead of the whole table.
   template <typename Fn>
   void for_each_of(VariableId variable, Fn&& fn) const {
-    const auto keys = keys_of_.find(variable);
-    if (keys == keys_of_.end()) return;
-    for (const BinKey& key : keys->second) fn(key, entries_.find(key)->second);
+    const auto chain = chains_.find(variable);
+    if (chain == chains_.end()) return;
+    for (std::uint32_t id = chain->second.head; id != 0;) {
+      const Entry& e = entries_[id - 1];
+      fn(e.key, e.stats);
+      id = e.next;
+    }
   }
 
-  /// Iterates every (key, stats) entry (serialization support).
+  /// Iterates every (key, stats) entry in first-insertion order.
   void for_each(
       const std::function<void(const BinKey&, const BinStats&)>& fn) const;
 
-  /// Every entry in deterministic (context, variable, bin, tid) order. The
-  /// serializer writes this order so a saved profile is byte-stable
-  /// regardless of the hash map's insertion history (e.g. serial vs
-  /// parallel merges producing the same entries).
+  /// Every entry in (context, variable, bin, tid) order. The serializer
+  /// writes this order so a saved profile is byte-stable regardless of
+  /// the tracker's insertion history (e.g. serial vs parallel merges
+  /// producing the same entries).
   std::vector<std::pair<BinKey, BinStats>> sorted_entries() const;
 
   /// Inserts a raw entry (deserialization support).
@@ -157,13 +152,26 @@ class AddressCentric {
   std::size_t entry_count() const noexcept { return entries_.size(); }
 
  private:
-  /// The entry for `key`, created and indexed on first use.
+  struct Entry {
+    BinKey key;
+    BinStats stats;
+    std::uint32_t next = 0;  // id of the variable's next entry; 0 ends
+  };
+  /// A variable's entries as a list through Entry::next, oldest first.
+  struct Chain {
+    std::uint32_t head = 0;
+    std::uint32_t tail = 0;
+  };
+
+  /// The entry for `key`, created and linked on first use.
   BinStats& entry(const BinKey& key);
 
   std::uint32_t default_bins_;
-  std::unordered_map<BinKey, BinStats, BinKeyHash> entries_;
-  /// Each variable's keys, appended when entry() first creates one.
-  std::unordered_map<VariableId, std::vector<BinKey>> keys_of_;
+  /// Every entry in first-insertion order; entry id i is entries_[i - 1],
+  /// so id 0 can mark a free index slot and the end of a chain.
+  std::vector<Entry> entries_;
+  support::FlatIndex index_;  // BinKey -> entry id
+  std::unordered_map<VariableId, Chain> chains_;
 };
 
 }  // namespace numaprof::core

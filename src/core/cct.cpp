@@ -8,8 +8,11 @@ namespace numaprof::core {
 NodeId Cct::child(NodeId parent, NodeKind kind, std::uint64_t key) {
   const auto id = static_cast<NodeId>(nodes_.size());
   if (parent >= id) throw std::out_of_range("Cct::child: no such parent");
-  const auto [it, added] = index_.try_emplace(Edge{key, parent, kind}, id);
-  if (!added) return it->second;
+  const NodeId found =
+      index_.find_or_add(edge_hash(parent, kind, key), id, [&](NodeId n) {
+        return is_edge(n, parent, kind, key);
+      });
+  if (found != id) return found;
   const std::uint32_t depth = nodes_[parent].depth + 1;
   nodes_.push_back(
       CctNode{.parent = parent, .kind = kind, .key = key, .depth = depth});
@@ -38,9 +41,11 @@ std::optional<NodeId> Cct::assign_columns(
 
 std::optional<NodeId> Cct::find_child(NodeId parent, NodeKind kind,
                                       std::uint64_t key) const {
-  const auto it = index_.find(Edge{key, parent, kind});
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  const NodeId found =
+      index_.find(edge_hash(parent, kind, key),
+                  [&](NodeId n) { return is_edge(n, parent, kind, key); });
+  if (found == kRootNode) return std::nullopt;
+  return found;
 }
 
 NodeId Cct::extend(NodeId base, std::span<const simrt::FrameId> frames) {

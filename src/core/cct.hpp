@@ -16,10 +16,10 @@
 #include <ranges>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "simrt/frame.hpp"
+#include "support/flat_index.hpp"
 
 namespace numaprof::core {
 
@@ -117,23 +117,22 @@ class Cct {
   }
 
  private:
-  struct Edge {
-    std::uint64_t key;
-    NodeId parent;
-    NodeKind kind;
-    bool operator==(const Edge&) const = default;
-  };
-  struct EdgeHash {
-    std::size_t operator()(const Edge& e) const noexcept {
-      const auto kind = static_cast<std::uint64_t>(e.kind);
-      return (e.key * 0x9e37'79b9'7f4a'7c15ULL) ^
-             (std::uint64_t{e.parent} << 3 | kind);
-    }
-  };
+  /// True when node `id` is the (parent, kind, key) child.
+  bool is_edge(NodeId id, NodeId parent, NodeKind kind,
+               std::uint64_t key) const noexcept {
+    const CctNode& n = nodes_[id];
+    return n.key == key && n.parent == parent && n.kind == kind;
+  }
+  static std::uint64_t edge_hash(NodeId parent, NodeKind kind,
+                                 std::uint64_t key) noexcept {
+    return support::hash128(
+        std::uint64_t{parent} << 8 | static_cast<std::uint8_t>(kind), key);
+  }
 
   std::vector<CctNode> nodes_ = {CctNode{}};  // node 0 is the root
-  // The one child index: (parent, kind, key) -> child.
-  std::unordered_map<Edge, NodeId, EdgeHash> index_;
+  // The one child index: (parent, kind, key) -> child. Ids index nodes_;
+  // the root, nobody's child, is never stored, so id 0 marks a free slot.
+  support::FlatIndex index_;
 };
 
 }  // namespace numaprof::core

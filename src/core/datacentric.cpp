@@ -85,6 +85,10 @@ VariableId VariableRegistry::resolve(simos::VAddr addr) {
     case simos::Segment::kUnknown:
       break;
   }
+  return unknown();
+}
+
+VariableId VariableRegistry::unknown() {
   if (!unknown_) {
     Variable var;
     var.kind = VariableKind::kUnknown;
@@ -100,17 +104,7 @@ VariableId VariableRegistry::resolve(simos::VAddr addr) {
 VariableId VariableRegistry::resolve_static(simos::VAddr addr) {
   const simos::StaticSymbol* symbol = space_.find_static(addr);
   if (symbol == nullptr) {
-    // Static segment but no symbol: treat as unknown.
-    if (!unknown_) {
-      Variable var;
-      var.kind = VariableKind::kUnknown;
-      var.name = "<unknown>";
-      var.page_count = 1;
-      unknown_ = create(std::move(var));
-      variables_[*unknown_].variable_node =
-          cct_.child(kRootNode, NodeKind::kVariable, *unknown_);
-    }
-    return *unknown_;
+    return unknown();  // static segment but no symbol
   }
   const auto it = static_by_name_.find(symbol->name);
   if (it != static_by_name_.end()) return it->second;

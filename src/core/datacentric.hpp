@@ -93,6 +93,8 @@ class VariableRegistry {
   VariableId create(Variable var);
   VariableId resolve_static(simos::VAddr addr);
   VariableId resolve_stack(simos::VAddr addr);
+  /// The one `<unknown>` pseudo-variable, created on first use.
+  VariableId unknown();
 
   Cct& cct_;
   const simos::AddressSpace& space_;

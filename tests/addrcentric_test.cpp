@@ -171,6 +171,85 @@ TEST(AddressCentric, InsertAndForEachRoundTrip) {
   EXPECT_EQ(ac.entry_count(), 1u);
 }
 
+TEST(AddressCentric, ForEachOfKeepsFirstInsertionOrder) {
+  // Insert, record and merge interleaved across variables, with enough
+  // entries to grow the index several times: each variable's entries come
+  // back in the order they were first created, and for_each walks the
+  // whole table in that order too.
+  AddressCentric ac(5);
+  std::map<VariableId, std::vector<BinKey>> want;
+  std::vector<BinKey> all;
+  const auto note = [&](const BinKey& key) {
+    std::vector<BinKey>& keys = want[key.variable];
+    if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+      keys.push_back(key);
+      all.push_back(key);
+    }
+  };
+  BinStats one;
+  one.update(0x100000, 3.0);
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    // High-bit-only context differences, and repeats of earlier keys.
+    const BinKey key{.context = (i % 700) << 20,
+                     .variable = i % 3,
+                     .bin = i % 5,
+                     .tid = i % 2};
+    ac.insert(key, one);
+    note(key);
+  }
+  const Variable v = make_var(1, 10);
+  const simrt::FrameId stack[] = {99, 98};
+  ac.record(stack, v, 7, v.start, 2.0);
+  for (const simrt::FrameId context : {kWholeProgram, 99u, 98u}) {
+    note(BinKey{.context = context, .variable = 1, .bin = 0, .tid = 7});
+  }
+  AddressCentric other(5);
+  for (std::uint32_t i = 0; i < 500; ++i) {
+    other.insert(BinKey{.context = i << 24, .variable = 2 + i % 2, .bin = 0,
+                        .tid = 9},
+                 one);
+  }
+  ac.merge_from(other);
+  other.for_each([&](const BinKey& key, const BinStats&) { note(key); });
+
+  for (const auto& [variable, keys] : want) {
+    std::vector<BinKey> got;
+    ac.for_each_of(variable, [&](const BinKey& key, const BinStats&) {
+      got.push_back(key);
+    });
+    EXPECT_EQ(got, keys) << "variable " << variable;
+  }
+  std::vector<BinKey> walked;
+  ac.for_each([&](const BinKey& key, const BinStats&) { walked.push_back(key); });
+  EXPECT_EQ(walked, all);
+  EXPECT_EQ(ac.entry_count(), all.size());
+  ac.for_each_of(4, [](const BinKey&, const BinStats&) { FAIL(); });
+}
+
+TEST(AddressCentric, InsertAndMergeKeepRangeAndSumSemantics) {
+  const BinKey key{.context = 5, .variable = 1, .bin = 2, .tid = 3};
+  BinStats a;
+  a.update(0x2000, 10.0);
+  BinStats b;
+  b.update(0x1000, 4.0);
+  b.update(0x3000, 6.0);
+  AddressCentric ac(5);
+  ac.insert(key, a);
+  AddressCentric other(5);
+  other.insert(key, b);
+  other.insert(BinKey{.context = 5, .variable = 1, .bin = 2, .tid = 4}, a);
+  ac.merge_from(other);
+  ac.merge_from(other);
+  const auto sorted = ac.sorted_entries();
+  ASSERT_EQ(sorted.size(), 2u);
+  EXPECT_EQ(sorted[0].first, key);
+  EXPECT_EQ(sorted[0].second.lo, 0x1000u);
+  EXPECT_EQ(sorted[0].second.hi, 0x3000u);
+  EXPECT_EQ(sorted[0].second.count, 5u);
+  EXPECT_EQ(sorted[0].second.latency, 30.0);
+  EXPECT_EQ(sorted[1].second.count, 2u);
+}
+
 // --- the per-variable index against a whole-table reference ------------
 
 /// Every query answered by scanning the whole table (for_each), the way

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -218,6 +220,91 @@ TEST(Cct, WideKeysAreDistinct) {
   EXPECT_EQ(cct.node(high).key, kHigh);
   EXPECT_EQ(cct.find_child(kRootNode, NodeKind::kVariable, kHigh), high);
   EXPECT_EQ(bulk_loaded(columns_of(cct)).size(), 3u);
+}
+
+TEST(Cct, EdgesThatShareAKeyStayApart) {
+  // One key under other parents and kinds, and keys that differ only
+  // above bit 32 or bit 55: every edge is its own child, found again.
+  constexpr std::uint64_t kKey = 0x1234;
+  const std::uint64_t keys[] = {kKey, kKey | std::uint64_t{1} << 32,
+                                kKey | std::uint64_t{1} << 55,
+                                kKey | std::uint64_t{1} << 63};
+  const NodeKind kinds[] = {NodeKind::kFrame, NodeKind::kVariable,
+                            NodeKind::kBin};
+  Cct cct;
+  std::vector<std::pair<std::tuple<NodeId, NodeKind, std::uint64_t>, NodeId>>
+      made;
+  std::set<NodeId> distinct;
+  for (NodeId parent = 0; parent < 3; ++parent) {
+    for (const NodeKind kind : kinds) {
+      for (const std::uint64_t key : keys) {
+        const NodeId id = cct.child(parent, kind, key);
+        made.push_back({{parent, kind, key}, id});
+        distinct.insert(id);
+      }
+    }
+  }
+  EXPECT_EQ(distinct.size(), made.size());
+  EXPECT_EQ(cct.size(), made.size() + 1);
+  for (const auto& [edge, id] : made) {
+    const auto& [parent, kind, key] = edge;
+    EXPECT_EQ(cct.child(parent, kind, key), id);
+    EXPECT_EQ(cct.find_child(parent, kind, key), id);
+    EXPECT_EQ(cct.node(id).key, key);
+  }
+  EXPECT_FALSE(cct.find_child(0, NodeKind::kFrame, kKey | 1).has_value());
+  EXPECT_FALSE(cct.find_child(1, NodeKind::kAccess, kKey).has_value());
+  EXPECT_FALSE(cct.find_child(3, NodeKind::kFrame, kKey).has_value());
+}
+
+TEST(Cct, IdsAndOrderSurviveGrowth) {
+  // Enough children to grow the child index several times: ids stay the
+  // creation order, every edge is found again, misses stay misses, and a
+  // bulk load of the same columns gives the same tree.
+  constexpr std::uint64_t kChildren = 5000;
+  Cct cct;
+  std::vector<NodeId> ids;
+  for (std::uint64_t k = 0; k < kChildren; ++k) {
+    const NodeId parent = k < 100 ? kRootNode : ids[k % 100];
+    ids.push_back(cct.child(parent, NodeKind::kFrame, k << 40));
+    EXPECT_EQ(ids.back(), NodeId(k + 1));
+  }
+  for (std::uint64_t k = 0; k < kChildren; ++k) {
+    const NodeId parent = k < 100 ? kRootNode : ids[k % 100];
+    EXPECT_EQ(cct.find_child(parent, NodeKind::kFrame, k << 40), ids[k]);
+    EXPECT_FALSE(
+        cct.find_child(parent, NodeKind::kFrame, k << 40 | 1).has_value());
+    EXPECT_FALSE(cct.find_child(parent, NodeKind::kBin, k << 40).has_value());
+  }
+  EXPECT_EQ(children_of(cct, ids[7]).front(), ids[107]);
+  const Cct loaded = bulk_loaded(columns_of(cct));
+  ASSERT_EQ(loaded.size(), cct.size());
+  EXPECT_EQ(visit_order(loaded, kRootNode), visit_order(cct, kRootNode));
+  for (std::uint64_t k = 0; k < kChildren; k += 97) {
+    EXPECT_EQ(loaded.find_child(loaded.node(ids[k]).parent, NodeKind::kFrame,
+                                k << 40),
+              ids[k]);
+  }
+}
+
+TEST(Cct, BulkLoadReportsALateRepeatAtItsId) {
+  // A repeat far into a large load, under a parent that also has many
+  // children with keys equal in their low 32 bits.
+  Columns c;
+  for (std::uint64_t k = 0; k < 3000; ++k) {
+    c.parents.push_back(kRootNode);
+    c.kinds.push_back(static_cast<std::uint8_t>(NodeKind::kFrame));
+    c.keys.push_back(k << 32 | 7);
+  }
+  c.parents.push_back(kRootNode);
+  c.kinds.push_back(static_cast<std::uint8_t>(NodeKind::kFrame));
+  c.keys.push_back(std::uint64_t{1234} << 32 | 7);
+  Cct cct;
+  EXPECT_EQ(cct.assign_columns(c.parents, c.kinds, c.keys), NodeId{3001});
+  EXPECT_EQ(cct.size(), 1u);
+  c.keys.back() = std::uint64_t{5000} << 32 | 7;  // now new
+  EXPECT_FALSE(cct.assign_columns(c.parents, c.kinds, c.keys).has_value());
+  EXPECT_EQ(cct.size(), 3002u);
 }
 
 TEST(Cct, ConcurrentReadsOfABulkLoadedTree) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "support/env.hpp"
+#include "support/flat_index.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -34,6 +35,36 @@ TEST(Crc32, ChainedEqualsOneShotAtEverySplit) {
               whole)
         << "split at " << split;
   }
+}
+
+TEST(FlatIndex, FindsWhatItAddedAcrossGrowthAndSameHashes) {
+  // The owner's keys live outside the index; ids name them. Every key
+  // here hashes to one of four values, so probes must ask the owner.
+  std::vector<std::uint64_t> keys = {0};  // id 0 is never stored
+  const auto hash_of = [](std::uint64_t key) { return key % 4; };
+  FlatIndex index;
+  const auto add = [&](std::uint64_t key) {
+    const auto id = static_cast<std::uint32_t>(keys.size());
+    const std::uint32_t got =
+        index.find_or_add(hash_of(key), id,
+                          [&](std::uint32_t i) { return keys[i] == key; });
+    if (got == id) keys.push_back(key);
+    return got;
+  };
+  const auto find = [&](std::uint64_t key) {
+    return index.find(hash_of(key),
+                      [&](std::uint32_t i) { return keys[i] == key; });
+  };
+  EXPECT_EQ(find(5), 0u);
+  for (std::uint64_t key = 100; key < 400; ++key) {
+    EXPECT_EQ(add(key), key - 99);
+  }
+  for (std::uint64_t key = 100; key < 400; ++key) {
+    EXPECT_EQ(add(key), key - 99);
+    EXPECT_EQ(find(key), key - 99);
+  }
+  EXPECT_EQ(find(400), 0u);
+  EXPECT_EQ(index.size(), 300u);
 }
 
 TEST(Rng, SameSeedSameStream) {
