@@ -2,16 +2,14 @@
 //
 // numalint is meant to run casually over whole source trees (pre-commit,
 // CI), so lexing, per-TU recognition, and the production driver all have
-// throughput budgets. Four stages are measured on synthesized trees of
+// throughput budgets. Three stages are measured on synthesized trees of
 // realistic fragments (both recognized idioms):
 //   lex            raw tokens/bytes per second
 //   lint           lint_source: per-TU L1-L4 + the interprocedural engine
 //   driver         lint_paths over a file tree as --jobs scales 1,2,4,8
-//   cache          the same tree cold (populate) vs warm (hit) with the
-//                  incremental content-hash cache
 // Driver runs are validated: every jobs value must render byte-identical
-// findings, and warm cache runs must match cold ones — otherwise the
-// numbers are meaningless and the exit status is 1.
+// findings — otherwise the numbers are meaningless and the exit status
+// is 1.
 //
 // Each timing is emitted as a machine-readable line:
 //   BENCH {"bench":"micro_lint","stage":"driver","config":"jobs=4",
@@ -148,7 +146,7 @@ void run_stage(bench::BenchRecords& records, const std::string& stage,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::heading("micro_lint: static pass throughput (lex/lint/driver/cache)");
+  bench::heading("micro_lint: static pass throughput (lex/lint/driver)");
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_lint.json";
   bench::BenchRecords records("micro_lint");
   bool all_valid = true;
@@ -208,33 +206,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- incremental cache: cold populate vs warm hit ----------------------
-  bench::subheading("incremental cache (cold vs warm)");
-  const fs::path cache_dir = tree / "cache";
-  for (const char* mode : {"cold", "warm"}) {
-    if (std::string(mode) == "cold") fs::remove_all(cache_dir);
-    std::string rendered;
-    PipelineOptions options;
-    options.jobs = 4;
-    options.lint_cache_dir = cache_dir.string();
-    // Cold must populate once, not best-of-N (later reps would be warm).
-    const int reps = std::string(mode) == "cold" ? 1 : 3;
-    run_stage(records, "cache", mode, kTreeFiles, tree_bytes, reps, [&] {
-      const lint::LintResult r = lint::lint_paths(paths, options);
-      rendered = lint::render_findings(r.findings);
-      return r.findings.size();
-    });
-    if (rendered != reference) {
-      all_valid = false;
-      std::cerr << "cache(" << mode << ") output drifted\n";
-    }
-  }
   fs::remove_all(tree);
 
   records.write(out_path);
 
   if (!all_valid) {
-    std::cout << "VALIDITY FAILURE: driver/cache output not identical\n";
+    std::cout << "VALIDITY FAILURE: driver output not identical\n";
     return 1;
   }
   return 0;

@@ -22,7 +22,6 @@
 //   --write-baseline PATH  write the current findings as a baseline and exit
 //   --werror[=SEV]    fail (exit 1) only on findings of severity SEV or
 //                     higher (note|warning|error; bare --werror = warning)
-//   --cache DIR       incremental per-file cache keyed by content hash
 //   --stats           print scan statistics
 //
 // Exit status: 0 = clean (or all findings below the --werror threshold /
@@ -119,9 +118,6 @@ support::CliParser make_parser() {
       "exit 1 only on findings of at least this severity "
       "(note|warning|error; default warning)",
       "SEV");
-  cli.add_flag("--cache", true,
-               "incremental per-file cache directory (content-hash keyed)",
-               "DIR");
   cli.add_flag("--stats", false, "print scan statistics");
   cli.add_flag("--selftest", false, "lint a built-in antipattern sample");
   return cli;
@@ -163,7 +159,6 @@ int run(const support::CliParser& cli) {
   PipelineOptions options;
   options.jobs = cli.jobs_value();
   options.lint_paths = cli.positional();
-  options.lint_cache_dir = cli.value("--cache").value_or("");
   const lint::LintResult result =
       lint::lint_paths(options.lint_paths, options);
 

@@ -90,7 +90,7 @@ class Analyzer {
   /// misattribute every per-domain column. Only `options.jobs` is
   /// consumed at this stage.
   explicit Analyzer(const SessionData& data,
-                    const PipelineOptions& options = {});
+                    const PipelineOptions& options = PipelineOptions());
 
   const ProgramSummary& program() const noexcept { return program_; }
 

@@ -187,8 +187,9 @@ struct MergeResult {
 /// degradation events in the merged SessionData so reports show them.
 /// `options.lint_paths` is not consumed here (the merge has no source
 /// view); CLIs act on it after merging.
-MergeResult merge_profile_files(const std::vector<std::string>& paths,
-                                const PipelineOptions& options = {});
+MergeResult merge_profile_files(
+    const std::vector<std::string>& paths,
+    const PipelineOptions& options = PipelineOptions());
 
 /// Percent-escaping for strings embedded in the profile format (escapes
 /// '%', whitespace, and control characters).

@@ -125,7 +125,7 @@ class IngestServer {
   /// the merged data as DegradationEvents, derived purely from the final
   /// ingest state so recovery replays reproduce them bit-for-bit.
   core::MergeResult merge(const std::string& spool_dir,
-                          const PipelineOptions& options = {});
+                          const PipelineOptions& options = PipelineOptions());
 
   ServerStats stats() const;
   /// Final per-client state, ascending client id.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -18,7 +19,6 @@ constexpr std::size_t kMaxChain = 6;  // provenance depth cap (breaks cycles)
 constexpr int kMaxRounds = 8;
 
 Effect::Target classify_target(const FunctionSummary& fn,
-                               const std::set<std::string>& globals,
                                const std::string& symbol, int* param_out) {
   for (std::size_t i = 0; i < fn.param_names.size(); ++i) {
     if (!fn.param_names[i].empty() && fn.param_names[i] == symbol) {
@@ -30,9 +30,55 @@ Effect::Target classify_target(const FunctionSummary& fn,
   for (const std::string& l : fn.local_allocs) {
     if (l == symbol) return Effect::Target::kLocal;
   }
-  (void)globals;
   return Effect::Target::kGlobal;
 }
+
+/// One namespace of program-wide symbols under C++ linkage. An external
+/// symbol is known by its bare name, an internal one by "<file>#<name>",
+/// where <file> is its file's index in path order, so two files' statics
+/// never meet. A name used in a file resolves to that file's internal
+/// symbol, else the external one, else the first internal one in path
+/// order (a header's `static` helper seen from a file that includes it).
+template <typename T>
+class Linkage {
+ public:
+  /// The entry of the symbol a definition in `file` declares.
+  T& define(std::size_t file, const std::string& name, bool internal) {
+    if (!internal) return by_id_[name];
+    std::string id = qualified(file, name);
+    first_internal_.emplace(name, id);
+    return by_id_[std::move(id)];
+  }
+
+  /// The identity `name` denotes in `file`; empty when nothing defines it.
+  std::string resolve(std::size_t file, const std::string& name) const {
+    std::string own = qualified(file, name);
+    if (by_id_.count(own) > 0) return own;
+    if (by_id_.count(name) > 0) return name;
+    const auto it = first_internal_.find(name);
+    return it == first_internal_.end() ? std::string() : it->second;
+  }
+
+  const T* find(const std::string& id) const {
+    const auto it = by_id_.find(id);
+    return it == by_id_.end() ? nullptr : &it->second;
+  }
+
+ private:
+  static std::string qualified(std::size_t file, const std::string& name) {
+    return std::to_string(file) + "#" + name;
+  }
+
+  std::map<std::string, T> by_id_;
+  std::map<std::string, std::string> first_internal_;
+};
+
+/// Where a global is declared; a definition wins over an extern one.
+struct Decl {
+  std::string file;
+  std::uint32_t line = 0;
+  bool is_extern = false;
+};
 
 /// Dedup key for an effect within one function; chain and order are
 /// deliberately excluded so the shortest provenance (found in the
@@ -43,7 +89,7 @@ std::string effect_key(const Effect& e) {
      << static_cast<int>(e.kind) << '|' << e.parallel << e.guarded
      << e.full_range << e.via_alias << e.blocked << '|'
      << static_cast<int>(e.sched) << '|' << e.chunk << '|' << e.file << ':'
-     << e.line;
+     << e.line << '|' << e.global_id;
   return os.str();
 }
 
@@ -92,13 +138,12 @@ FileSummary summarize(const ir::FileIr& ir) {
   FileSummary out;
   out.file = ir.file;
   out.globals = ir.globals;
-  std::set<std::string> global_names;
-  for (const ir::Global& g : ir.globals) global_names.insert(g.name);
   for (const ir::Function& fn : ir.functions) {
     FunctionSummary fs;
     fs.name = fn.name;
     fs.file = fn.file;
     fs.line = fn.line;
+    fs.internal = fn.internal;
     for (const ir::Param& p : fn.params) fs.param_names.push_back(p.name);
     fs.local_allocs = fn.local_allocs;
     for (const ir::CallSite& c : fn.calls) {
@@ -117,7 +162,7 @@ FileSummary summarize(const ir::FileIr& ir) {
     for (const ir::Touch& t : fn.touches) {
       Effect e;
       e.symbol = t.symbol;
-      e.target = classify_target(fs, global_names, t.symbol, &e.param);
+      e.target = classify_target(fs, t.symbol, &e.param);
       e.kind = t.kind;
       e.parallel = t.parallel;
       e.guarded = t.thread_guarded;
@@ -144,48 +189,43 @@ std::vector<StaticFinding> propagate_and_check(std::vector<FileSummary> files) {
               return a.file < b.file;
             });
 
-  // Whole-program symbol tables.
-  std::set<std::string> global_names;
-  std::map<std::string, std::pair<std::string, std::uint32_t>> global_decl;
-  for (const FileSummary& f : files) {
-    for (const ir::Global& g : f.globals) {
-      global_names.insert(g.name);
-      auto it = global_decl.find(g.name);
-      if (it == global_decl.end()) {
-        global_decl[g.name] = {f.file, g.line};
-      } else if (!g.is_extern) {
-        // The defining declaration wins over extern references.
-        bool have_def = false;
-        for (const FileSummary& f2 : files) {
-          for (const ir::Global& g2 : f2.globals) {
-            if (g2.name == g.name && !g2.is_extern &&
-                f2.file == it->second.first && g2.line == it->second.second) {
-              have_def = true;
-            }
-          }
-        }
-        if (!have_def) global_decl[g.name] = {f.file, g.line};
+  // Whole-program symbol tables, then every global effect's identity.
+  Linkage<std::optional<Decl>> globals;
+  Linkage<FunctionSummary*> functions;
+  for (std::size_t file = 0; file < files.size(); ++file) {
+    for (const ir::Global& g : files[file].globals) {
+      std::optional<Decl>& decl = globals.define(file, g.name, g.internal);
+      if (!decl || (decl->is_extern && !g.is_extern)) {
+        decl = Decl{files[file].file, g.line, g.is_extern};
       }
     }
+    for (FunctionSummary& fn : files[file].functions) {
+      FunctionSummary*& slot = functions.define(file, fn.name, fn.internal);
+      if (slot == nullptr) slot = &fn;  // first definition in path order
+    }
   }
-  std::map<std::string, FunctionSummary*> by_name;
-  for (FileSummary& f : files) {
-    for (FunctionSummary& fn : f.functions) {
-      by_name.emplace(fn.name, &fn);  // first definition in path order wins
+  for (std::size_t file = 0; file < files.size(); ++file) {
+    for (FunctionSummary& fn : files[file].functions) {
+      for (Effect& e : fn.effects) {
+        if (e.target == Effect::Target::kGlobal) {
+          e.global_id = globals.resolve(file, e.symbol);
+        }
+      }
     }
   }
 
   // Fixpoint: lift callee effects into callers.
   for (int round = 0; round < kMaxRounds; ++round) {
     bool changed = false;
-    for (FileSummary& f : files) {
-      for (FunctionSummary& fn : f.functions) {
+    for (std::size_t file = 0; file < files.size(); ++file) {
+      for (FunctionSummary& fn : files[file].functions) {
         std::set<std::string> seen;
         for (const Effect& e : fn.effects) seen.insert(effect_key(e));
         for (const Call& c : fn.calls) {
-          auto it = by_name.find(c.callee);
-          if (it == by_name.end()) continue;
-          const FunctionSummary& callee = *it->second;
+          FunctionSummary* const* hit =
+              functions.find(functions.resolve(file, c.callee));
+          if (hit == nullptr) continue;
+          const FunctionSummary& callee = **hit;
           // Snapshot size: the callee may be this very function.
           const std::size_t ne = callee.effects.size();
           for (std::size_t k = 0; k < ne; ++k) {
@@ -203,8 +243,10 @@ std::vector<StaticFinding> propagate_and_check(std::vector<FileSummary> files) {
               // via_alias is reserved for touches that were themselves
               // alias-obscured inside the callee.
               lifted.symbol = sym;
-              lifted.target =
-                  classify_target(fn, global_names, sym, &lifted.param);
+              lifted.target = classify_target(fn, sym, &lifted.param);
+              lifted.global_id = lifted.target == Effect::Target::kGlobal
+                                     ? globals.resolve(file, sym)
+                                     : std::string();
             } else if (e.target == Effect::Target::kGlobal) {
               // Lift globals only to correct the context: a serial helper
               // called from a parallel loop touches in parallel.
@@ -237,16 +279,15 @@ std::vector<StaticFinding> propagate_and_check(std::vector<FileSummary> files) {
     if (!changed) break;
   }
 
-  // Aggregate per root symbol. Globals key by name; locals by the frame
-  // that owns the allocation.
+  // Aggregate per root symbol. Globals key by identity; locals by the
+  // frame that owns the allocation.
   std::map<std::string, std::vector<Site>> by_symbol;
   for (const FileSummary& f : files) {
     for (const FunctionSummary& fn : f.functions) {
       for (const Effect& e : fn.effects) {
         std::string key;
-        if (e.target == Effect::Target::kGlobal &&
-            global_names.count(e.symbol) > 0) {
-          key = "g:" + e.symbol;
+        if (e.target == Effect::Target::kGlobal && !e.global_id.empty()) {
+          key = "g:" + e.global_id;
         } else if (e.target == Effect::Target::kLocal) {
           key = "l:" + fn.file + "#" + fn.name + "#" + e.symbol;
         } else {
@@ -284,10 +325,9 @@ std::vector<StaticFinding> propagate_and_check(std::vector<FileSummary> files) {
     std::string alloc_site;
     std::uint32_t decl_line = 0;
     if (key[0] == 'g') {
-      auto it = global_decl.find(variable);
-      if (it != global_decl.end()) {
-        alloc_site = it->second.first + ":" + std::to_string(it->second.second);
-        decl_line = it->second.second;
+      if (const std::optional<Decl>* decl = globals.find(key.substr(2))) {
+        alloc_site = (*decl)->file + ":" + std::to_string((*decl)->line);
+        decl_line = (*decl)->line;
       }
     }
     if (!allocs.empty()) {

@@ -65,6 +65,10 @@ struct Effect {
   std::string file;      // where the touch physically is
   std::uint32_t line = 0;
   std::string touch_fn;  // function containing the physical touch
+  /// kGlobal only: the program-wide symbol `symbol` names, resolved under
+  /// C++ linkage by propagate_and_check; empty until then, and when no
+  /// global of that name is in scope.
+  std::string global_id;
   /// Execution-order key within the OWNING function (block rpo, token
   /// position of the touch, or of the call site for lifted effects).
   std::pair<int, std::size_t> order{0, 0};
@@ -88,6 +92,7 @@ struct FunctionSummary {
   std::string name;
   std::string file;
   std::uint32_t line = 0;
+  bool internal = false;  // see ir::Function::internal
   std::vector<std::string> param_names;  // "" for unnamed positions
   std::vector<std::string> local_allocs;
   std::vector<Call> calls;
@@ -106,7 +111,9 @@ FileSummary summarize(const ir::FileIr& ir);
 /// Phase 2 (whole program, deterministic): fixpoint propagation over all
 /// summaries, then the L5-L8 checks. Input order does not matter; files
 /// are processed in path order internally so output is byte-identical
-/// regardless of how the summaries were produced.
+/// regardless of how the summaries were produced. Names resolve under
+/// C++ linkage: a file's internal globals and functions are its own, and
+/// a call reaches the caller's file's internal function first.
 std::vector<core::StaticFinding> propagate_and_check(
     std::vector<FileSummary> files);
 

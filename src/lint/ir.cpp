@@ -77,6 +77,7 @@ class IrBuilder {
   }
 
   FileIr build() {
+    collect_scopes();
     collect_globals();
     collect_functions();
     return std::move(ir_);
@@ -99,6 +100,46 @@ class IrBuilder {
     }
     c.guarded = scan_.guarded(pos);
     return c;
+  }
+
+  // -- linkage ----------------------------------------------------------
+
+  /// Records the innermost enclosing '{' of every token (SIZE_MAX at file
+  /// scope); an opener's own entry is its parent, so chains terminate.
+  void collect_scopes() {
+    scope_.assign(n(), SIZE_MAX);
+    std::vector<std::size_t> open;
+    for (std::size_t i = 0; i < n(); ++i) {
+      while (!open.empty() && ts_.matching(open.back()) < i) open.pop_back();
+      if (!open.empty()) scope_[i] = open.back();
+      if (tok(i).is_punct("{") && ts_.matching(i) < n()) open.push_back(i);
+    }
+  }
+
+  /// Internal linkage of a declaration at `pos`: anything inside an
+  /// unnamed namespace, or a `static` one directly at namespace scope (a
+  /// `static` class member is not internal).
+  bool internal_linkage(std::size_t pos, bool is_static) const {
+    const std::size_t inner = scope_[pos];
+    if (is_static && (inner == SIZE_MAX || ts_.brace_kind(inner) == 'n')) {
+      return true;
+    }
+    for (std::size_t b = inner; b != SIZE_MAX; b = scope_[b]) {
+      if (b > 0 && tok(b - 1).is_ident("namespace")) return true;
+    }
+    return false;
+  }
+
+  /// True if the declaration whose name is at `name_at` says `static`.
+  bool declared_static(std::size_t name_at) const {
+    for (std::size_t k = ts_.stmt_start(name_at); k < name_at; ++k) {
+      if (tok(k).is_punct("#")) {
+        k = ts_.skip_directive(k) - 1;
+      } else if (tok(k).is_ident("static")) {
+        return true;
+      }
+    }
+    return false;
   }
 
   // -- globals ----------------------------------------------------------
@@ -171,7 +212,7 @@ class IrBuilder {
       // name = last ident before the initializer; require a second ident
       // or a '*' so lone expressions don't register.
       std::size_t idents = 0;
-      bool star = false, is_extern = false;
+      bool star = false, is_extern = false, is_static = false;
       std::size_t name_at = SIZE_MAX;
       for (std::size_t k : flat) {
         if (tok(k).is_punct("=")) break;
@@ -179,12 +220,14 @@ class IrBuilder {
         if (tok(k).kind == TokKind::kIdent) {
           ++idents;
           if (tok(k).is_ident("extern")) is_extern = true;
+          if (tok(k).is_ident("static")) is_static = true;
           if (!is_keyword(tok(k).text)) name_at = k;
         }
       }
       if (name_at == SIZE_MAX || (idents < 2 && !star)) continue;
       const std::string& name = tok(name_at).text;
       if (is_type_name(name)) continue;
+      const bool internal = internal_linkage(s, is_static);
       bool known = false;
       for (Global& g : ir_.globals) {
         if (g.name == name) {
@@ -192,12 +235,13 @@ class IrBuilder {
           if (g.is_extern && !is_extern) {
             g.line = tok(s).line;
             g.is_extern = false;
+            g.internal = internal;
           }
           known = true;
         }
       }
       if (!known) {
-        ir_.globals.push_back(Global{name, tok(s).line, is_extern});
+        ir_.globals.push_back(Global{name, tok(s).line, is_extern, internal});
         global_names_.insert(name);
       }
     }
@@ -266,6 +310,7 @@ class IrBuilder {
       fn.name = tok(i).text;
       fn.file = ir_.file;
       fn.line = tok(i).line;
+      fn.internal = internal_linkage(i, declared_static(i));
       parse_params(fn, i + 1);
       intervals_.clear();
       fn.blocks.push_back(BasicBlock{});  // entry
@@ -804,6 +849,7 @@ class IrBuilder {
   const TokenStream& ts_;
   const ParallelScan& scan_;
   std::vector<Interval> intervals_;
+  std::vector<std::size_t> scope_;
   std::set<std::string> global_names_;
   FileIr ir_;
 };

@@ -83,6 +83,10 @@ struct Function {
   std::string name;
   std::string file;
   std::uint32_t line = 0;
+  /// Internal linkage: `static` at namespace scope, or in an unnamed
+  /// namespace. Calls from other files never reach it while their own
+  /// file or an external definition supplies the name.
+  bool internal = false;
   std::vector<Param> params;
   std::vector<Touch> touches;
   std::vector<CallSite> calls;
@@ -101,10 +105,13 @@ struct Function {
 /// A file-scope data symbol. Extern declarations are kept — they are what
 /// gives a cross-TU symbol its identity in the referencing file — but the
 /// defining declaration wins when provenance needs "where it lives".
+/// An internal one (`static` at namespace scope, or in an unnamed
+/// namespace) is a different symbol from every other file's.
 struct Global {
   std::string name;
   std::uint32_t line = 0;
   bool is_extern = false;
+  bool internal = false;
 };
 
 struct FileIr {

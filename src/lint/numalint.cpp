@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "core/export/writer_util.hpp"
-#include "lint/cache.hpp"
 #include "lint/ir.hpp"
 #include "lint/lexer.hpp"
 #include "lint/regions.hpp"
@@ -1205,11 +1204,26 @@ FilePhase1 lint_file_phase1(std::string_view source, std::string file) {
   return out;
 }
 
-LintResult lint_source(std::string_view source, std::string file) {
-  FilePhase1 p1 = lint_file_phase1(source, std::move(file));
-  LintResult out = std::move(p1.local);
+namespace {
+
+/// Folds phase-1 parts in the given order, then runs phase 2: the
+/// whole-program propagation is serial and deterministic, so the result
+/// depends only on the parts, never on how many threads produced them.
+LintResult fold(std::vector<FilePhase1> parts) {
+  LintResult out;
+  std::vector<dataflow::FileSummary> summaries;
+  summaries.reserve(parts.size());
+  for (FilePhase1& one : parts) {
+    out.stats.files += one.local.stats.files;
+    out.stats.lines += one.local.stats.lines;
+    out.stats.tokens += one.local.stats.tokens;
+    out.findings.insert(out.findings.end(),
+                        std::make_move_iterator(one.local.findings.begin()),
+                        std::make_move_iterator(one.local.findings.end()));
+    summaries.push_back(std::move(one.summary));
+  }
   std::vector<StaticFinding> inter =
-      dataflow::propagate_and_check({std::move(p1.summary)});
+      dataflow::propagate_and_check(std::move(summaries));
   out.findings.insert(out.findings.end(),
                       std::make_move_iterator(inter.begin()),
                       std::make_move_iterator(inter.end()));
@@ -1217,15 +1231,19 @@ LintResult lint_source(std::string_view source, std::string file) {
   return out;
 }
 
+}  // namespace
+
+LintResult lint_source(std::string_view source, std::string file) {
+  std::vector<FilePhase1> parts;
+  parts.push_back(lint_file_phase1(source, std::move(file)));
+  return fold(std::move(parts));
+}
+
 bool lintable_file(const std::string& path) {
   const std::filesystem::path p(path);
   const std::string ext = p.extension().string();
   return ext == ".c" || ext == ".cc" || ext == ".cpp" || ext == ".cxx" ||
          ext == ".h" || ext == ".hh" || ext == ".hpp";
-}
-
-LintResult lint_paths(const std::vector<std::string>& paths) {
-  return lint_paths(paths, numaprof::PipelineOptions{});
 }
 
 LintResult lint_paths(const std::vector<std::string>& paths,
@@ -1254,55 +1272,19 @@ LintResult lint_paths(const std::vector<std::string>& paths,
 
   // Phase 1: lint every file into its slot, then fold in path order — the
   // fold order (not completion order) defines the output, so any jobs
-  // value yields the serial result. The incremental cache lives entirely
-  // inside this phase: a hit restores the per-file artifact, a miss
-  // computes and stores it; either way the folded inputs are identical.
+  // value yields the serial result.
   std::vector<FilePhase1> parts(files.size());
-  const std::string& cache_dir = options.lint_cache_dir;
-  const auto lint_one = [&files, &parts, &cache_dir](std::size_t i) {
+  const auto lint_one = [&files, &parts](std::size_t i) {
     std::ifstream in(files[i], std::ios::binary);
     if (!in) return;
     std::ostringstream buffer;
     buffer << in.rdbuf();
     // Report paths by filename to keep findings stable across checkouts.
-    const std::string name =
-        std::filesystem::path(files[i]).filename().string();
-    if (!cache_dir.empty()) {
-      const std::uint64_t key = phase1_cache_key(name, buffer.str());
-      if (auto hit = load_phase1_cache(cache_dir, key)) {
-        parts[i] = std::move(*hit);
-        return;
-      }
-      parts[i] = lint_file_phase1(buffer.str(), name);
-      store_phase1_cache(cache_dir, key, parts[i],
-                         static_cast<unsigned>(i));
-      return;
-    }
-    parts[i] = lint_file_phase1(buffer.str(), name);
+    parts[i] = lint_file_phase1(
+        buffer.str(), std::filesystem::path(files[i]).filename().string());
   };
   support::parallel_for_each(options.jobs, files.size(), lint_one);
-
-  LintResult out;
-  std::vector<dataflow::FileSummary> summaries;
-  summaries.reserve(parts.size());
-  for (FilePhase1& one : parts) {
-    out.stats.files += one.local.stats.files;
-    out.stats.lines += one.local.stats.lines;
-    out.stats.tokens += one.local.stats.tokens;
-    out.findings.insert(out.findings.end(),
-                        std::make_move_iterator(one.local.findings.begin()),
-                        std::make_move_iterator(one.local.findings.end()));
-    summaries.push_back(std::move(one.summary));
-  }
-  // Phase 2: whole-program propagation is serial and deterministic, so
-  // the interprocedural findings are byte-identical for every jobs value.
-  std::vector<StaticFinding> inter =
-      dataflow::propagate_and_check(std::move(summaries));
-  out.findings.insert(out.findings.end(),
-                      std::make_move_iterator(inter.begin()),
-                      std::make_move_iterator(inter.end()));
-  dataflow::sort_findings(out.findings);
-  return out;
+  return fold(std::move(parts));
 }
 
 std::optional<Severity> parse_werror(const support::CliParser& cli) {

@@ -67,7 +67,6 @@ LintResult lint_source(std::string_view source, std::string file);
 
 /// Phase-1 artifact for one file: the local L1-L4 findings plus the
 /// dataflow summary that phase 2 propagates across the whole program.
-/// This is what the incremental cache stores per content hash.
 struct FilePhase1 {
   LintResult local;
   dataflow::FileSummary summary;
@@ -82,16 +81,13 @@ bool lintable_file(const std::string& path);
 
 /// Lints files and directories (recursive, deterministic order). A named
 /// top-level path that does not exist throws LintError; unreadable files
-/// discovered inside directories are skipped. Findings are sorted by
-/// (file, line, variable, kind).
-LintResult lint_paths(const std::vector<std::string>& paths);
-
-/// As above with the consolidated pipeline policy: files are linted on up
-/// to `options.jobs` threads and folded in path order, so the result is
-/// identical for every jobs value. Only `jobs` and `lint_cache_dir` of
-/// `options` are consumed.
-LintResult lint_paths(const std::vector<std::string>& paths,
-                      const numaprof::PipelineOptions& options);
+/// discovered inside directories are skipped. Files are linted on up to
+/// `options.jobs` threads and folded in path order, so the result is
+/// identical for every jobs value; no other field of `options` is read.
+/// Findings are sorted by (file, line, variable, kind).
+LintResult lint_paths(
+    const std::vector<std::string>& paths,
+    const numaprof::PipelineOptions& options = numaprof::PipelineOptions());
 
 /// The `--werror[=SEV]` gate numa_lint and analyze_profile share: nullopt
 /// without --werror; note, warning or error otherwise (a bare --werror

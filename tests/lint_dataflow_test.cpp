@@ -1,14 +1,16 @@
 // Tests for the interprocedural dataflow engine (src/lint/ir +
 // src/lint/dataflow): cross-TU first-touch provenance (L5), schedule
 // mismatch (L6), alias-hidden first touch (L7), read-mostly replication
-// (L8), plus the production driver contracts — --jobs determinism, the
-// incremental cache, SARIF export (golden-locked for the four case-study
-// workloads), and the baseline gate.
+// (L8), C++ linkage (file-local symbols stay file-local), plus the
+// production driver contracts — --jobs determinism, SARIF export
+// (golden-locked for the four case-study workloads), and the baseline
+// gate.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -16,8 +18,10 @@
 
 #include "core/export/schema.hpp"
 #include "lint/baseline.hpp"
-#include "lint/cache.hpp"
+#include "lint/ir.hpp"
+#include "lint/lexer.hpp"
 #include "lint/numalint.hpp"
+#include "lint/regions.hpp"
 #include "lint/sarif.hpp"
 
 namespace numaprof::lint {
@@ -213,6 +217,193 @@ TEST(LintDataflow, JobsCountNeverChangesOutput) {
       EXPECT_EQ(rendered, first) << "jobs=" << jobs;
     }
   }
+}
+
+// --- C++ linkage: file-local symbols stay file-local ---------------------
+
+// Two translation units, each with its own `static` buffer: one.cpp
+// writes its copy serially, two.cpp initializes and reads its copy in
+// parallel. Neither copy has a serial first touch with a parallel use.
+constexpr const char* kStaticBufOne = R"lint(static double buf[4096];
+void init_one() {
+  for (long i = 0; i < 4096; ++i) buf[i] = 1.0;
+}
+)lint";
+
+constexpr const char* kStaticBufTwo = R"lint(static double buf[4096];
+
+void init_two() {
+  #pragma omp parallel for schedule(static)
+  for (long i = 0; i < 4096; ++i) buf[i] = 0.0;
+}
+
+void use_two(double* out) {
+  #pragma omp parallel for schedule(static)
+  for (long i = 0; i < 4096; ++i) out[i] = buf[i] * 2.0;
+}
+)lint";
+
+// Two translation units, each with its own `static fill`: one.cpp's is
+// serial, two.cpp's is parallel, and two.cpp's refill calls its own.
+constexpr const char* kStaticFillOne = R"lint(#include <cstdlib>
+static void fill(double* p, long n) {
+  for (long i = 0; i < n; ++i) p[i] = 0.0;
+}
+
+double* make_one(long n) {
+  double* a = (double*)malloc(n * sizeof(double));
+  fill(a, n);
+  return a;
+}
+)lint";
+
+constexpr const char* kStaticFillTwo = R"lint(static double grid[1 << 16];
+
+static void fill(double* p, long n) {
+  #pragma omp parallel for schedule(static)
+  for (long i = 0; i < n; ++i) p[i] = 0.0;
+}
+
+void refill(long n) {
+  fill(grid, n);
+}
+
+void relax(long n) {
+  #pragma omp parallel for schedule(static)
+  for (long i = 0; i < n; ++i) grid[i] = grid[i] * 0.5;
+}
+)lint";
+
+// The `fill` split again, through unnamed namespaces, with an external
+// `grid`: each file's `fill` is its own.
+constexpr const char* kUnnamedFillOne = R"lint(#include <cstdlib>
+namespace {
+void fill(double* p, long n) {
+  for (long i = 0; i < n; ++i) p[i] = 0.0;
+}
+}  // namespace
+
+double* make_one(long n) {
+  double* a = (double*)malloc(n * sizeof(double));
+  fill(a, n);
+  return a;
+}
+)lint";
+
+constexpr const char* kUnnamedFillTwo = R"lint(double grid[1 << 16];
+
+namespace {
+void fill(double* p, long n) {
+  #pragma omp parallel for schedule(static)
+  for (long i = 0; i < n; ++i) p[i] = 0.0;
+}
+}  // namespace
+
+void refill(long n) {
+  fill(grid, n);
+}
+
+void relax(long n) {
+  #pragma omp parallel for schedule(static)
+  for (long i = 0; i < n; ++i) grid[i] = grid[i] * 0.5;
+}
+)lint";
+
+/// Lints each source alone and the pair together; every run must be clean.
+void expect_no_findings_alone_or_together(const std::string& dir_name,
+                                          const char* one, const char* two) {
+  TempDir dir(dir_name);
+  const std::vector<std::string> paths = {dir.file("one.cpp", one),
+                                          dir.file("two.cpp", two)};
+  for (const std::string& path : paths) {
+    const LintResult alone = lint_paths({path});
+    EXPECT_TRUE(alone.findings.empty())
+        << path << ":\n" << render_findings(alone.findings);
+  }
+  const LintResult together = lint_paths(paths);
+  EXPECT_TRUE(together.findings.empty())
+      << render_findings(together.findings);
+}
+
+TEST(LintLinkage, StaticGlobalsOfTwoFilesAreTwoSymbols) {
+  expect_no_findings_alone_or_together("numaprof_lint_static_buf",
+                                       kStaticBufOne, kStaticBufTwo);
+}
+
+TEST(LintLinkage, CallReachesItsOwnFilesStaticFunction) {
+  expect_no_findings_alone_or_together("numaprof_lint_static_fill",
+                                       kStaticFillOne, kStaticFillTwo);
+}
+
+TEST(LintLinkage, UnnamedNamespaceSymbolsStayInTheirFile) {
+  expect_no_findings_alone_or_together("numaprof_lint_unnamed",
+                                       kUnnamedFillOne, kUnnamedFillTwo);
+}
+
+TEST(LintLinkage, ArgumentResolvesInTheCallersFile) {
+  // two.cpp hands its own `grid` to a serial helper; the write must land
+  // on two.cpp's grid, not on one.cpp's, which only parallel code reads.
+  expect_no_findings_alone_or_together(
+      "numaprof_lint_static_arg",
+      "static double grid[1 << 16];\n"
+      "double use_one(long n) {\n"
+      "  double s = 0.0;\n"
+      "  #pragma omp parallel for schedule(static)\n"
+      "  for (long i = 0; i < n; ++i) s += grid[i];\n"
+      "  return s;\n"
+      "}\n",
+      "static double grid[1 << 16];\n"
+      "void zero(double* p, long n) {\n"
+      "  for (long i = 0; i < n; ++i) p[i] = 0.0;\n"
+      "}\n"
+      "void setup_two(long n) { zero(grid, n); }\n");
+}
+
+TEST(LintLinkage, HeaderStaticHelperStillReachesItsIncluder) {
+  // A header's `static` helper is compiled into every file that includes
+  // it, so a call from another file with no definition of its own still
+  // resolves to it.
+  TempDir dir("numaprof_lint_header_static");
+  const std::vector<std::string> paths = {
+      dir.file("grid.cpp",
+               "#include \"util.hpp\"\n"
+               "static double grid[1 << 16];\n"
+               "void setup(long n) { zero(grid, n); }\n"
+               "void relax(long n) {\n"
+               "  #pragma omp parallel for schedule(static)\n"
+               "  for (long i = 0; i < n; ++i) grid[i] += 1.0;\n"
+               "}\n"),
+      dir.file("util.hpp",
+               "static inline void zero(double* p, long n) {\n"
+               "  for (long i = 0; i < n; ++i) p[i] = 0.0;\n"
+               "}\n")};
+  const LintResult result = lint_paths(paths);
+  const StaticFinding* f =
+      find(result.findings, "grid", LintKind::kCrossSerialInit);
+  ASSERT_NE(f, nullptr) << render_findings(result.findings);
+  EXPECT_EQ(f->file, "util.hpp");
+  EXPECT_NE(f->message.find("via setup -> zero"), std::string::npos)
+      << f->message;
+}
+
+TEST(LintLinkage, IrMarksNamespaceScopeStaticsAndUnnamedNamespaces) {
+  const TokenStream tokens(
+      "static double a[8];\n"
+      "double b[8];\n"
+      "namespace { void f() {} }\n"
+      "namespace ns { static void g() {} void h() {} }\n"
+      "namespace ns { namespace { void p() {} } }\n"
+      "struct S { static void q() {} };\n"
+      "static void k() {}\n"
+      "void m() {}\n");
+  const ir::FileIr ir = ir::build_ir(tokens, scan_parallel(tokens), "t.cpp");
+  std::map<std::string, bool> internal;
+  for (const ir::Global& g : ir.globals) internal[g.name] = g.internal;
+  for (const ir::Function& fn : ir.functions) internal[fn.name] = fn.internal;
+  const std::map<std::string, bool> want = {
+      {"a", true}, {"b", false}, {"f", true}, {"g", true},  {"h", false},
+      {"p", true}, {"q", false}, {"k", true}, {"m", false}};
+  EXPECT_EQ(internal, want);
 }
 
 // --- L6/L7/L8 ------------------------------------------------------------
@@ -498,37 +689,6 @@ TEST(LintRegions, NestedLoopBodyBelongsToTheParallelLoop) {
   EXPECT_NE(find(result.findings, "m", LintKind::kCrossSerialInit), nullptr);
 }
 
-// --- incremental cache ---------------------------------------------------
-
-TEST(LintDataflow, CacheColdAndWarmRunsAreByteIdentical) {
-  TempDir src("numaprof_lint_cache_src");
-  TempDir cache("numaprof_lint_cache_dir");
-  const std::vector<std::string> paths = {src.file("a.cpp", kXtuA),
-                                          src.file("b.cpp", kXtuB),
-                                          src.file("c.cpp", kXtuC)};
-  PipelineOptions options;
-  options.jobs = 4;
-  options.lint_cache_dir = cache.path;
-  const LintResult cold = lint_paths(paths, options);
-  std::size_t entries = 0;
-  for (const auto& e : fs::directory_iterator(cache.path)) {
-    (void)e;
-    ++entries;
-  }
-  EXPECT_EQ(entries, 3u);  // one artifact per file
-  const LintResult warm = lint_paths(paths, options);
-  EXPECT_EQ(render_findings(warm.findings),
-            render_findings(cold.findings));
-  EXPECT_EQ(warm.stats.tokens, cold.stats.tokens);
-
-  // No cache at all must agree too.
-  PipelineOptions plain;
-  plain.jobs = 4;
-  const LintResult uncached = lint_paths(paths, plain);
-  EXPECT_EQ(render_findings(uncached.findings),
-            render_findings(cold.findings));
-}
-
 // --- SARIF export --------------------------------------------------------
 
 void check_sarif_golden(const std::string& app) {
@@ -693,32 +853,6 @@ StaticFinding control_char_finding() {
   f.variable = "grid" + kControlBytes;
   f.message = "first" + kControlBytes + "second";
   return f;
-}
-
-void expect_same_strings(const StaticFinding& got, const StaticFinding& want) {
-  EXPECT_EQ(got.file, want.file);
-  EXPECT_EQ(got.variable, want.variable);
-  EXPECT_EQ(got.message, want.message);
-}
-
-TEST(LintControlChars, CacheEntryRoundTripsByteExact) {
-  TempDir cache("numaprof_lint_control_cache");
-  FilePhase1 artifact = lint_file_phase1(kL6Source, "l6.cpp");
-  const StaticFinding f = control_char_finding();
-  artifact.local.findings.push_back(f);
-  store_phase1_cache(cache.path, 42, artifact);
-  for (const auto& e : fs::directory_iterator(cache.path)) {
-    std::ifstream in(e.path(), std::ios::binary);
-    std::ostringstream entry;
-    entry << in.rdbuf();
-    const std::vector<std::string> problems =
-        core::json_well_formed(entry.str());
-    EXPECT_TRUE(problems.empty()) << problems.front();
-  }
-  const std::optional<FilePhase1> loaded = load_phase1_cache(cache.path, 42);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->local.findings.size(), artifact.local.findings.size());
-  expect_same_strings(loaded->local.findings.back(), f);
 }
 
 TEST(LintControlChars, BaselineRoundTripsByteExact) {
