@@ -38,7 +38,7 @@ using namespace numaprof;
 /// Synthesizes a translation unit with `blocks` repetitions of a
 /// realistic workload fragment: a serially-initialized array, a parallel
 /// consumer region, a per-thread counter, and a cross-function pointer
-/// handoff (exercises the L1/L2 recognizers AND the dataflow summaries).
+/// handoff (exercises the L1/L2 checks AND the interprocedural pass).
 std::string synthesize(int blocks, int salt) {
   std::string src =
       "#include <omp.h>\n"

@@ -111,7 +111,7 @@ class Advisor {
 // are directly comparable.
 
 /// The static antipattern catalog (see docs/lint.md). L1-L4 come from the
-/// per-TU token-shape recognizers; L5-L8 come from the interprocedural
+/// per-file query over numalint's IR; L5-L8 come from the interprocedural
 /// dataflow engine (src/lint/dataflow) and can cross function and file
 /// boundaries.
 enum class LintKind : std::uint8_t {

@@ -32,8 +32,6 @@ namespace numaprof {
 // --- Options & errors ------------------------------------------------
 // PipelineOptions [stable]: the one option block consumed by both the
 // shard merge and the analyzer fold (declared in core/options.hpp).
-// PipelineOptions::lint_cache_dir [deprecated]: ignored, because numalint
-// no longer keeps a per-file cache; removed in the next release.
 // Error / ErrorKind / format_error [stable]: the one exception base and
 // the one CLI formatter (declared in support/error.hpp).
 

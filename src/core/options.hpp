@@ -19,13 +19,6 @@ enum class ProfileFormat : std::uint8_t {
   kBinary,
 };
 
-// The push/pop keeps the deprecated field's own declaration from warning
-// in the constructors, copies and destructor the compiler synthesizes;
-// code that names the field still gets the warning. GCC also warns where
-// a bare `{}` initializes a PipelineOptions parameter, so default
-// arguments spell `PipelineOptions()` instead.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 struct PipelineOptions {
   /// Threads of every parallel stage (shard parsing, metric-row merges,
   /// lint phase 1); each stage runs support::parallel_for_each on at most
@@ -45,14 +38,9 @@ struct PipelineOptions {
   /// Sources for the static NUMA-antipattern analyzer; when non-empty the
   /// CLIs append a fused-findings pane to their reports (docs/lint.md).
   std::vector<std::string> lint_paths{};
-  /// [deprecated] Ignored: numalint has no per-file cache any more, and
-  /// every lint run reads its sources afresh. Removed in the next release.
-  [[deprecated("ignored: numalint has no cache; removed next release")]]
-  std::string lint_cache_dir{};
   /// Encoding used when this pipeline WRITES profiles (merged outputs,
   /// shards). Loads always autodetect, so mixed-format inputs merge fine.
   ProfileFormat format = ProfileFormat::kText;
 };
-#pragma GCC diagnostic pop
 
 }  // namespace numaprof

@@ -1,10 +1,13 @@
 #include "lint/dataflow.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 
 namespace numaprof::lint::dataflow {
 
@@ -18,19 +21,62 @@ using core::StaticFinding;
 constexpr std::size_t kMaxChain = 6;  // provenance depth cap (breaks cycles)
 constexpr int kMaxRounds = 8;
 
-Effect::Target classify_target(const FunctionSummary& fn,
+/// One call-chain step in a lifted effect's provenance: at `file:line`
+/// (in the function owning the effect) control passes into `callee`.
+struct Hop {
+  std::string callee;
+  std::string file;
+  std::uint32_t line = 0;
+};
+
+/// One memory effect a function has on a named symbol: one of its own
+/// touches, or a callee's lifted into its frame. `target` says how the
+/// symbol is addressed from the owning function's frame; the
+/// file/line/touch_fn triple always names the REAL touch site, however
+/// many call hops away it is.
+struct Effect {
+  enum class Target : std::uint8_t {
+    kParam,   // through parameter `param` of the owning function
+    kGlobal,  // a file-scope symbol
+    kLocal,   // an allocation root local to the owning function
+  };
+  Target target = Target::kGlobal;
+  int param = -1;
+  std::string symbol;  // symbol name in the owning function's frame
+  ir::TouchKind kind = ir::TouchKind::kRead;
+  bool parallel = false;
+  bool guarded = false;
+  bool full_range = false;
+  bool via_alias = false;
+  ir::Schedule sched = ir::Schedule::kNone;
+  int chunk = 0;
+  bool blocked = false;
+  std::string file;      // where the touch physically is
+  std::uint32_t line = 0;
+  std::string touch_fn;  // function containing the physical touch
+  /// kGlobal only: the program-wide symbol `symbol` names, resolved under
+  /// C++ linkage; empty when no global of that name is in scope.
+  std::string global_id;
+  /// Execution-order key within the OWNING function (block rpo, token
+  /// position of the touch, or of the call site for lifted effects).
+  std::pair<int, std::size_t> order{0, 0};
+  std::vector<Hop> chain;  // call path from the owning fn to the touch
+};
+
+/// A function of the program and every effect it has, its own and (as
+/// propagation runs) its callees'.
+struct Frame {
+  const ir::Function* fn = nullptr;
+  std::size_t file = 0;  // index of its file in processing order
+  std::vector<Effect> effects;
+};
+
+Effect::Target classify_target(const ir::Function& fn,
                                const std::string& symbol, int* param_out) {
-  for (std::size_t i = 0; i < fn.param_names.size(); ++i) {
-    if (!fn.param_names[i].empty() && fn.param_names[i] == symbol) {
-      *param_out = static_cast<int>(i);
-      return Effect::Target::kParam;
-    }
-  }
-  *param_out = -1;
-  for (const std::string& l : fn.local_allocs) {
-    if (l == symbol) return Effect::Target::kLocal;
-  }
-  return Effect::Target::kGlobal;
+  *param_out = fn.param_index(symbol);
+  if (*param_out >= 0) return Effect::Target::kParam;
+  return fn.is_local_alloc(symbol) ? Effect::Target::kLocal
+                                   : Effect::Target::kGlobal;
 }
 
 /// One namespace of program-wide symbols under C++ linkage. An external
@@ -107,13 +153,13 @@ bool schedules_mismatch(const Effect& a, const Effect& b) {
 /// A symbol's aggregated evidence: every effect anywhere in the program
 /// that lands on it, with the function owning each.
 struct Site {
-  const FunctionSummary* fn = nullptr;
+  const Frame* fn = nullptr;
   const Effect* e = nullptr;
 };
 
-std::string render_chain(const FunctionSummary& owner, const Effect& e) {
+std::string render_chain(const Frame& owner, const Effect& e) {
   if (e.chain.empty()) return {};
-  std::string out = " via " + owner.name;
+  std::string out = " via " + owner.fn->name;
   for (const Hop& h : e.chain) {
     out += " -> " + h.callee;
   }
@@ -132,66 +178,50 @@ std::string sched_str(const Effect& e) {
   return s;
 }
 
-}  // namespace
-
-FileSummary summarize(const ir::FileIr& ir) {
-  FileSummary out;
-  out.file = ir.file;
-  out.globals = ir.globals;
-  for (const ir::Function& fn : ir.functions) {
-    FunctionSummary fs;
-    fs.name = fn.name;
-    fs.file = fn.file;
-    fs.line = fn.line;
-    fs.internal = fn.internal;
-    for (const ir::Param& p : fn.params) fs.param_names.push_back(p.name);
-    fs.local_allocs = fn.local_allocs;
-    for (const ir::CallSite& c : fn.calls) {
-      Call call;
-      call.callee = c.callee;
-      call.line = c.line;
-      call.args = c.args;
-      call.parallel = c.parallel;
-      call.guarded = c.thread_guarded;
-      call.sched = c.sched;
-      call.chunk = c.chunk;
-      call.blocked = c.blocked;
-      call.order = fn.order_of(c.block, c.pos);
-      fs.calls.push_back(std::move(call));
-    }
-    for (const ir::Touch& t : fn.touches) {
-      Effect e;
-      e.symbol = t.symbol;
-      e.target = classify_target(fs, t.symbol, &e.param);
-      e.kind = t.kind;
-      e.parallel = t.parallel;
-      e.guarded = t.thread_guarded;
-      e.full_range = t.full_range;
-      e.via_alias = t.via_alias;
-      e.sched = t.sched;
-      e.chunk = t.chunk;
-      e.blocked = t.blocked;
-      e.file = fn.file;
-      e.line = t.line;
-      e.touch_fn = fn.name;
-      e.order = fn.order_of(t.block, t.pos);
-      fs.effects.push_back(std::move(e));
-    }
-    out.functions.push_back(std::move(fs));
+/// A function's own touches of a C++ root, as effects in its frame.
+std::vector<Effect> own_effects(const ir::Function& fn) {
+  std::vector<Effect> out;
+  for (const ir::Touch& t : fn.touches) {
+    if (t.symbol.empty()) continue;  // names no root: per-file checks only
+    Effect e;
+    e.symbol = t.symbol;
+    e.target = classify_target(fn, t.symbol, &e.param);
+    e.kind = t.kind;
+    e.parallel = t.parallel;
+    e.guarded = t.thread_guarded;
+    e.full_range = t.index.full_range;
+    e.via_alias = t.via_alias;
+    e.sched = t.sched;
+    e.chunk = t.chunk;
+    e.blocked = t.blocked;
+    e.file = fn.file;
+    e.line = t.line;
+    e.touch_fn = fn.name;
+    e.order = fn.order_of(t.block, t.pos);
+    out.push_back(std::move(e));
   }
   return out;
 }
 
-std::vector<StaticFinding> propagate_and_check(std::vector<FileSummary> files) {
-  // Deterministic processing order regardless of how summaries arrived.
-  std::sort(files.begin(), files.end(),
-            [](const FileSummary& a, const FileSummary& b) {
-              return a.file < b.file;
-            });
+}  // namespace
 
-  // Whole-program symbol tables, then every global effect's identity.
+std::vector<StaticFinding> propagate_and_check(std::vector<ir::FileIr> files) {
+  // Deterministic processing order regardless of how the IR arrived.
+  std::stable_sort(files.begin(), files.end(),
+                   [](const ir::FileIr& a, const ir::FileIr& b) {
+                     return a.file < b.file;
+                   });
+
+  // Every function's frame, then the whole-program symbol tables, then
+  // every global effect's identity.
+  std::vector<Frame> frames;
+  for (std::size_t file = 0; file < files.size(); ++file) {
+    for (const ir::Function& fn : files[file].functions) {
+      frames.push_back(Frame{&fn, file, own_effects(fn)});
+    }
+  }
   Linkage<std::optional<Decl>> globals;
-  Linkage<FunctionSummary*> functions;
+  Linkage<Frame*> functions;
   for (std::size_t file = 0; file < files.size(); ++file) {
     for (const ir::Global& g : files[file].globals) {
       std::optional<Decl>& decl = globals.define(file, g.name, g.internal);
@@ -199,17 +229,14 @@ std::vector<StaticFinding> propagate_and_check(std::vector<FileSummary> files) {
         decl = Decl{files[file].file, g.line, g.is_extern};
       }
     }
-    for (FunctionSummary& fn : files[file].functions) {
-      FunctionSummary*& slot = functions.define(file, fn.name, fn.internal);
-      if (slot == nullptr) slot = &fn;  // first definition in path order
-    }
   }
-  for (std::size_t file = 0; file < files.size(); ++file) {
-    for (FunctionSummary& fn : files[file].functions) {
-      for (Effect& e : fn.effects) {
-        if (e.target == Effect::Target::kGlobal) {
-          e.global_id = globals.resolve(file, e.symbol);
-        }
+  for (Frame& frame : frames) {
+    Frame*& slot =
+        functions.define(frame.file, frame.fn->name, frame.fn->internal);
+    if (slot == nullptr) slot = &frame;  // first definition in path order
+    for (Effect& e : frame.effects) {
+      if (e.target == Effect::Target::kGlobal) {
+        e.global_id = globals.resolve(frame.file, e.symbol);
       }
     }
   }
@@ -217,62 +244,62 @@ std::vector<StaticFinding> propagate_and_check(std::vector<FileSummary> files) {
   // Fixpoint: lift callee effects into callers.
   for (int round = 0; round < kMaxRounds; ++round) {
     bool changed = false;
-    for (std::size_t file = 0; file < files.size(); ++file) {
-      for (FunctionSummary& fn : files[file].functions) {
-        std::set<std::string> seen;
-        for (const Effect& e : fn.effects) seen.insert(effect_key(e));
-        for (const Call& c : fn.calls) {
-          FunctionSummary* const* hit =
-              functions.find(functions.resolve(file, c.callee));
-          if (hit == nullptr) continue;
-          const FunctionSummary& callee = **hit;
-          // Snapshot size: the callee may be this very function.
-          const std::size_t ne = callee.effects.size();
-          for (std::size_t k = 0; k < ne; ++k) {
-            const Effect& e = callee.effects[k];
-            if (e.chain.size() >= kMaxChain) continue;
-            Effect lifted = e;
-            if (e.target == Effect::Target::kParam) {
-              if (e.param < 0 ||
-                  static_cast<std::size_t>(e.param) >= c.args.size()) {
-                continue;
-              }
-              const std::string& sym = c.args[static_cast<std::size_t>(e.param)];
-              if (sym.empty()) continue;
-              // A one-hop pointer handoff stays "cross-function" (L5);
-              // via_alias is reserved for touches that were themselves
-              // alias-obscured inside the callee.
-              lifted.symbol = sym;
-              lifted.target = classify_target(fn, sym, &lifted.param);
-              lifted.global_id = lifted.target == Effect::Target::kGlobal
-                                     ? globals.resolve(file, sym)
-                                     : std::string();
-            } else if (e.target == Effect::Target::kGlobal) {
-              // Lift globals only to correct the context: a serial helper
-              // called from a parallel loop touches in parallel.
-              if (!(c.parallel && !c.guarded && !e.parallel)) continue;
-            } else {
-              continue;  // locals never escape their function
+    for (Frame& frame : frames) {
+      const ir::Function& fn = *frame.fn;
+      std::set<std::string> seen;
+      for (const Effect& e : frame.effects) seen.insert(effect_key(e));
+      for (const ir::CallSite& c : fn.calls) {
+        Frame* const* hit =
+            functions.find(functions.resolve(frame.file, c.callee));
+        if (hit == nullptr) continue;
+        const Frame& callee = **hit;
+        const bool reaches_parallel = c.parallel && !c.thread_guarded;
+        // Snapshot size: the callee may be this very function.
+        const std::size_t ne = callee.effects.size();
+        for (std::size_t k = 0; k < ne; ++k) {
+          const Effect& e = callee.effects[k];
+          if (e.chain.size() >= kMaxChain) continue;
+          Effect lifted = e;
+          if (e.target == Effect::Target::kParam) {
+            if (e.param < 0 ||
+                static_cast<std::size_t>(e.param) >= c.args.size()) {
+              continue;
             }
-            if (c.parallel && !c.guarded && !e.parallel) {
-              lifted.parallel = true;
-              lifted.sched = c.sched;
-              lifted.chunk = c.chunk;
-              lifted.blocked = c.blocked;
-              lifted.full_range = e.full_range || !c.blocked;
-            }
-            lifted.guarded = e.guarded || c.guarded;
-            lifted.order = c.order;
-            lifted.chain.clear();
-            lifted.chain.push_back(Hop{callee.name, fn.file, c.line});
-            lifted.chain.insert(lifted.chain.end(), e.chain.begin(),
-                                e.chain.end());
-            const std::string key = effect_key(lifted);
-            if (seen.count(key) > 0) continue;
-            seen.insert(key);
-            fn.effects.push_back(std::move(lifted));
-            changed = true;
+            const std::string& sym = c.args[static_cast<std::size_t>(e.param)];
+            if (sym.empty()) continue;
+            // A one-hop pointer handoff stays "cross-function" (L5);
+            // via_alias is reserved for touches that were themselves
+            // alias-obscured inside the callee.
+            lifted.symbol = sym;
+            lifted.target = classify_target(fn, sym, &lifted.param);
+            lifted.global_id = lifted.target == Effect::Target::kGlobal
+                                   ? globals.resolve(frame.file, sym)
+                                   : std::string();
+          } else if (e.target == Effect::Target::kGlobal) {
+            // Lift globals only to correct the context: a serial helper
+            // called from a parallel loop touches in parallel.
+            if (!(reaches_parallel && !e.parallel)) continue;
+          } else {
+            continue;  // locals never escape their function
           }
+          if (reaches_parallel && !e.parallel) {
+            lifted.parallel = true;
+            lifted.sched = c.sched;
+            lifted.chunk = c.chunk;
+            lifted.blocked = c.blocked;
+            lifted.full_range = e.full_range || !c.blocked;
+          }
+          lifted.guarded = e.guarded || c.thread_guarded;
+          lifted.order = fn.order_of(c.block, c.pos);
+          lifted.chain.clear();
+          lifted.chain.push_back(Hop{callee.fn->name, fn.file, c.line});
+          lifted.chain.insert(lifted.chain.end(), e.chain.begin(),
+                              e.chain.end());
+          const std::string key = effect_key(lifted);
+          if (seen.count(key) > 0) continue;
+          seen.insert(key);
+          frame.effects.push_back(std::move(lifted));
+          changed = true;
         }
       }
     }
@@ -280,21 +307,21 @@ std::vector<StaticFinding> propagate_and_check(std::vector<FileSummary> files) {
   }
 
   // Aggregate per root symbol. Globals key by identity; locals by the
-  // frame that owns the allocation.
+  // frame that owns the allocation, its file named by index so two files
+  // that share a name keep their locals apart.
   std::map<std::string, std::vector<Site>> by_symbol;
-  for (const FileSummary& f : files) {
-    for (const FunctionSummary& fn : f.functions) {
-      for (const Effect& e : fn.effects) {
-        std::string key;
-        if (e.target == Effect::Target::kGlobal && !e.global_id.empty()) {
-          key = "g:" + e.global_id;
-        } else if (e.target == Effect::Target::kLocal) {
-          key = "l:" + fn.file + "#" + fn.name + "#" + e.symbol;
-        } else {
-          continue;  // unbound parameter effects only matter once lifted
-        }
-        by_symbol[key].push_back(Site{&fn, &e});
+  for (const Frame& frame : frames) {
+    for (const Effect& e : frame.effects) {
+      std::string key;
+      if (e.target == Effect::Target::kGlobal && !e.global_id.empty()) {
+        key = "g:" + e.global_id;
+      } else if (e.target == Effect::Target::kLocal) {
+        key = "l:" + std::to_string(frame.file) + "#" + frame.fn->name +
+              "#" + e.symbol;
+      } else {
+        continue;  // unbound parameter effects only matter once lifted
       }
+      by_symbol[key].push_back(Site{&frame, &e});
     }
   }
 
@@ -407,7 +434,7 @@ std::vector<StaticFinding> propagate_and_check(std::vector<FileSummary> files) {
         continue;
       }
       const auto rank = [](const Site& x) {
-        return std::make_tuple(x.e->chain.size(), x.e->file, x.fn->line,
+        return std::make_tuple(x.e->chain.size(), x.e->file, x.fn->fn->line,
                                x.e->order);
       };
       if (rank(s) < rank(*sw)) sw = &s;

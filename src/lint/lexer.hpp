@@ -4,12 +4,11 @@
 // literals, and (multi-char aware) punctuation. Comments vanish;
 // preprocessor directives stay in the stream ('#' is a punct token) so
 // `#pragma omp parallel` stays visible. This is deliberately NOT a full
-// C++ front end — both passes work on token shapes, which is all the
+// C++ front end — the IR builder works on token shapes, which is all the
 // antipattern catalog needs.
 //
-// `TokenStream` is what the passes read: one file lexed once, its
-// bracket-match table, and the readers both the L1-L4 recognizer
-// (numalint.cpp) and the IR builder (ir.cpp) use — member chains,
+// `TokenStream` is what the IR builder (ir.cpp) reads: one file lexed
+// once, its bracket-match table, and the readers — member chains,
 // argument lists, statement and construct boundaries, brace kinds, and
 // preprocessor directives. lint/regions.hpp scans it for parallel regions
 // and thread guards.

@@ -30,7 +30,7 @@
 
 #include "core/advisor.hpp"
 #include "core/options.hpp"
-#include "lint/dataflow.hpp"
+#include "lint/ir.hpp"
 #include "lint/sarif.hpp"
 #include "support/cliflags.hpp"
 #include "support/error.hpp"
@@ -60,16 +60,17 @@ struct LintResult {
 };
 
 /// Lints one in-memory translation unit. `file` is used for reporting.
-/// Runs the per-TU L1-L4 recognizers AND the interprocedural engine over
+/// Runs the per-file L1-L4 checks AND the interprocedural engine over
 /// this one file, so a program merged into a single TU reports the same
 /// L5-L8 findings as the multi-file sweep. Never throws on malformed input.
 LintResult lint_source(std::string_view source, std::string file);
 
-/// Phase-1 artifact for one file: the local L1-L4 findings plus the
-/// dataflow summary that phase 2 propagates across the whole program.
+/// Phase-1 artifact for one file: its one model (the IR) and the local
+/// L1-L4 findings queried from it; phase 2 propagates every file's IR
+/// across the whole program.
 struct FilePhase1 {
   LintResult local;
-  dataflow::FileSummary summary;
+  ir::FileIr ir;
 };
 
 /// Phase 1 only (embarrassingly parallel, pure function of the source).

@@ -1,11 +1,10 @@
 // Parallel regions and thread guards, scanned once per file.
 //
-// Both numalint passes need to know which tokens run in parallel and
-// which run on one thread: the L1-L4 recognizer (numalint.cpp) and the
-// IR builder (ir.cpp). `scan_parallel` reads the two source idioms once
-// — simulator DSL calls (`parallel_region`, `parallel_for`) and
-// `#pragma omp` directives — plus every `if (...)` statement, and gives
-// each construct one reading that both passes share.
+// The IR builder (ir.cpp) needs to know which tokens run in parallel and
+// which run on one thread, for every touch the L1-L8 checks read.
+// `scan_parallel` reads the two source idioms once — simulator DSL calls
+// (`parallel_region`, `parallel_for`) and `#pragma omp` directives —
+// plus every `if (...)` statement, and gives each construct one reading.
 #pragma once
 
 #include <cstdint>

@@ -410,12 +410,12 @@ void consume(long n) {
         break;
       }
     }
-    // Per-file phase 1 (lex + IR + summary), then whole-program
-    // propagation over the mutant paired with an intact TU.
+    // Per-file phase 1 (lex, IR, L1-L4), then whole-program propagation
+    // over the mutant's IR paired with an intact TU's.
     lint::FilePhase1 phase1 = lint::lint_file_phase1(bad, "mutant.cpp");
     lint::FilePhase1 anchor = lint::lint_file_phase1(good, "anchor.cpp");
     const auto findings = lint::dataflow::propagate_and_check(
-        {phase1.summary, anchor.summary});
+        {std::move(phase1.ir), std::move(anchor.ir)});
     for (const auto& f : findings) {
       ASSERT_FALSE(f.variable.empty());
       ASSERT_LT(static_cast<int>(f.kind), core::kLintKindCount);

@@ -136,6 +136,7 @@ struct TempDir {
   ~TempDir() { fs::remove_all(path); }
   std::string file(const std::string& name, const std::string& body) const {
     const std::string full = (fs::path(path) / name).string();
+    fs::create_directories(fs::path(full).parent_path());
     std::ofstream out(full, std::ios::binary);
     out << body;
     return full;
@@ -310,11 +311,13 @@ void relax(long n) {
 )lint";
 
 /// Lints each source alone and the pair together; every run must be clean.
-void expect_no_findings_alone_or_together(const std::string& dir_name,
-                                          const char* one, const char* two) {
+void expect_no_findings_alone_or_together(
+    const std::string& dir_name, const char* one, const char* two,
+    const std::string& one_path = "one.cpp",
+    const std::string& two_path = "two.cpp") {
   TempDir dir(dir_name);
-  const std::vector<std::string> paths = {dir.file("one.cpp", one),
-                                          dir.file("two.cpp", two)};
+  const std::vector<std::string> paths = {dir.file(one_path, one),
+                                          dir.file(two_path, two)};
   for (const std::string& path : paths) {
     const LintResult alone = lint_paths({path});
     EXPECT_TRUE(alone.findings.empty())
@@ -386,6 +389,29 @@ TEST(LintLinkage, HeaderStaticHelperStillReachesItsIncluder) {
       << f->message;
 }
 
+TEST(LintLinkage, SameBasenameFilesKeepTheirLocalsApart) {
+  // Findings name a file by its basename, so these two unrelated files
+  // share one. Each `buf` is still a local of its own file's setup(): the
+  // parallel init in one never pairs with the parallel read in the other.
+  expect_no_findings_alone_or_together(
+      "numaprof_lint_same_basename",
+      "#include <cstdlib>\n"
+      "void setup(long n) {\n"
+      "  double* buf = (double*)malloc(n * sizeof(double));\n"
+      "  #pragma omp parallel for schedule(static)\n"
+      "  for (long i = 0; i < n; ++i) buf[i] = 0.0;\n"
+      "}\n",
+      "#include <cstdlib>\n"
+      "double setup(long n) {\n"
+      "  double* buf = (double*)malloc(n * sizeof(double));\n"
+      "  double sum = 0.0;\n"
+      "  #pragma omp parallel for schedule(dynamic)\n"
+      "  for (long i = 0; i < n; ++i) sum += buf[i];\n"
+      "  return sum;\n"
+      "}\n",
+      "a/kernel.cpp", "b/kernel.cpp");
+}
+
 TEST(LintLinkage, IrMarksNamespaceScopeStaticsAndUnnamedNamespaces) {
   const TokenStream tokens(
       "static double a[8];\n"
@@ -404,6 +430,89 @@ TEST(LintLinkage, IrMarksNamespaceScopeStaticsAndUnnamedNamespaces) {
       {"a", true}, {"b", false}, {"f", true}, {"g", true},  {"h", false},
       {"p", true}, {"q", false}, {"k", true}, {"m", false}};
   EXPECT_EQ(internal, want);
+}
+
+// --- the IR walker: one touch per access ---------------------------------
+
+// The access forms of the DSL whose address names no C++ root the IR
+// tracks, each a site the per-file checks must still see: a table column
+// deref under a bool row filter, an address-helper lambda, elem_addr on a
+// root no allocation in the function assigns, and store_lines on a
+// registered stack variable.
+constexpr const char* kWalkerForms = R"lint(struct Slot {
+  const char* name;
+  VAddr* addr;
+  bool hot;
+};
+void walk(Machine& m, Profiler& profiler, const Config& cfg) {
+  Run run;
+  Ctl ctl;
+  const std::array<Slot, 2> slots = {{{"x", &run.x, true},
+                                      {"y", &run.y, false}}};
+  run.z = m.define_static("z", cfg.bytes, PolicySpec::first_touch()).start;
+  VAddr nodes = 0x7000;
+  profiler.variables().register_stack_variable("nodes", 0, nodes, cfg.bytes);
+  auto ctrl_addr = [&](std::uint64_t i) { return ctl.addr + i * 64; };
+  parallel_region(m, 1, "setup", 0, [&](SimThread& t, uint32_t) {
+    ctl.addr = t.malloc(cfg.bytes, "ctrl");
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      *slots[i].addr = t.malloc(cfg.bytes, slots[i].name);
+    }
+    for (const Slot& slot : slots) {
+      if (slot.hot) store_lines(t, *slot.addr, 0, cfg.n);
+    }
+  });
+  parallel_region(m, cfg.threads, "work", 0, [&](SimThread& t, uint32_t index) {
+    t.store(ctrl_addr(index));
+    t.load(elem_addr(run.z, index));
+    apps::store_lines(t, nodes, 0, cfg.n);
+  });
+}
+)lint";
+
+/// The touches of declared variable `name` in kWalkerForms.
+std::vector<ir::Touch> touches_of(const std::string& name) {
+  const TokenStream tokens(kWalkerForms);
+  const ir::FileIr ir =
+      ir::build_ir(tokens, scan_parallel(tokens), "walker.cpp");
+  std::vector<ir::Touch> out;
+  for (const ir::Function& fn : ir.functions) {
+    for (const ir::Touch& t : fn.touches) {
+      if (t.var >= 0 && ir.vars[static_cast<std::size_t>(t.var)].name == name) {
+        out.push_back(t);
+      }
+    }
+  }
+  return out;
+}
+
+/// Exactly one touch of `name`: at `line`, of `kind`, in `parallel`
+/// context, naming no C++ root.
+void expect_one_touch(const std::string& name, std::uint32_t line,
+                      ir::TouchKind kind, bool parallel) {
+  const std::vector<ir::Touch> touches = touches_of(name);
+  ASSERT_EQ(touches.size(), 1u) << name;
+  EXPECT_EQ(touches[0].line, line) << name;
+  EXPECT_EQ(touches[0].kind, kind) << name;
+  EXPECT_EQ(touches[0].parallel, parallel) << name;
+  EXPECT_EQ(touches[0].symbol, "") << name;
+}
+
+TEST(LintIr, TableColumnDerefKeepsTheRowsItsFilterPasses) {
+  expect_one_touch("x", 21, ir::TouchKind::kWrite, false);
+  EXPECT_TRUE(touches_of("y").empty());
+}
+
+TEST(LintIr, AddressHelperLambdaTouchesItsBase) {
+  expect_one_touch("ctrl", 25, ir::TouchKind::kWrite, true);
+}
+
+TEST(LintIr, ElemAddrOnAnUnallocatedRoot) {
+  expect_one_touch("z", 26, ir::TouchKind::kRead, true);
+}
+
+TEST(LintIr, StoreLinesOnARegisteredStackVariable) {
+  expect_one_touch("nodes", 27, ir::TouchKind::kWrite, true);
 }
 
 // --- L6/L7/L8 ------------------------------------------------------------
@@ -454,11 +563,10 @@ TEST(LintDataflow, ReadMostlyReplicationCandidate) {
 // --- one reading of each shared construct --------------------------------
 
 // L1-L4 and L5-L8 share one reading of each parallel construct and thread
-// guard (lint/regions.hpp); each finding below depends on it, so a change
-// that gives one pass its own reading again fails here even when every
-// golden still holds. The passes still read one thing apart: an index
-// through an unknown call (chunked's to_string: linear for L1-L4, a
-// gather for L5-L8).
+// guard (lint/regions.hpp), and one reading of each index (the IR's
+// index reader); each finding below depends on it, so a change that gives
+// one pass its own reading again fails here even when every golden still
+// holds.
 //   sweep    a single-statement loop body holding a ';' inside a lambda
 //            runs to the ';' after the lambda (grid is consumed there)
 //   braced   a braced `omp parallel for` ends at its closing brace, so
@@ -475,6 +583,14 @@ TEST(LintDataflow, ReadMostlyReplicationCandidate) {
 //            thread count, so ring is round-robin (expected full-range
 //            for L1-L4, schedule(static-chunk,1) for L5-L8), but
 //            ctx.threads[0] does not, so wrap is not (expected irregular)
+//   chunked  an index through an unknown call is a gather, to_string's
+//            too: lut is expected full-range (L1) and every thread reads
+//            its whole extent (L8)
+//   gathers  a local lambda called in an index is read in place: at(i)
+//            indexes ramp by the loop variable, so ramp is no gather (L5,
+//            not L8); the loop variable inside a nested subscript is a
+//            gather: gath[perm[i]] is expected full-range (L1) and read
+//            whole by every thread (L8)
 constexpr const char* kSplitReadings = R"lint(#include <cstdlib>
 #include <string>
 static double grid[4096];
@@ -539,6 +655,19 @@ void strided(SimMachine& m, Ctx& ctx) {
     for (long i = index; i < 4096; i += cfg::nthreads) ring[i] += 1.0;
   });
 }
+static double ramp[4096];
+static double gath[4096];
+void seed_more(long n) {
+  for (long i = 0; i < n; ++i) ramp[i] = 8.0;
+  for (long i = 0; i < n; ++i) gath[i] = 9.0;
+}
+double gathers(long n, const long* perm) {
+  auto at = [&](long k) { return k; };
+  double sum = 0.0;
+  #pragma omp parallel for
+  for (long i = 0; i < n; ++i) sum += ramp[at(i)] + gath[perm[i]];
+  return sum;
+}
 )lint";
 
 constexpr const char* kSplitReadingsFindings =
@@ -573,8 +702,7 @@ constexpr const char* kSplitReadingsFindings =
     "with the consumer's partitioning so each block is first touched "
     "by the thread that uses it.\n"
     "split_readings.cpp:16 [L1 serial-first-touch] lut\n"
-    "    expected irregular, suggest blockwise-first-touch (declared "
-    "at line 5)\n"
+    "    expected full-range, suggest interleave (declared at line 5)\n"
     "    'lut' is written by serial code (1 site) but consumed by "
     "parallel region 'omp parallel for schedule static'; first touch "
     "homes every page in the initializing thread's domain\n"
@@ -647,7 +775,35 @@ constexpr const char* kSplitReadingsFindings =
     "split_readings.cpp:59 (strided). All pages land on the "
     "initializing thread's domain; initialize in parallel with the "
     "consumer's partitioning so each block is first touched by the "
-    "thread that uses it.\n";
+    "thread that uses it.\n"
+    "split_readings.cpp:68 [L1 serial-first-touch] ramp\n"
+    "    expected irregular, suggest blockwise-first-touch (declared "
+    "at line 65)\n"
+    "    'ramp' is written by serial code (1 site) but consumed by "
+    "parallel region 'omp parallel for'; first touch homes every page "
+    "in the initializing thread's domain\n"
+    "split_readings.cpp:68 [L5 cross-fn-serial-first-touch] ramp\n"
+    "    expected blocked, suggest blockwise-first-touch (declared at "
+    "line 65)\n"
+    "    ramp: allocated at split_readings.cpp:65; first touched "
+    "serially at split_readings.cpp:68 (seed_more); consumed in parallel "
+    "at split_readings.cpp:75 (gathers) with schedule(static). All pages "
+    "land on the initializing thread's domain; initialize in parallel "
+    "with the consumer's partitioning so each block is first touched by "
+    "the thread that uses it.\n"
+    "split_readings.cpp:69 [L1 serial-first-touch] gath\n"
+    "    expected full-range, suggest interleave (declared at line 66)\n"
+    "    'gath' is written by serial code (1 site) but consumed by "
+    "parallel region 'omp parallel for'; first touch homes every page "
+    "in the initializing thread's domain\n"
+    "split_readings.cpp:69 [L8 read-mostly-replicable] gath\n"
+    "    expected full-range, suggest interleave (declared at line 66)\n"
+    "    gath: allocated at split_readings.cpp:66; first touched "
+    "serially at split_readings.cpp:69 (seed_more); consumed in parallel "
+    "at split_readings.cpp:75 (gathers) with schedule(static). Every "
+    "thread reads the whole extent but only one thread ever writes it: a "
+    "replication candidate — interleave the pages (or replicate per "
+    "domain) instead of leaving them on the initializing thread's node.\n";
 
 TEST(LintReadings, EachPassKeepsItsReadingOfSharedConstructs) {
   const LintResult result = lint_source(kSplitReadings, "split_readings.cpp");

@@ -119,6 +119,23 @@ void work(long n) {
   EXPECT_EQ(f->suggested, Action::kBlockwiseFirstTouch);
 }
 
+TEST(Lint, MemsetInitializationIsL1) {
+  // memset is the serial first touch; in one function only L1 sees it.
+  const LintResult r = lint_source(R"src(
+void work(long n) {
+  double* a = (double*)malloc(n * sizeof(double));
+  memset(a, 0, n * sizeof(double));
+  #pragma omp parallel for
+  for (long i = 0; i < n; ++i) a[i] += 1.0;
+}
+)src",
+                                   "t.cpp");
+  const StaticFinding* f = find(r, "a", LintKind::kSerialFirstTouch);
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(f->line, 4u);  // the memset
+  EXPECT_EQ(f->decl_line, 3u);
+}
+
 TEST(Lint, ParallelInitIsClean) {
   const LintResult r = lint_source(R"src(
 static double grid[4096];
